@@ -28,7 +28,13 @@ from .decomp import (
     representativeness_probe,
 )
 from .errors import ConfigError, ErrorLabError, FitError, InvalidSpecError, InvariantError
-from .experiments import monotone_under_ci, regime_gallery, run_learning_curve, run_panel_scenarios
+from .experiments import (
+    LearningCurvePoint,
+    monotone_under_ci,
+    regime_gallery,
+    run_learning_curve,
+    run_panel_scenarios,
+)
 from .models import fit_regimes, model_to_json
 from .runio import RunManifest, render_csv, render_json, sha256_text, write_outputs
 
@@ -64,6 +70,8 @@ def _apply_overrides(scenario: Scenario, run_config: RunConfig) -> Scenario:
             ).validate()
     if run_config.replicates is not None:
         reps = run_config.replicates
+        if reps < 2:
+            raise ConfigError(f"--replicates: must be >= 2, got {reps}")
         scenario.biasvar.replicates = reps
         if scenario.curve is not None:
             scenario.curve.replicates = reps
@@ -72,67 +80,26 @@ def _apply_overrides(scenario: Scenario, run_config: RunConfig) -> Scenario:
     return scenario
 
 
-def _curve_rows(curve, scenario_name: str, variant: str):
-    rows = []
-    for p in curve.points:
-        rows.append(
-            [
-                scenario_name,
-                variant,
-                p.level_index,
-                p.n_train,
-                p.n_features,
-                p.fidelity_y,
-                p.fidelity_x,
-                p.mean_mse,
-                p.ci_half_width,
-                p.mean_abs_approx,
-                p.mean_abs_meas_y,
-                p.mean_abs_meas_x,
-                p.performance,
-            ]
-        )
-    return rows
+_POINT_FIELDS = [f.name for f in dataclasses.fields(LearningCurvePoint)]
+_CURVE_HEADER = ["scenario", "variant", *_POINT_FIELDS]
 
 
-_CURVE_HEADER = [
-    "scenario",
-    "variant",
-    "level_index",
-    "n_train",
-    "n_features",
-    "fidelity_y",
-    "fidelity_x",
-    "mean_mse",
-    "ci_half_width",
-    "mean_abs_approx",
-    "mean_abs_meas_y",
-    "mean_abs_meas_x",
-    "performance",
-]
-
-
-def _point_payload(p) -> dict:
-    return {
-        "level_index": p.level_index,
-        "n_train": p.n_train,
-        "n_features": p.n_features,
-        "fidelity_y": p.fidelity_y,
-        "fidelity_x": p.fidelity_x,
-        "mean_mse": p.mean_mse,
-        "ci_half_width": p.ci_half_width,
-        "mean_abs_approx": p.mean_abs_approx,
-        "mean_abs_meas_y": p.mean_abs_meas_y,
-        "mean_abs_meas_x": p.mean_abs_meas_x,
-        "performance": p.performance,
-    }
+def _curve_columns(curves) -> list[list]:
+    """CSV columns for ``(scenario, variant, curve)`` triples, one row per
+    curve point, in ``_CURVE_HEADER`` order."""
+    rows = [(name, variant, p) for name, variant, curve in curves for p in curve.points]
+    return [
+        [name for name, _, _ in rows],
+        [variant for _, variant, _ in rows],
+        *([getattr(p, field) for _, _, p in rows] for field in _POINT_FIELDS),
+    ]
 
 
 def _cmd_simulate(scenario: Scenario, run_config: RunConfig, seed_log: set) -> dict[str, str]:
     cfg = scenario.simulate
     seed_log.add(cfg.label)
     bundle = worldgen.sample(scenario.world, cfg.n, cfg.label)
-    header, rows = worldgen.bundle_columns(bundle)
+    header, columns = worldgen.bundle_columns(bundle)
     summary = {
         "n": cfg.n,
         "coverage": bundle.coverage,
@@ -143,7 +110,7 @@ def _cmd_simulate(scenario: Scenario, run_config: RunConfig, seed_log: set) -> d
         "observed_dim": int(bundle.x_observed.shape[1]),
     }
     return {
-        "samples.csv": render_csv(header, rows),
+        "samples.csv": render_csv(header, columns),
         "summary.json": render_json(summary),
     }
 
@@ -171,23 +138,7 @@ def _cmd_decompose(scenario: Scenario, run_config: RunConfig, seed_log: set) -> 
         "y_true",
         "y_pred",
     ]
-    rows = [
-        [
-            i,
-            table.model_approx_gain[i],
-            table.meas_gain_y[i],
-            table.meas_gain_x[i],
-            table.current_prediction[i],
-            table.aleatoric[i],
-            table.err_x[i],
-            table.err_y[i],
-            table.delta_f[i],
-            table.aleatoric_term[i],
-            table.y_true[i],
-            table.y_pred[i],
-        ]
-        for i in range(table.n)
-    ]
+    columns = [np.arange(table.n)] + [getattr(table, name) for name in header[1:]]
     summary = {
         "n": table.n,
         "train_n": cfg.train_n,
@@ -203,7 +154,7 @@ def _cmd_decompose(scenario: Scenario, run_config: RunConfig, seed_log: set) -> 
         "TT": model_to_json(regimes.tt),
     }
     return {
-        "decomposition.csv": render_csv(header, rows),
+        "decomposition.csv": render_csv(header, columns),
         "summary.json": render_json(summary),
         "models.json": render_json(models_doc),
     }
@@ -248,7 +199,7 @@ def _cmd_biasvar(scenario: Scenario, run_config: RunConfig, seed_log: set) -> di
         "biasvar.json": render_json(payload),
         "replicates.csv": render_csv(
             ["replicate", "mse"],
-            [[r, float(v)] for r, v in enumerate(report.replicate_mse)],
+            [np.arange(len(report.replicate_mse)), report.replicate_mse],
         ),
     }
     if cfg.components_replicates > 0:
@@ -296,10 +247,10 @@ def _cmd_curve(scenario: Scenario, run_config: RunConfig, seed_log: set) -> dict
         "replicates": cfg.replicates,
         "var_y_test": curve.var_y_test,
         "monotone_under_ci": monotone_under_ci(curve.points),
-        "points": [_point_payload(p) for p in curve.points],
+        "points": [dataclasses.asdict(p) for p in curve.points],
     }
     return {
-        "curve.csv": render_csv(_CURVE_HEADER, _curve_rows(curve, "curve", "baseline")),
+        "curve.csv": render_csv(_CURVE_HEADER, _curve_columns([("curve", "baseline", curve)])),
         "curve.json": render_json(payload),
     }
 
@@ -320,9 +271,10 @@ def _cmd_panels(scenario: Scenario, run_config: RunConfig, seed_log: set) -> dic
         workers=run_config.workers,
         seed_log=seed_log,
     )
-    rows = []
-    for idx, (panel, curve) in enumerate(zip(result.scenarios, result.curves)):
-        rows.extend(_curve_rows(curve, f"panel{idx}", panel.variant))
+    curves = [
+        (f"panel{idx}", panel.variant, curve)
+        for idx, (panel, curve) in enumerate(zip(result.scenarios, result.curves))
+    ]
     comparisons = [
         {
             "variant": c.variant,
@@ -335,7 +287,7 @@ def _cmd_panels(scenario: Scenario, run_config: RunConfig, seed_log: set) -> dic
         for c in result.comparisons
     ]
     return {
-        "panels.csv": render_csv(_CURVE_HEADER, rows),
+        "panels.csv": render_csv(_CURVE_HEADER, _curve_columns(curves)),
         "panels.json": render_json({"comparisons": comparisons}),
     }
 
@@ -357,10 +309,9 @@ def _cmd_gallery(scenario: Scenario, run_config: RunConfig, seed_log: set) -> di
         workers=run_config.workers,
         seed_log=seed_log,
     )
-    rows = []
+    sides = (result.low_noise, result.high_noise)
     payload = {}
-    for side in (result.low_noise, result.high_noise):
-        rows.extend(_curve_rows(side.curve, "gallery", side.name))
+    for side in sides:
         payload[side.name] = {
             "ceiling_mse": side.ceiling.ceiling_mse,
             "ceiling_r2": side.ceiling.ceiling_r2,
@@ -369,7 +320,9 @@ def _cmd_gallery(scenario: Scenario, run_config: RunConfig, seed_log: set) -> di
             "monotone_under_ci": monotone_under_ci(side.curve.points),
         }
     return {
-        "gallery.csv": render_csv(_CURVE_HEADER, rows),
+        "gallery.csv": render_csv(
+            _CURVE_HEADER, _curve_columns([("gallery", side.name, side.curve) for side in sides])
+        ),
         "gallery.json": render_json(payload),
     }
 

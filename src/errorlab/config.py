@@ -95,6 +95,14 @@ def _mapping(value, path: str) -> dict:
     return dict(value)
 
 
+def _count(cfg: Mapping, key: str, default: int, path: str, minimum: int = 1) -> int:
+    """An integer size or replicate field, rejected below ``minimum``."""
+    value = int(cfg.get(key, default))
+    if value < minimum:
+        raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {value}")
+    return value
+
+
 def _model_from_config(cfg: Mapping) -> ModelSpec:
     defaults = ModelSpec()
     spec = ModelSpec(
@@ -180,33 +188,36 @@ def scenario_from_mapping(raw: Mapping) -> Scenario:
 
     sim_cfg = _mapping(cfg.get("simulate"), "simulate")
     simulate = SimulateConfig(
-        n=int(sim_cfg.get("n", 1000)), label=str(sim_cfg.get("label", "simulate"))
+        n=_count(sim_cfg, "n", 1000, "simulate"), label=str(sim_cfg.get("label", "simulate"))
     )
     dec_cfg = _mapping(cfg.get("decompose"), "decompose")
     decompose = DecomposeConfig(
-        train_n=int(dec_cfg.get("train_n", 400)), n=int(dec_cfg.get("n", 1000))
+        train_n=_count(dec_cfg, "train_n", 400, "decompose"),
+        n=_count(dec_cfg, "n", 1000, "decompose"),
     )
     bv_cfg = _mapping(cfg.get("biasvar"), "biasvar")
     biasvar = BiasVarConfig(
         regime=str(bv_cfg.get("regime", "TT")),
-        n_train=int(bv_cfg.get("n_train", 200)),
-        replicates=int(bv_cfg.get("replicates", 200)),
-        test_points=int(bv_cfg.get("test_points", 256)),
-        components_replicates=int(bv_cfg.get("components_replicates", 0)),
+        n_train=_count(bv_cfg, "n_train", 200, "biasvar"),
+        replicates=_count(bv_cfg, "replicates", 200, "biasvar", minimum=2),
+        test_points=_count(bv_cfg, "test_points", 256, "biasvar"),
+        components_replicates=_count(bv_cfg, "components_replicates", 0, "biasvar", minimum=0),
     )
     if biasvar.regime not in ("OO", "TO", "TT", "ORACLE"):
         raise ConfigError(f"biasvar.regime: unknown regime {biasvar.regime!r}")
+    if biasvar.components_replicates == 1:
+        raise ConfigError("biasvar.components_replicates: must be 0 (off) or >= 2, got 1")
     probe_cfg = _mapping(cfg.get("probe"), "probe")
-    probe = ProbeConfig(n=int(probe_cfg.get("n", 20000)))
+    probe = ProbeConfig(n=_count(probe_cfg, "n", 20000, "probe"))
 
     curve = None
     if cfg.get("curve") is not None:
         cur_cfg = _mapping(cfg.get("curve"), "curve")
         curve = CurveConfig(
             axis=_axis_from_config(_mapping(cur_cfg.get("axis"), "curve.axis"), "curve.axis"),
-            replicates=int(cur_cfg.get("replicates", 30)),
-            test_points=int(cur_cfg.get("test_points", 10_000)),
-            comp_points=int(cur_cfg.get("comp_points", 512)),
+            replicates=_count(cur_cfg, "replicates", 30, "curve", minimum=2),
+            test_points=_count(cur_cfg, "test_points", 10_000, "curve"),
+            comp_points=_count(cur_cfg, "comp_points", 512, "curve"),
         )
 
     panels = None
@@ -239,9 +250,9 @@ def scenario_from_mapping(raw: Mapping) -> Scenario:
             axis=_axis_from_config(
                 _mapping(gal_cfg.get("axis"), "gallery.axis"), "gallery.axis"
             ),
-            replicates=int(gal_cfg.get("replicates", 20)),
-            test_points=int(gal_cfg.get("test_points", 10_000)),
-            ceiling_n=int(gal_cfg.get("ceiling_n", 100_000)),
+            replicates=_count(gal_cfg, "replicates", 20, "gallery", minimum=2),
+            test_points=_count(gal_cfg, "test_points", 10_000, "gallery"),
+            ceiling_n=_count(gal_cfg, "ceiling_n", 100_000, "gallery"),
         )
 
     return Scenario(

@@ -31,3 +31,8 @@ class InvariantError(ErrorLabError, RuntimeError):
 
 class ConfigError(ErrorLabError, ValueError):
     """A scenario file failed to parse or validate."""
+
+
+
+class NonFiniteOutputError(ErrorLabError, ValueError):
+    """A JSON output holds NaN or an infinity, which JSON cannot represent."""

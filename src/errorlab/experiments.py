@@ -9,6 +9,7 @@ expected curve is monotone: more rows, more features, less corruption.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -234,7 +235,10 @@ def run_learning_curve(
 def monotone_under_ci(points: Sequence[LearningCurvePoint]) -> bool:
     """Non-increasing means up to the CI-overlap rule: a level violates
     monotonicity only if its mean exceeds the previous mean by more than
-    the sum of the two half-widths."""
+    the sum of the two half-widths.  A non-finite mean or half-width is
+    never monotone."""
+    if not all(math.isfinite(p.mean_mse) and math.isfinite(p.ci_half_width) for p in points):
+        return False
     for prev, cur in zip(points, points[1:]):
         if cur.mean_mse > prev.mean_mse + (prev.ci_half_width + cur.ci_half_width):
             return False

@@ -92,9 +92,6 @@ class RegimeModels:
     tt: FittedModel
     oracle: FittedModel
 
-    def by_regime(self, regime: str) -> FittedModel:
-        return {"OO": self.oo, "TO": self.to, "TT": self.tt, "ORACLE": self.oracle}[regime]
-
 
 def canonical_row_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Sort order by features (first column primary) then label."""
@@ -423,20 +420,12 @@ def fit_regimes(world: World, bundle: SampleBundle, spec: ModelSpec) -> RegimeMo
 # serialization
 
 
-def _to_builtin(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _to_builtin(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_to_builtin(v) for v in value]
-    return value
-
-
 def model_to_json(model: FittedModel) -> str:
     """Serialize to a versioned JSON document; floats round-trip exactly."""
+    # Imported here, not at the top: runio loads hashlib, which
+    # ``import errorlab`` does not need otherwise.
+    from .runio import to_builtin
+
     spec = model.spec
     doc = {
         "schema_version": MODEL_JSON_VERSION,
@@ -454,7 +443,7 @@ def model_to_json(model: FittedModel) -> str:
             "batch_size": spec.batch_size,
             "init_seed": spec.init_seed,
         },
-        "diagnostics": _to_builtin(model.diagnostics),
+        "diagnostics": to_builtin(model.diagnostics),
     }
     if spec.family == "ridge":
         doc["params"] = {

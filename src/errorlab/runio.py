@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import NonFiniteOutputError
+
 OUTPUT_SCHEMA_VERSION = 1
 
 
@@ -37,25 +39,65 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def render_csv(header: list[str], rows, schema_version: int = OUTPUT_SCHEMA_VERSION) -> str:
-    lines = [f"# schema_version={schema_version}", ",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+# Rows formatted per block.  A cell string costs about 70 bytes until its
+# block is joined, so a twelve-column block of 256 rows holds about 200 kB
+# and rendering a small CSV adds little to a run's peak memory; the
+# per-block Python calls are still too few to show in the render time.
+CSV_BLOCK_ROWS = 256
+
+
+def _format_column(column, lo: int, hi: int) -> list[str]:
+    """Cells ``lo:hi`` of one column, formatted exactly as ``_format_cell``
+    would format each value."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fbiu":
+        values = column[lo:hi].tolist()
+        kind = column.dtype.kind
+        if kind == "f":
+            # repr of a tolist() float is repr(float(np.float64)), -0.0,
+            # nan and inf included.
+            return list(map(repr, values))
+        if kind == "b":
+            return ["true" if v else "false" for v in values]
+        return list(map(str, values))
+    return [_format_cell(v) for v in column[lo:hi]]
+
+
+def render_csv(header: list[str], columns, schema_version: int = OUTPUT_SCHEMA_VERSION) -> str:
+    """CSV text from one sequence per column (every column the same length).
+
+    Rows are rendered in blocks of ``CSV_BLOCK_ROWS``: each column of a block
+    is formatted in one pass, then the block's rows are joined, so only one
+    block's cell strings are alive at a time.  The bytes equal formatting
+    every cell with ``_format_cell`` row by row.
+    """
+    columns = list(columns)
+    if len(columns) != len(header):
+        raise ValueError(f"render_csv: {len(columns)} columns for {len(header)} header fields")
+    n = len(columns[0]) if columns else 0
+    if any(len(column) != n for column in columns):
+        raise ValueError("render_csv: columns differ in length")
+    parts = [f"# schema_version={schema_version}", ",".join(header)]
+    for lo in range(0, n, CSV_BLOCK_ROWS):
+        hi = min(lo + CSV_BLOCK_ROWS, n)
+        cells = [_format_column(column, lo, hi) for column in columns]
+        parts.append("\n".join(map(",".join, zip(*cells))))
+    # The empty last part supplies the trailing newline without copying the
+    # joined text once more.
+    parts.append("")
+    return "\n".join(parts)
 
 
 def render_json(payload, schema_version: int = OUTPUT_SCHEMA_VERSION) -> str:
     doc = dict(to_builtin(payload))
     doc.setdefault("schema_version", schema_version)
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    try:
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NonFiniteOutputError(f"refusing to write a non-finite value as JSON: {exc}") from exc
 
 
 def sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def sha256_file(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @dataclass
@@ -91,7 +133,7 @@ def write_outputs(out_dir: Path, payloads: dict[str, str]) -> dict[str, str]:
     """Write rendered text files and return their checksums."""
     checksums = {}
     for name, text in payloads.items():
-        path = out_dir / name
-        path.write_text(text, encoding="utf-8")
-        checksums[name] = sha256_text(text)
+        data = text.encode("utf-8")
+        (out_dir / name).write_bytes(data)
+        checksums[name] = hashlib.sha256(data).hexdigest()
     return checksums

@@ -674,8 +674,10 @@ def verify_bundle(world: World, bundle: SampleBundle) -> None:
             raise InvariantError(f"bundle field {field} is not reproducible from its label")
 
 
-def bundle_columns(bundle: SampleBundle) -> tuple[list[str], list[list]]:
-    """Header and rows for the CSV export (one row per observation)."""
+def bundle_columns(bundle: SampleBundle) -> tuple[list[str], list[np.ndarray]]:
+    """Header and columns for the CSV export (one row per observation).
+
+    The columns are views into the bundle's arrays; nothing is copied."""
     d = bundle.x_true.shape[1]
     d_obs = bundle.x_observed.shape[1]
     header = (
@@ -683,16 +685,12 @@ def bundle_columns(bundle: SampleBundle) -> tuple[list[str], list[list]]:
         + [f"x_obs_{j}" for j in range(d_obs)]
         + ["y_true", "y_obs", "epsilon", "selected"]
     )
-    rows = []
-    for i in range(bundle.n):
-        rows.append(
-            [float(v) for v in bundle.x_true[i]]
-            + [float(v) for v in bundle.x_observed[i]]
-            + [
-                float(bundle.y_true[i]),
-                float(bundle.y_observed[i]),
-                float(bundle.epsilon[i]),
-                bool(bundle.selected[i]),
-            ]
-        )
-    return header, rows
+    columns = [
+        *bundle.x_true.T,
+        *bundle.x_observed.T,
+        bundle.y_true,
+        bundle.y_observed,
+        bundle.epsilon,
+        bundle.selected,
+    ]
+    return header, columns

@@ -1,13 +1,17 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+import yaml
 
 import errorlab as el
 from errorlab import cli, seeding
 from errorlab.cli import RunConfig, main, run
 from errorlab.config import normalize_scenario, parse_config, scenario_to_yaml
 from errorlab.errors import ConfigError, InvariantError
+
+STANDARD = Path(__file__).resolve().parents[1] / "scenarios" / "standard.yaml"
 
 MINIMAL = """
 seed: 4242
@@ -104,6 +108,39 @@ world:
 """
     with pytest.raises(ConfigError, match="feature_noise.cov"):
         parse_config(_write(tmp_path, text))
+
+
+def _standard_with(tmp_path: Path, **sections) -> Path:
+    """standard.yaml with the given fields replaced, section by section."""
+    scenario = yaml.safe_load(STANDARD.read_text(encoding="utf-8"))
+    for section, fields in sections.items():
+        scenario[section] = {**(scenario.get(section) or {}), **fields}
+    return _write(tmp_path, yaml.safe_dump(scenario))
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [
+        ("simulate", "n", 0),
+        ("decompose", "train_n", 0),
+        ("decompose", "n", -3),
+        ("biasvar", "n_train", 0),
+        ("biasvar", "test_points", 0),
+        ("biasvar", "replicates", 1),
+        ("biasvar", "components_replicates", 1),
+        ("probe", "n", 0),
+        ("curve", "replicates", 1),
+        ("curve", "test_points", 0),
+        ("curve", "comp_points", 0),
+        ("gallery", "replicates", 0),
+        ("gallery", "test_points", 0),
+        ("gallery", "ceiling_n", -1),
+    ],
+)
+def test_degenerate_sizes_rejected_at_parse_time(tmp_path, section, field, value):
+    config = _standard_with(tmp_path, **{section: {field: value}})
+    with pytest.raises(ConfigError, match=f"{section}.{field}: must be"):
+        parse_config(config)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +296,35 @@ decompose: {train_n: 60, n: 40}
     code = main(["decompose", "--config", str(config), "--out", str(tmp_path / "y")])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_empty_curve_test_pack_exits_two(tmp_path, capsys):
+    config = _standard_with(tmp_path, curve={"test_points": 0, "replicates": 2})
+    code = main(["curve", "--config", str(config), "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert "curve.test_points" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+def test_replicates_override_below_two_exits_two(tmp_path, capsys):
+    config = _write(tmp_path, REFERENCE)
+    argv = ["biasvar", "--config", str(config), "--out", str(tmp_path / "b"), "--replicates", "1"]
+    assert main(argv) == 2
+    assert "--replicates" in capsys.readouterr().err
+
+
+def test_exit_code_three_on_non_finite_json(tmp_path, capsys):
+    # A divergent mlp fits to NaN; the summary cannot be written as JSON.
+    config = _standard_with(
+        tmp_path,
+        model={"family": "mlp", "learning_rate": 5.0},
+        decompose={"train_n": 100, "n": 50},
+    )
+    with np.errstate(all="ignore"):
+        code = main(["decompose", "--config", str(config), "--out", str(tmp_path / "d")])
+    assert code == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_exit_code_four_on_invariant_breach(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from errorlab.errors import InvalidSpecError
 from errorlab.experiments import (
     AxisLevel,
     InformationAxis,
+    LearningCurvePoint,
     PanelScenario,
     level_world,
     monotone_under_ci,
@@ -104,6 +108,16 @@ def test_growing_information_curve_is_monotone_under_ci():
     curve = run_learning_curve(world, RIDGE, axis, 30, test_points=4000)
     assert monotone_under_ci(curve.points)
     assert curve.points[0].mean_mse > curve.points[-1].mean_mse
+
+
+@pytest.mark.parametrize("field", ["mean_mse", "ci_half_width"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_curve_is_not_monotone(field, bad):
+    first = LearningCurvePoint(0, 50, 3, 1.0, 1.0, 2.0, 0.1, 0.5, 0.4, 0.3, 0.6)
+    second = dataclasses.replace(first, level_index=1, mean_mse=1.5)
+    assert monotone_under_ci([first, second])
+    assert not monotone_under_ci([first, dataclasses.replace(second, **{field: bad})])
+    assert not monotone_under_ci([dataclasses.replace(first, **{field: bad})])
 
 
 def test_terminal_level_reaches_noise_floor():

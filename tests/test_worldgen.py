@@ -304,7 +304,7 @@ def test_empty_selection_raises():
 
 def test_bundle_csv_columns(noisy_world):
     bundle = el.sample(noisy_world, 4, "csv")
-    header, rows = worldgen.bundle_columns(bundle)
+    header, columns = worldgen.bundle_columns(bundle)
     assert header == [
         "x_true_0",
         "x_true_1",
@@ -317,5 +317,6 @@ def test_bundle_csv_columns(noisy_world):
         "epsilon",
         "selected",
     ]
-    assert len(rows) == 4
-    assert rows[0][6] == pytest.approx(bundle.y_true[0])
+    assert len(columns) == len(header)
+    assert all(len(column) == 4 for column in columns)
+    assert columns[6][0] == pytest.approx(bundle.y_true[0])
