@@ -19,7 +19,15 @@ import numpy as np
 
 from . import worldgen
 from .errors import FitError, InvalidSpecError, InvariantError
-from .models import FittedModel, ModelSpec, RegimeModels, fit, fit_regimes, predict
+from .models import (
+    FittedModel,
+    ModelSpec,
+    RegimeModels,
+    fit,
+    fit_regimes,
+    predict,
+    regime_view,
+)
 from .parallel import ordered_map
 from .worldgen import SampleBundle, World
 
@@ -198,8 +206,23 @@ def decompose_error(
 def check_telescoping(
     table: DecompositionTable, rtol: float = REL_TOL, atol: float = ABS_TOL
 ) -> None:
-    """Raise :class:`InvariantError` unless both component sums collapse."""
-    point_err = np.abs(table.pointwise_sum() - table.y_true)
+    """Raise :class:`InvariantError` unless both component sums collapse.
+
+    A non-finite term makes its sum non-finite, and every comparison with
+    NaN is False, so finiteness is checked first.
+    """
+    point_sum = table.pointwise_sum()
+    error_sum = table.error_sum()
+    finite = (
+        np.isfinite(point_sum)
+        & np.isfinite(error_sum)
+        & np.isfinite(table.y_true)
+        & np.isfinite(table.y_pred)
+    )
+    if not np.all(finite):
+        worst = int(np.argmin(finite))
+        raise InvariantError(f"decomposition holds a non-finite term or sum at row {worst}")
+    point_err = np.abs(point_sum - table.y_true)
     point_bound = atol + rtol * np.abs(table.y_true)
     if np.any(point_err > point_bound):
         worst = int(np.argmax(point_err - point_bound))
@@ -207,7 +230,7 @@ def check_telescoping(
             f"pointwise component sum misses y_true by {point_err[worst]:.3e} at row {worst}"
         )
     target = table.y_pred - table.y_true
-    err = np.abs(table.error_sum() - target)
+    err = np.abs(error_sum - target)
     bound = atol + rtol * np.abs(target)
     if np.any(err > bound):
         worst = int(np.argmax(err - bound))
@@ -269,16 +292,8 @@ def _biasvar_cell(args) -> tuple[np.ndarray, np.ndarray]:
         preds = f_star_grid
     else:
         bundle = worldgen.sample(world, n_train, label)
-        rows = bundle.selected
         try:
-            if regime == "OO":
-                model = fit(spec, bundle.x_observed[rows], bundle.y_observed[rows], regime="OO")
-            elif regime == "TO":
-                model = fit(spec, bundle.x_true[rows], bundle.y_observed[rows], regime="TO")
-            elif regime == "TT":
-                model = fit(spec, bundle.x_true[rows], bundle.y_true[rows], regime="TT")
-            else:
-                raise InvalidSpecError(f"unknown training regime {regime!r}")
+            model = fit(spec, *regime_view(bundle, regime), regime=regime)
         except FitError as exc:
             raise type(exc)(f"replicate {label}: {exc}") from exc
         x_eval = (

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -145,7 +145,12 @@ def _predict_ridge(model: FittedModel, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # knn
 
-_KNN_CHUNK = 256
+# 64 query rows per chunk: the (chunk, n) distance and selection arrays of
+# a 256-row chunk raised the peak resident set of small knn studies.
+_KNN_CHUNK = 64
+# numpy's pairwise sum unrolls by eight, so a column-by-column accumulation
+# matches ``np.sum(..., axis=2)`` bit for bit only up to seven columns.
+_KNN_COLUMNWISE_MAX_DIM = 7
 
 
 def _fit_knn(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[dict, dict]:
@@ -168,31 +173,79 @@ def _fit_knn(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[dict, dict]
     return params, diagnostics
 
 
+def _knn_distances(
+    chunk: np.ndarray,
+    train: np.ndarray,
+    train_cols: np.ndarray,
+    out: np.ndarray,
+    scratch: np.ndarray,
+) -> np.ndarray:
+    """Squared Euclidean distances, (queries, training rows), in ``out``.
+
+    Explicit differences keep exactly-equal distances exactly equal, so the
+    lower-canonical-index tie rule is honest.  ``out`` and ``scratch`` are
+    buffers of the result's shape, reused across chunks.
+    """
+    if not 0 < train.shape[1] <= _KNN_COLUMNWISE_MAX_DIM:
+        return np.sum((chunk[:, None, :] - train[None, :, :]) ** 2, axis=2)
+    np.subtract(chunk[:, 0:1], train_cols[0], out=out)
+    np.square(out, out=out)
+    for j in range(1, train.shape[1]):
+        np.subtract(chunk[:, j : j + 1], train_cols[j], out=scratch)
+        np.square(scratch, out=scratch)
+        out += scratch
+    return out
+
+
+def _knn_nearest(dist_sq: np.ndarray, k: int) -> np.ndarray:
+    """Indices of each row's k nearest training rows, ascending.
+
+    The neighbours are the k first rows of a stable sort by distance:
+    every row closer than the k-th distance, then the lowest-index rows at
+    exactly that distance.
+    """
+    kth = np.partition(dist_sq, k - 1, axis=1)[:, k - 1 : k]
+    if not np.all(np.isfinite(kth)):
+        # A NaN k-th distance equals no distance, so ties cannot fill the
+        # set; every non-finite k-th distance is left to the stable sort.
+        return np.sort(np.argsort(dist_sq, axis=1, kind="stable")[:, :k], axis=1)
+    sel = dist_sq < kth
+    ties = dist_sq == kth
+    need = k - np.count_nonzero(sel, axis=1)
+    surplus = np.count_nonzero(ties, axis=1) > need
+    if surplus.any():
+        ties[surplus] &= np.cumsum(ties[surplus], axis=1) <= need[surplus, None]
+    sel |= ties
+    return np.nonzero(sel)[1].reshape(-1, k)
+
+
 def _predict_knn(model: FittedModel, x: np.ndarray) -> np.ndarray:
     train = model.params["train_x_std"]
+    train_cols = np.ascontiguousarray(train.T)
     labels = model.params["train_y"]
     k = model.params["k"]
     queries = (x - model.params["mean"]) / model.params["sd"]
     out = np.empty(queries.shape[0])
+    buffers = np.empty((2, min(_KNN_CHUNK, queries.shape[0]), train.shape[0]))
     for start in range(0, queries.shape[0], _KNN_CHUNK):
         chunk = queries[start : start + _KNN_CHUNK]
-        # Explicit differences keep exactly-equal distances exactly equal,
-        # so the stable sort's lower-canonical-index tie rule is honest.
-        dist_sq = np.sum((chunk[:, None, :] - train[None, :, :]) ** 2, axis=2)
-        nearest = np.argsort(dist_sq, axis=1, kind="stable")[:, :k]
+        rows = chunk.shape[0]
+        dist_sq = _knn_distances(chunk, train, train_cols, buffers[0, :rows], buffers[1, :rows])
         # Average in canonical index order so equal neighbor sets produce
         # bitwise-equal means (k = n then gives the global mean everywhere).
-        out[start : start + _KNN_CHUNK] = labels[np.sort(nearest, axis=1)].mean(axis=1)
+        out[start : start + _KNN_CHUNK] = labels[_knn_nearest(dist_sq, k)].mean(axis=1)
     return out
 
 
 # ---------------------------------------------------------------------------
 # mlp
 
+# activation -> (forward, derivative from the pre-activation z and the
+# stored activation h = forward(z)).
 _ACT = {
-    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(float)),
-    "identity": (lambda z: z, lambda z: np.ones_like(z)),
+    "tanh": (np.tanh, lambda z, h: 1.0 - h**2),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, h: (z > 0.0).astype(float)),
+    "identity": (lambda z: z, lambda z, h: np.ones_like(z)),
 }
 
 
@@ -230,6 +283,47 @@ def mlp_predict_params(
     return post[-1][:, 0]
 
 
+def _flatten(params: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in params])
+
+
+def _param_views(
+    flat: np.ndarray, like: list[tuple[np.ndarray, np.ndarray]]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(w, b) views into ``flat``, shaped and ordered like ``like``."""
+    views = []
+    offset = 0
+    for w, b in like:
+        w_view = flat[offset : offset + w.size].reshape(w.shape)
+        offset += w.size
+        views.append((w_view, flat[offset : offset + b.size]))
+        offset += b.size
+    return views
+
+
+def _mlp_gradients(
+    params: list[tuple[np.ndarray, np.ndarray]],
+    activation: str,
+    x: np.ndarray,
+    y: np.ndarray,
+    grads: list[tuple[np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """Write the analytic mean-squared-error gradient of every parameter
+    into ``grads``, shaped like ``params``; return the residuals."""
+    _, dact = _ACT[activation]
+    pre, post = _mlp_forward(params, activation, x)
+    resid = post[-1][:, 0] - y
+    delta = (2.0 / y.shape[0]) * resid[:, None]
+    for i in range(len(params) - 1, -1, -1):
+        gw, gb = grads[i]
+        np.matmul(post[i].T, delta, out=gw)
+        np.add.reduce(delta, axis=0, out=gb)
+        if i > 0:
+            w, _ = params[i]
+            delta = (delta @ w.T) * dact(pre[i - 1], post[i])
+    return resid
+
+
 def mlp_loss_and_gradients(
     params: list[tuple[np.ndarray, np.ndarray]],
     activation: str,
@@ -237,18 +331,9 @@ def mlp_loss_and_gradients(
     y: np.ndarray,
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
     """Mean-squared-error loss and its analytic gradient for every parameter."""
-    _, dact = _ACT[activation]
-    pre, post = _mlp_forward(params, activation, x)
-    resid = post[-1][:, 0] - y
-    loss = float(np.mean(resid**2))
-    delta = (2.0 / y.shape[0]) * resid[:, None]
-    grads: list[Optional[tuple[np.ndarray, np.ndarray]]] = [None] * len(params)
-    for i in range(len(params) - 1, -1, -1):
-        grads[i] = (post[i].T @ delta, delta.sum(axis=0))
-        if i > 0:
-            w, _ = params[i]
-            delta = (delta @ w.T) * dact(pre[i - 1])
-    return loss, grads  # type: ignore[return-value]
+    grads = [(np.empty_like(w), np.empty_like(b)) for w, b in params]
+    resid = _mlp_gradients(params, activation, x, y, grads)
+    return float(np.mean(resid**2)), grads
 
 
 def _fit_mlp(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[dict, dict]:
@@ -260,23 +345,35 @@ def _fit_mlp(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[dict, dict]
     x = x[order]
     y = y[order]
     n = x.shape[0]
-    params = mlp_init_params(spec, x.shape[1])
+    lr = spec.learning_rate
+    init = mlp_init_params(spec, x.shape[1])
+    # Parameters and gradients each live in one buffer, so a step updates
+    # every layer with one multiply and one subtraction, elementwise the
+    # same arithmetic as w - lr * gw.
+    flat = _flatten(init)
+    params = _param_views(flat, init)
+    grad_flat = np.empty_like(flat)
+    grads = _param_views(grad_flat, init)
     shuffler = rng_for(spec.init_seed, "mlp/batches")
     epoch_losses = []
     iterations = 0
-    for _ in range(spec.epochs):
+    for epoch in range(1, spec.epochs + 1):
         perm = shuffler.permutation(n)
+        x_perm = x[perm]
+        y_perm = y[perm]
         for start in range(0, n, spec.batch_size):
-            idx = perm[start : start + spec.batch_size]
-            _, grads = mlp_loss_and_gradients(params, spec.activation, x[idx], y[idx])
-            params = [
-                (w - spec.learning_rate * gw, b - spec.learning_rate * gb)
-                for (w, b), (gw, gb) in zip(params, grads)
-            ]
+            stop = start + spec.batch_size
+            _mlp_gradients(params, spec.activation, x_perm[start:stop], y_perm[start:stop], grads)
+            grad_flat *= lr
+            flat -= grad_flat
             iterations += 1
-        epoch_losses.append(
-            float(np.mean((mlp_predict_params(params, spec.activation, x) - y) ** 2))
-        )
+        loss = float(np.mean((mlp_predict_params(params, spec.activation, x) - y) ** 2))
+        if not math.isfinite(loss):
+            raise FitError(
+                f"mlp training loss is non-finite ({loss}) after epoch {epoch} of "
+                f"{spec.epochs}; learning_rate {lr} diverges on this data"
+            )
+        epoch_losses.append(loss)
     model_params = {"layers": params}
     diagnostics = {
         "final_loss": epoch_losses[-1],
@@ -312,19 +409,11 @@ def check_gradients(
     _, analytic = mlp_loss_and_gradients(params, spec.activation, x, y)
 
     def loss_at(flat: np.ndarray) -> float:
-        rebuilt = []
-        offset = 0
-        for w, b in params:
-            w_new = flat[offset : offset + w.size].reshape(w.shape)
-            offset += w.size
-            b_new = flat[offset : offset + b.size]
-            offset += b.size
-            rebuilt.append((w_new, b_new))
-        pred = mlp_predict_params(rebuilt, spec.activation, x)
+        pred = mlp_predict_params(_param_views(flat, params), spec.activation, x)
         return float(np.mean((pred - y) ** 2))
 
-    flat = np.concatenate([np.concatenate([w.ravel(), b]) for w, b in params])
-    flat_analytic = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in analytic])
+    flat = _flatten(params)
+    flat_analytic = _flatten(analytic)
     max_rel = 0.0
     for i in range(flat.size):
         bumped = flat.copy()
@@ -361,15 +450,18 @@ def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray, regime: str = "OO") -> Fi
         raise InvalidSpecError(f"unknown training regime {regime!r}")
     if spec.family == "oracle":
         raise InvalidSpecError("oracle models wrap a World; use oracle_model(world)")
-    x, y = _check_training_arrays(x, y)
-    if x.shape[0] < 1:
-        raise FitError("training data is empty")
-    if spec.family == "ridge":
-        params, diagnostics = _fit_ridge(spec, x, y)
-    elif spec.family == "knn":
-        params, diagnostics = _fit_knn(spec, x, y)
-    else:
-        params, diagnostics = _fit_mlp(spec, x, y)
+    try:
+        x, y = _check_training_arrays(x, y)
+        if x.shape[0] < 1:
+            raise FitError("training data is empty")
+        if spec.family == "ridge":
+            params, diagnostics = _fit_ridge(spec, x, y)
+        elif spec.family == "knn":
+            params, diagnostics = _fit_knn(spec, x, y)
+        else:
+            params, diagnostics = _fit_mlp(spec, x, y)
+    except (FitError, DimensionError) as exc:
+        raise type(exc)(f"regime {regime}: {exc}") from exc
     return FittedModel(
         spec=spec, regime=regime, input_dim=x.shape[1], params=params, diagnostics=diagnostics
     )
@@ -393,24 +485,31 @@ def predict(model: FittedModel, x: np.ndarray) -> np.ndarray:
     return model.params["world"].f_star.values(x)
 
 
-def fit_regimes(world: World, bundle: SampleBundle, spec: ModelSpec) -> RegimeModels:
-    """Fit the spec under each information regime on identical row indices.
+# regime -> the bundle fields it trains on, as (features, labels).
+_REGIME_FIELDS = {
+    "OO": ("x_observed", "y_observed"),
+    "TO": ("x_true", "y_observed"),
+    "TT": ("x_true", "y_true"),
+}
 
-    OO trains on (x_observed, y_observed), TO on (x_true, y_observed), TT on
-    (x_true, y_true); all three use the bundle's selected rows.
-    """
+
+def regime_view(bundle: SampleBundle, regime: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (x, y) a regime trains on: the bundle's selected rows of OO's
+    (x_observed, y_observed), TO's (x_true, y_observed) or TT's
+    (x_true, y_true)."""
+    if regime not in _REGIME_FIELDS:
+        raise InvalidSpecError(f"unknown training regime {regime!r}")
+    x_name, y_name = _REGIME_FIELDS[regime]
     rows = bundle.selected
-    views = {
-        "OO": (bundle.x_observed[rows], bundle.y_observed[rows]),
-        "TO": (bundle.x_true[rows], bundle.y_observed[rows]),
-        "TT": (bundle.x_true[rows], bundle.y_true[rows]),
+    return getattr(bundle, x_name)[rows], getattr(bundle, y_name)[rows]
+
+
+def fit_regimes(world: World, bundle: SampleBundle, spec: ModelSpec) -> RegimeModels:
+    """Fit the spec under each information regime on identical row indices."""
+    fitted = {
+        regime: fit(spec, *regime_view(bundle, regime), regime=regime)
+        for regime in _REGIME_FIELDS
     }
-    fitted = {}
-    for regime, (x, y) in views.items():
-        try:
-            fitted[regime] = fit(spec, x, y, regime=regime)
-        except (FitError, DimensionError) as exc:
-            raise type(exc)(f"regime {regime}: {exc}") from exc
     return RegimeModels(
         oo=fitted["OO"], to=fitted["TO"], tt=fitted["TT"], oracle=oracle_model(world)
     )
@@ -432,17 +531,7 @@ def model_to_json(model: FittedModel) -> str:
         "family": spec.family,
         "regime": model.regime,
         "input_dim": model.input_dim,
-        "spec": {
-            "family": spec.family,
-            "lam": spec.lam,
-            "k": spec.k,
-            "widths": list(spec.widths),
-            "activation": spec.activation,
-            "learning_rate": spec.learning_rate,
-            "epochs": spec.epochs,
-            "batch_size": spec.batch_size,
-            "init_seed": spec.init_seed,
-        },
+        "spec": {**asdict(spec), "widths": list(spec.widths)},
         "diagnostics": to_builtin(model.diagnostics),
     }
     if spec.family == "ridge":
@@ -474,17 +563,7 @@ def model_from_json(text: str) -> FittedModel:
             f"unsupported model schema_version {doc.get('schema_version')!r}"
         )
     s = doc["spec"]
-    spec = ModelSpec(
-        family=s["family"],
-        lam=s["lam"],
-        k=s["k"],
-        widths=tuple(s["widths"]),
-        activation=s["activation"],
-        learning_rate=s["learning_rate"],
-        epochs=s["epochs"],
-        batch_size=s["batch_size"],
-        init_seed=s["init_seed"],
-    )
+    spec = ModelSpec(**{f.name: s[f.name] for f in fields(ModelSpec)})
     raw = doc["params"]
     if spec.family == "ridge":
         params = {"coef": np.asarray(raw["coef"], dtype=float), "intercept": raw["intercept"]}

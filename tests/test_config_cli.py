@@ -314,7 +314,8 @@ def test_replicates_override_below_two_exits_two(tmp_path, capsys):
 
 
 def test_exit_code_three_on_non_finite_json(tmp_path, capsys):
-    # A divergent mlp fits to NaN; the summary cannot be written as JSON.
+    # At learning_rate 5.0 the OO fit's epoch loss turns NaN; the fit stops
+    # there, before any decomposition or output.
     config = _standard_with(
         tmp_path,
         model={"family": "mlp", "learning_rate": 5.0},
@@ -323,7 +324,10 @@ def test_exit_code_three_on_non_finite_json(tmp_path, capsys):
     with np.errstate(all="ignore"):
         code = main(["decompose", "--config", str(config), "--out", str(tmp_path / "d")])
     assert code == 3
-    assert "non-finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "non-finite" in err
+    assert "regime OO" in err and "after epoch" in err
     assert not (tmp_path / "d").exists()
 
 

@@ -107,6 +107,29 @@ def test_check_telescoping_flags_corruption(noisy_world):
         check_telescoping(table)
 
 
+@pytest.mark.parametrize("field", ["meas_gain_x", "delta_f", "y_pred"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_check_telescoping_rejects_non_finite_terms(noisy_world, field, bad):
+    _, _, table = _fit_and_decompose(noisy_world, ModelSpec(family="ridge"))
+    values = getattr(table, field).copy()
+    values[7] = bad
+    setattr(table, field, values)
+    with pytest.raises(InvariantError, match="non-finite .* row 7"):
+        check_telescoping(table)
+
+
+def test_check_telescoping_rejects_an_all_nan_prediction_chain(noisy_world):
+    # What a diverged model produces: every prediction NaN, so every term
+    # and sum is NaN and every tolerance comparison is False.
+    _, _, table = _fit_and_decompose(noisy_world, ModelSpec(family="ridge"))
+    nan = np.full(table.n, np.nan)
+    for field in ("model_approx_gain", "meas_gain_y", "meas_gain_x", "current_prediction",
+                  "err_x", "err_y", "delta_f", "y_pred"):
+        setattr(table, field, nan)
+    with pytest.raises(InvariantError, match="non-finite"):
+        check_telescoping(table)
+
+
 # ---------------------------------------------------------------------------
 # bias-variance Monte Carlo
 

@@ -292,3 +292,250 @@ def test_model_json_roundtrip_preserves_predictions(spec):
     grid = rng.standard_normal((15, 2))
     assert np.array_equal(predict(model, grid), predict(restored, grid))
     assert restored.regime == "TT"
+
+
+# ---------------------------------------------------------------------------
+# kernel references: the stable-argsort knn and the list-rebuilding mlp
+# loop.  The kernels in ``models`` do the same arithmetic with less work,
+# so they must match these bit for bit.
+
+
+def _reference_knn(model, x):
+    train = model.params["train_x_std"]
+    labels = model.params["train_y"]
+    k = model.params["k"]
+    queries = (x - model.params["mean"]) / model.params["sd"]
+    out = np.empty(queries.shape[0])
+    for start in range(0, queries.shape[0], 256):
+        chunk = queries[start : start + 256]
+        dist_sq = np.sum((chunk[:, None, :] - train[None, :, :]) ** 2, axis=2)
+        nearest = np.argsort(dist_sq, axis=1, kind="stable")[:, :k]
+        out[start : start + 256] = labels[np.sort(nearest, axis=1)].mean(axis=1)
+    return out
+
+
+_REFERENCE_ACT = {
+    "tanh": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(float)),
+    "identity": (lambda z: z, lambda z: np.ones_like(z)),
+}
+
+
+def _reference_forward(params, activation, x):
+    act, _ = _REFERENCE_ACT[activation]
+    pre, post = [], [x]
+    h = x
+    for i, (w, b) in enumerate(params):
+        z = h @ w + b
+        pre.append(z)
+        h = act(z) if i < len(params) - 1 else z
+        post.append(h)
+    return pre, post
+
+
+def _reference_loss_and_gradients(params, activation, x, y):
+    _, dact = _REFERENCE_ACT[activation]
+    pre, post = _reference_forward(params, activation, x)
+    resid = post[-1][:, 0] - y
+    loss = float(np.mean(resid**2))
+    delta = (2.0 / y.shape[0]) * resid[:, None]
+    grads = [None] * len(params)
+    for i in range(len(params) - 1, -1, -1):
+        grads[i] = (post[i].T @ delta, delta.sum(axis=0))
+        if i > 0:
+            delta = (delta @ params[i][0].T) * dact(pre[i - 1])
+    return loss, grads
+
+
+def _reference_fit_mlp(spec, x, y):
+    order = models.canonical_row_order(x, y)
+    x = x[order]
+    y = y[order]
+    n = x.shape[0]
+    params = models.mlp_init_params(spec, x.shape[1])
+    shuffler = rng_for(spec.init_seed, "mlp/batches")
+    epoch_losses = []
+    iterations = 0
+    for _ in range(spec.epochs):
+        perm = shuffler.permutation(n)
+        for start in range(0, n, spec.batch_size):
+            idx = perm[start : start + spec.batch_size]
+            _, grads = _reference_loss_and_gradients(params, spec.activation, x[idx], y[idx])
+            params = [
+                (w - spec.learning_rate * gw, b - spec.learning_rate * gb)
+                for (w, b), (gw, gb) in zip(params, grads)
+            ]
+            iterations += 1
+        _, post = _reference_forward(params, spec.activation, x)
+        epoch_losses.append(float(np.mean((post[-1][:, 0] - y) ** 2)))
+    return params, epoch_losses, iterations
+
+
+def _assert_knn_matches_reference(x, y, queries, k):
+    model = fit(ModelSpec(family="knn", k=k), x, y)
+    got = predict(model, queries)
+    expected = _reference_knn(model, queries)
+    assert got.shape == expected.shape == (queries.shape[0],)
+    # Bitwise, NaN included: equal_nan alone would accept a NaN in place of
+    # a finite value only if both sides held NaN there.
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
+def test_knn_distances_match_broadcast_sum_bitwise(d):
+    # Predictions depend on distances only through their order, so compare
+    # the distances themselves too.
+    rng = rng_for(39, f"knnref/dist{d}")
+    train = rng.standard_normal((150, d)) * 10.0 ** rng.integers(-3, 4, d)
+    chunk = rng.standard_normal((64, d))
+    expected = np.sum((chunk[:, None, :] - train[None, :, :]) ** 2, axis=2)
+    buffers = np.empty((2, 64, 150))
+    got = models._knn_distances(chunk, train, np.ascontiguousarray(train.T), *buffers)
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
+def test_knn_matches_argsort_reference_across_dims(d):
+    rng = rng_for(40, f"knnref/d{d}")
+    x = rng.standard_normal((150, d))
+    y = rng.standard_normal(150)
+    _assert_knn_matches_reference(x, y, rng.standard_normal((130, d)), k=10)
+
+
+def test_knn_matches_reference_on_duplicates_and_training_queries():
+    rng = rng_for(41, "knnref/dup")
+    base = rng.standard_normal((40, 3))
+    x = np.concatenate([base, base[:25], base[:10]])  # rows repeated up to 3 times
+    y = rng.standard_normal(x.shape[0])
+    queries = np.concatenate([x[::2], rng.standard_normal((20, 3))])
+    for k in (1, 2, 3, 7):
+        _assert_knn_matches_reference(x, y, queries, k)
+
+
+@pytest.mark.parametrize("d", [2, 8])
+def test_knn_matches_reference_on_grid_ties(d):
+    # Integer-valued points on a small grid: most distances tie exactly.
+    rng = rng_for(42, f"knnref/grid{d}")
+    x = rng.integers(0, 3, (180, d)).astype(float)
+    y = rng.standard_normal(180)
+    queries = rng.integers(0, 3, (130, d)).astype(float) + rng.choice([0.0, 0.5], (130, d))
+    for k in (1, 5, 17, 60):
+        _assert_knn_matches_reference(x, y, queries, k)
+
+
+@pytest.mark.parametrize("k", [1, 90])
+def test_knn_matches_reference_at_k_extremes(k):
+    rng = rng_for(43, f"knnref/k{k}")
+    x = rng.standard_normal((90, 2))
+    y = rng.standard_normal(90)
+    _assert_knn_matches_reference(x, y, rng.standard_normal((70, 2)), k)
+
+
+@pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 130])
+def test_knn_matches_reference_across_chunk_boundaries(m):
+    rng = rng_for(44, f"knnref/m{m}")
+    x = rng.standard_normal((100, 3))
+    y = rng.standard_normal(100)
+    _assert_knn_matches_reference(x, y, rng.standard_normal((m, 3)), k=7)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_knn_matches_reference_on_non_finite_queries(bad):
+    rng = rng_for(45, "knnref/nonfinite")
+    x = rng.standard_normal((80, 2))
+    y = rng.standard_normal(80)
+    queries = rng.standard_normal((70, 2))
+    queries[3, 0] = bad
+    queries[66, 1] = bad
+    with np.errstate(invalid="ignore"):
+        _assert_knn_matches_reference(x, y, queries, k=5)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec(family="mlp", widths=(6,), activation="tanh", epochs=4, batch_size=16),
+        ModelSpec(family="mlp", widths=(6,), activation="relu", epochs=4, batch_size=16),
+        ModelSpec(family="mlp", widths=(6,), activation="identity", epochs=4, batch_size=16),
+        ModelSpec(family="mlp", widths=(5, 4), activation="tanh", epochs=3, batch_size=16),
+        ModelSpec(family="mlp", widths=(5, 4), activation="relu", epochs=3, batch_size=7),
+    ],
+    ids=["tanh", "relu", "identity", "two-layer-tanh", "two-layer-relu"],
+)
+def test_mlp_fit_matches_list_rebuilding_reference(spec):
+    rng = rng_for(46, f"mlpref/{spec.activation}/{len(spec.widths)}")
+    x = rng.standard_normal((75, 3))  # 75 is not a multiple of either batch size
+    y = np.sin(x[:, 0]) - 0.5 * x[:, 1] + 0.1 * rng.standard_normal(75)
+    model = fit(spec, x, y)
+    params, epoch_losses, iterations = _reference_fit_mlp(spec, x, y)
+    assert model.diagnostics["iterations"] == iterations
+    assert model.diagnostics["epoch_losses"] == epoch_losses
+    assert model.diagnostics["final_loss"] == epoch_losses[-1]
+    for (w, b), (w_ref, b_ref) in zip(model.params["layers"], params):
+        assert np.array_equal(w, w_ref)
+        assert np.array_equal(b, b_ref)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+def test_mlp_loss_and_gradients_match_reference(activation):
+    rng = rng_for(47, f"mlpref/grad/{activation}")
+    spec = ModelSpec(family="mlp", widths=(5, 4), activation=activation, init_seed=2)
+    params = models.mlp_init_params(spec, 3)
+    x = rng.standard_normal((21, 3))
+    y = rng.standard_normal(21)
+    loss, grads = models.mlp_loss_and_gradients(params, activation, x, y)
+    loss_ref, grads_ref = _reference_loss_and_gradients(params, activation, x, y)
+    assert loss == loss_ref
+    for (gw, gb), (gw_ref, gb_ref) in zip(grads, grads_ref):
+        assert np.array_equal(gw, gw_ref)
+        assert np.array_equal(gb, gb_ref)
+
+
+def test_divergent_mlp_raises_fit_error_naming_regime_and_epoch():
+    rng = rng_for(48, "mlp/diverge")
+    x = rng.standard_normal((100, 2))
+    y = x[:, 0] + rng.standard_normal(100)
+    spec = ModelSpec(family="mlp", widths=(16,), learning_rate=5.0, epochs=200)
+    with np.errstate(all="ignore"), pytest.raises(el.errors.FitError) as info:
+        fit(spec, x, y, regime="TO")
+    message = str(info.value)
+    assert "regime TO" in message
+    assert "non-finite" in message
+    assert "after epoch" in message
+
+
+def test_regime_view_selects_each_regimes_training_data():
+    world = make_world(selection={"rule": "probabilistic", "coverage": 0.6})
+    bundle = el.sample(world, 50, "regime-view")
+    rows = bundle.selected
+    assert 0 < rows.sum() < 50
+    expected = {
+        "OO": (bundle.x_observed[rows], bundle.y_observed[rows]),
+        "TO": (bundle.x_true[rows], bundle.y_observed[rows]),
+        "TT": (bundle.x_true[rows], bundle.y_true[rows]),
+    }
+    for regime, (x, y) in expected.items():
+        got_x, got_y = models.regime_view(bundle, regime)
+        assert np.array_equal(got_x, x) and np.array_equal(got_y, y)
+    with pytest.raises(InvalidSpecError):
+        models.regime_view(bundle, "ORACLE")
+
+
+def test_model_json_spec_lists_every_model_spec_field():
+    spec = ModelSpec(family="mlp", widths=(3, 2), epochs=2, batch_size=8, init_seed=4)
+    rng = rng_for(49, "json/fields")
+    model = fit(spec, rng.standard_normal((16, 2)), rng.standard_normal(16))
+    doc = json.loads(models.model_to_json(model))
+    assert doc["spec"] == {
+        "activation": "tanh",
+        "batch_size": 8,
+        "epochs": 2,
+        "family": "mlp",
+        "init_seed": 4,
+        "k": 5,
+        "lam": 0.0,
+        "learning_rate": 0.05,
+        "widths": [3, 2],
+    }
+    assert models.model_from_json(models.model_to_json(model)).spec == spec
