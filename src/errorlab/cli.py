@@ -124,20 +124,7 @@ def _cmd_decompose(scenario: Scenario, run_config: RunConfig, seed_log: set) -> 
     heldout = worldgen.sample(world, cfg.n, "decompose/eval")
     table = decompose_bundle(world, regimes, heldout)
     check_telescoping(table)
-    header = [
-        "row",
-        "model_approx_gain",
-        "meas_gain_y",
-        "meas_gain_x",
-        "current_prediction",
-        "aleatoric",
-        "err_x",
-        "err_y",
-        "delta_f",
-        "aleatoric_term",
-        "y_true",
-        "y_pred",
-    ]
+    header = ["row", *(f.name for f in dataclasses.fields(table))]
     columns = [np.arange(table.n)] + [getattr(table, name) for name in header[1:]]
     summary = {
         "n": table.n,
@@ -176,25 +163,16 @@ def _cmd_biasvar(scenario: Scenario, run_config: RunConfig, seed_log: set) -> di
         workers=run_config.workers,
         seed_log=seed_log,
     )
-    payload = {
-        "regime": cfg.regime,
-        "n_train": cfg.n_train,
-        "replicates": report.replicate_count,
-        "empirical_mse": report.empirical_mse,
-        "bias": report.bias,
-        "variance": report.variance,
-        "aleatoric_variance": report.aleatoric_variance,
-        "identity_gap": report.identity_gap,
-        "se_mse": report.se_mse,
-        "se_bias": report.se_bias,
-        "se_variance": report.se_variance,
-        "se_identity_gap": report.se_identity_gap,
-        "identity_z": report.identity_z,
-        "bias_z": report.bias_z,
-        "variance_within": report.variance_within,
-        "bias_dispersion": report.bias_dispersion,
-        "self_check_identity_ok": bool(abs(report.identity_z) < 3.0),
-    }
+    payload = dataclasses.asdict(report)
+    del payload["replicate_mse"]
+    payload.update(
+        replicates=payload.pop("replicate_count"),
+        regime=cfg.regime,
+        n_train=cfg.n_train,
+        identity_z=report.identity_z,
+        bias_z=report.bias_z,
+        self_check_identity_ok=bool(abs(report.identity_z) < 3.0),
+    )
     files = {
         "biasvar.json": render_json(payload),
         "replicates.csv": render_csv(
@@ -213,14 +191,9 @@ def _cmd_biasvar(scenario: Scenario, run_config: RunConfig, seed_log: set) -> di
             workers=run_config.workers,
             seed_log=seed_log,
         )
-        files["components.json"] = render_json(
-            {
-                "component_names": list(comp.component_names),
-                "means": comp.means,
-                "covariance": comp.covariance,
-                "replicates": comp.replicate_count,
-            }
-        )
+        comp_payload = dataclasses.asdict(comp)
+        comp_payload["replicates"] = comp_payload.pop("replicate_count")
+        files["components.json"] = render_json(comp_payload)
     return files
 
 
@@ -275,17 +248,7 @@ def _cmd_panels(scenario: Scenario, run_config: RunConfig, seed_log: set) -> dic
         (f"panel{idx}", panel.variant, curve)
         for idx, (panel, curve) in enumerate(zip(result.scenarios, result.curves))
     ]
-    comparisons = [
-        {
-            "variant": c.variant,
-            "terminal_mean_mse": c.terminal_mean_mse,
-            "terminal_ci_half_width": c.terminal_ci_half_width,
-            "mean_diff_vs_baseline": c.mean_diff_vs_baseline,
-            "se_diff": c.se_diff,
-            "strictly_below_baseline": c.strictly_below_baseline,
-        }
-        for c in result.comparisons
-    ]
+    comparisons = [dataclasses.asdict(c) for c in result.comparisons]
     return {
         "panels.csv": render_csv(_CURVE_HEADER, _curve_columns(curves)),
         "panels.json": render_json({"comparisons": comparisons}),
@@ -334,18 +297,7 @@ def _cmd_probe(scenario: Scenario, run_config: RunConfig, seed_log: set) -> dict
     ceiling = estimate_ceiling(
         scenario.world, max(scenario.probe.n, 2), base_label="probe/ceiling", seed_log=seed_log
     )
-    payload = {
-        "eps_mean_full": report.eps_mean_full,
-        "eps_mean_selected": report.eps_mean_selected,
-        "eps_var_full": report.eps_var_full,
-        "eps_var_selected": report.eps_var_selected,
-        "z_mean": report.z_mean,
-        "z_var": report.z_var,
-        "coverage": report.coverage,
-        "n": report.n,
-        "n_selected": report.n_selected,
-        "ceiling_r2": ceiling.ceiling_r2,
-    }
+    payload = {**dataclasses.asdict(report), "ceiling_r2": ceiling.ceiling_r2}
     return {"probe.json": render_json(payload)}
 
 

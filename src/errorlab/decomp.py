@@ -12,7 +12,7 @@ its components are exact negations of the corresponding gains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -152,6 +152,20 @@ def decompose_bundle(
     )
 
 
+def _decompose_one(cls, world, regimes, x_true, x_observed, y_true, epsilon):
+    """Decompose one row into the dataclass ``cls``, whose fields name the
+    table columns it keeps."""
+    table = decompose_rows(
+        world,
+        regimes,
+        np.asarray(x_true, dtype=float).reshape(1, -1),
+        np.asarray(x_observed, dtype=float).reshape(1, -1),
+        np.asarray([y_true], dtype=float),
+        np.asarray([epsilon], dtype=float),
+    )
+    return cls(**{f.name: float(getattr(table, f.name)[0]) for f in fields(cls)})
+
+
 def decompose_pointwise(
     world: World,
     regimes: RegimeModels,
@@ -161,20 +175,8 @@ def decompose_pointwise(
     epsilon: float,
 ) -> PointwiseDecomposition:
     """Decompose one generated row into the five gain components."""
-    table = decompose_rows(
-        world,
-        regimes,
-        np.asarray(x_true, dtype=float).reshape(1, -1),
-        np.asarray(x_observed, dtype=float).reshape(1, -1),
-        np.asarray([y_true], dtype=float),
-        np.asarray([epsilon], dtype=float),
-    )
-    return PointwiseDecomposition(
-        model_approx_gain=float(table.model_approx_gain[0]),
-        meas_gain_y=float(table.meas_gain_y[0]),
-        meas_gain_x=float(table.meas_gain_x[0]),
-        current_prediction=float(table.current_prediction[0]),
-        aleatoric=float(table.aleatoric[0]),
+    return _decompose_one(
+        PointwiseDecomposition, world, regimes, x_true, x_observed, y_true, epsilon
     )
 
 
@@ -187,20 +189,7 @@ def decompose_error(
     epsilon: float,
 ) -> ErrorDecomposition:
     """Decompose one row's prediction error into its four components."""
-    table = decompose_rows(
-        world,
-        regimes,
-        np.asarray(x_true, dtype=float).reshape(1, -1),
-        np.asarray(x_observed, dtype=float).reshape(1, -1),
-        np.asarray([y_true], dtype=float),
-        np.asarray([epsilon], dtype=float),
-    )
-    return ErrorDecomposition(
-        err_x=float(table.err_x[0]),
-        err_y=float(table.err_y[0]),
-        delta_f=float(table.delta_f[0]),
-        aleatoric_term=float(table.aleatoric_term[0]),
-    )
+    return _decompose_one(ErrorDecomposition, world, regimes, x_true, x_observed, y_true, epsilon)
 
 
 def check_telescoping(

@@ -36,6 +36,7 @@ class AxisLevel:
     fidelity: tuple[float, float]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_train", int(self.n_train))
         object.__setattr__(self, "features", tuple(int(j) for j in self.features))
         object.__setattr__(
             self, "fidelity", (float(self.fidelity[0]), float(self.fidelity[1]))

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionError, FitError, InvalidSpecError, SingularSystemError
 from .seeding import rng_for
-from .worldgen import SampleBundle, World
+from .worldgen import SampleBundle, World, spec_from_config, spec_to_config
 
 MODEL_FAMILIES = ("ridge", "knn", "mlp", "oracle")
 REGIMES = ("OO", "TO", "TT", "ORACLE")
@@ -336,6 +336,15 @@ def mlp_loss_and_gradients(
     return float(np.mean(resid**2)), grads
 
 
+# An epoch loss above this multiple of the larger of mean(y^2) and the
+# loss at initialization counts as divergence.  A diverging fit passes the
+# bound within an epoch or two (1e8 against mean(y^2) = 7 after one epoch
+# at learning_rate 5.0), while the worst seen spike of a healthy fit stays
+# near Var(y).  The initial loss keeps the bound positive when the labels
+# are all zero.
+_MLP_DIVERGENCE_FACTOR = 1e6
+
+
 def _fit_mlp(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[dict, dict]:
     if x.shape[0] < spec.batch_size:
         raise FitError(
@@ -355,6 +364,8 @@ def _fit_mlp(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[dict, dict]
     grad_flat = np.empty_like(flat)
     grads = _param_views(grad_flat, init)
     shuffler = rng_for(spec.init_seed, "mlp/batches")
+    initial_loss = float(np.mean((mlp_predict_params(params, spec.activation, x) - y) ** 2))
+    bound = _MLP_DIVERGENCE_FACTOR * max(float(np.mean(y**2)), initial_loss)
     epoch_losses = []
     iterations = 0
     for epoch in range(1, spec.epochs + 1):
@@ -368,10 +379,11 @@ def _fit_mlp(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[dict, dict]
             flat -= grad_flat
             iterations += 1
         loss = float(np.mean((mlp_predict_params(params, spec.activation, x) - y) ** 2))
-        if not math.isfinite(loss):
+        if not loss <= bound:
             raise FitError(
-                f"mlp training loss is non-finite ({loss}) after epoch {epoch} of "
-                f"{spec.epochs}; learning_rate {lr} diverges on this data"
+                f"mlp training loss {loss:.6g} after epoch {epoch} of {spec.epochs} is "
+                f"non-finite or above the divergence bound {bound:.6g}; learning_rate {lr} "
+                "diverges on this data"
             )
         epoch_losses.append(loss)
     model_params = {"layers": params}
@@ -526,33 +538,17 @@ def model_to_json(model: FittedModel) -> str:
     from .runio import to_builtin
 
     spec = model.spec
+    if spec.family == "oracle":
+        raise InvalidSpecError("oracle models serialize with their World, not standalone")
     doc = {
         "schema_version": MODEL_JSON_VERSION,
         "family": spec.family,
         "regime": model.regime,
         "input_dim": model.input_dim,
-        "spec": {**asdict(spec), "widths": list(spec.widths)},
+        "spec": spec_to_config(spec),
         "diagnostics": to_builtin(model.diagnostics),
+        "params": to_builtin(model.params),
     }
-    if spec.family == "ridge":
-        doc["params"] = {
-            "coef": model.params["coef"].tolist(),
-            "intercept": model.params["intercept"],
-        }
-    elif spec.family == "knn":
-        doc["params"] = {
-            "train_x_std": model.params["train_x_std"].tolist(),
-            "train_y": model.params["train_y"].tolist(),
-            "mean": model.params["mean"].tolist(),
-            "sd": model.params["sd"].tolist(),
-            "k": model.params["k"],
-        }
-    elif spec.family == "mlp":
-        doc["params"] = {
-            "layers": [[w.tolist(), b.tolist()] for w, b in model.params["layers"]]
-        }
-    else:
-        raise InvalidSpecError("oracle models serialize with their World, not standalone")
     return json.dumps(doc, sort_keys=True)
 
 
@@ -562,24 +558,20 @@ def model_from_json(text: str) -> FittedModel:
         raise InvalidSpecError(
             f"unsupported model schema_version {doc.get('schema_version')!r}"
         )
-    s = doc["spec"]
-    spec = ModelSpec(**{f.name: s[f.name] for f in fields(ModelSpec)})
+    spec = spec_from_config(ModelSpec, doc["spec"], "spec")
     raw = doc["params"]
-    if spec.family == "ridge":
-        params = {"coef": np.asarray(raw["coef"], dtype=float), "intercept": raw["intercept"]}
-    elif spec.family == "knn":
-        params = {
-            "train_x_std": np.asarray(raw["train_x_std"], dtype=float),
-            "train_y": np.asarray(raw["train_y"], dtype=float),
-            "mean": np.asarray(raw["mean"], dtype=float),
-            "sd": np.asarray(raw["sd"], dtype=float),
-            "k": raw["k"],
-        }
-    else:
+    if spec.family == "mlp":
         params = {
             "layers": [
                 (np.asarray(w, dtype=float), np.asarray(b, dtype=float)) for w, b in raw["layers"]
             ]
+        }
+    else:
+        # Arrays were written as lists; scalars (ridge's intercept, knn's k)
+        # as themselves.
+        params = {
+            key: np.asarray(value, dtype=float) if isinstance(value, list) else value
+            for key, value in raw.items()
         }
     return FittedModel(
         spec=spec,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -83,7 +83,7 @@ class TrueFunctionSpec:
     ``interactions`` adds ``sum w * x_i * x_j`` on top of any family.
     """
 
-    family: str
+    family: str = dataclasses.field(default="linear", kw_only=True)
     coefficients: tuple[float, ...]
     input_dim: int
     interactions: tuple[tuple[int, int, float], ...] = ()
@@ -188,7 +188,7 @@ class AleatoricSpec:
 
     distribution: str = "gaussian"
     mean: float = 0.0
-    variance: float = 1.0
+    variance: float = 0.0
     df: float = 8.0
     mixture_separation: float = 0.7
     het_link: Optional[str] = None
@@ -478,105 +478,147 @@ class SampleBundle:
         return float(np.mean(self.selected))
 
 
-def target_noise_from_config(cfg: Mapping) -> TargetNoiseSpec:
-    return TargetNoiseSpec(
-        distribution=str(cfg.get("distribution", "gaussian")),
-        mean=float(cfg.get("mean", 0.0)),
-        variance=float(cfg.get("variance", 0.0)),
-        step=float(cfg.get("step", 0.0)),
-    )
+def reject_unknown(rest: Mapping, path: str) -> None:
+    """Raise naming the first key left over once a section is parsed."""
+    if rest:
+        key = sorted(map(str, rest))[0]
+        raise InvalidSpecError(f"{path}.{key}: unknown field" if path else f"{key}: unknown field")
 
 
-def feature_noise_from_config(cfg: Mapping, input_dim: int) -> FeatureNoiseSpec:
-    """Build a feature-noise spec from a mapping.  ``cov`` accepts a full
-    matrix, a per-feature variance vector, or a scalar shared variance."""
-    zero = [0.0] * input_dim
-    cov = cfg.get("cov")
+def spec_from_config(cls, cfg: Mapping, path: str, **given):
+    """An instance of the dataclass ``cls`` from the mapping ``cfg``.
+
+    Each field not in ``given`` reads its key, coerced to the type of the
+    field's default; an absent key keeps the default.  A field whose
+    default is None, or that has none, takes the value as it is, and a
+    field with no default is required.  Keys naming no field, and the keys
+    of the ``given`` fields, are rejected: their caller reads them.
+    """
+    rest = dict(cfg)
+    values = dict(given)
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        if f.name in rest:
+            value = rest.pop(f.name)
+            if f.default is not MISSING and f.default is not None:
+                value = type(f.default)(value)
+            values[f.name] = value
+        elif f.default is MISSING:
+            raise InvalidSpecError(f"{path}.{f.name}: required field is missing")
+    reject_unknown(rest, path)
+    return cls(**values)
+
+
+def _plain(value):
+    if dataclasses.is_dataclass(value):
+        return spec_to_config(value)
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def spec_to_config(spec, skip: Sequence[str] = ()) -> dict:
+    """The mapping ``spec_from_config`` reads back into ``spec``: tuples
+    become lists and nested dataclasses mappings.  Fields whose value is
+    None are left out, as are the fields named in ``skip``."""
+    out = {}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.name not in skip and value is not None:
+            out[f.name] = _plain(value)
+    return out
+
+
+def feature_noise_from_config(cfg: Mapping, input_dim: int, path: str) -> FeatureNoiseSpec:
+    """Build a feature-noise spec from a mapping; absent fields are those of
+    ``FeatureNoiseSpec.none``.  ``cov`` accepts a full matrix, a
+    per-feature variance vector, or a scalar shared variance."""
+    cfg = dict(cfg)
+    none = FeatureNoiseSpec.none(input_dim)
+    cov = cfg.pop("cov", None)
     if cov is None:
-        cov_matrix = [[0.0] * input_dim for _ in range(input_dim)]
+        cov = none.cov
     elif np.isscalar(cov):
-        cov_matrix = (float(cov) * np.eye(input_dim)).tolist()
+        cov = float(cov) * np.eye(input_dim)
     else:
         cov_arr = np.asarray(cov, dtype=float)
-        cov_matrix = (np.diag(cov_arr) if cov_arr.ndim == 1 else cov_arr).tolist()
-    return FeatureNoiseSpec(
-        means=tuple(cfg.get("means", zero)),
-        cov=_matrix_tuple(cov_matrix),
-        omit=tuple(cfg.get("omit", [False] * input_dim)),
-        coarsen=tuple(cfg.get("coarsen", zero)),
-    )
+        cov = np.diag(cov_arr) if cov_arr.ndim == 1 else cov_arr
+    defaults = spec_to_config(none, skip=("cov",))
+    return spec_from_config(FeatureNoiseSpec, {**defaults, **cfg}, path, cov=cov)
 
 
-def build_world(config: Mapping) -> World:
+def build_world(config: Mapping, path: str = "world") -> World:
     """Build and validate a World from a nested mapping (the scenario
     ``world`` section plus a ``seed`` key).  Raises
-    :class:`InvalidSpecError` naming the first violated field."""
+    :class:`InvalidSpecError` naming the first violated field, ``path``
+    being the section's own name."""
     cfg = dict(config)
 
     def section(name: str) -> dict:
-        value = cfg.get(name, {})
+        value = cfg.pop(name, None)
         if value is None:
-            value = {}
+            return {}
         if not isinstance(value, Mapping):
-            raise InvalidSpecError(f"world.{name}: expected a mapping")
+            raise InvalidSpecError(f"{path}.{name}: expected a mapping")
         return dict(value)
 
     x_cfg = section("x")
     if "dim" not in x_cfg:
-        raise InvalidSpecError("world.x.dim: required field is missing")
-    input_dim = int(x_cfg["dim"])
+        raise InvalidSpecError(f"{path}.x.dim: required field is missing")
+    input_dim = int(x_cfg.pop("dim"))
 
     f_cfg = section("f_star")
-    if "coefficients" not in f_cfg:
-        raise InvalidSpecError("world.f_star.coefficients: required field is missing")
     interactions = tuple(
         (int(item["pair"][0]), int(item["pair"][1]), float(item["weight"]))
-        for item in f_cfg.get("interactions", []) or []
+        for item in f_cfg.pop("interactions", None) or []
     )
-    f_star = TrueFunctionSpec(
-        family=str(f_cfg.get("family", "linear")),
-        coefficients=tuple(f_cfg["coefficients"]),
-        input_dim=input_dim,
-        interactions=interactions,
+    f_star = spec_from_config(
+        TrueFunctionSpec, f_cfg, f"{path}.f_star", input_dim=input_dim, interactions=interactions
     )
-
-    x_dist = XDistributionSpec(
-        kind=str(x_cfg.get("kind", "gaussian")),
-        low=float(x_cfg.get("low", -1.0)),
-        high=float(x_cfg.get("high", 1.0)),
-        cov=_matrix_tuple(x_cfg["cov"]) if x_cfg.get("cov") is not None else None,
+    x_dist = spec_from_config(XDistributionSpec, x_cfg, f"{path}.x")
+    aleatoric = spec_from_config(AleatoricSpec, section("aleatoric"), f"{path}.aleatoric")
+    target_noise = spec_from_config(
+        TargetNoiseSpec, section("target_noise"), f"{path}.target_noise"
     )
-
-    a_cfg = section("aleatoric")
-    aleatoric = AleatoricSpec(
-        distribution=str(a_cfg.get("distribution", "gaussian")),
-        mean=float(a_cfg.get("mean", 0.0)),
-        variance=float(a_cfg.get("variance", 0.0)),
-        df=float(a_cfg.get("df", 8.0)),
-        mixture_separation=float(a_cfg.get("mixture_separation", 0.7)),
-        het_link=a_cfg.get("het_link"),
+    feature_noise = feature_noise_from_config(
+        section("feature_noise"), input_dim, f"{path}.feature_noise"
     )
-
-    s_cfg = section("selection")
-    selection = SelectionSpec(
-        rule=str(s_cfg.get("rule", "none")),
-        score=str(s_cfg.get("score", "epsilon")),
-        coverage=float(s_cfg.get("coverage", 1.0)),
-    )
+    selection = spec_from_config(SelectionSpec, section("selection"), f"{path}.selection")
 
     if "seed" not in cfg:
-        raise InvalidSpecError("world.seed: required field is missing")
+        raise InvalidSpecError(f"{path}.seed: required field is missing")
+    master_seed = int(cfg.pop("seed"))
+    reject_unknown(cfg, path)
 
     world = World(
         f_star=f_star,
         x_dist=x_dist,
         aleatoric=aleatoric,
-        target_noise=target_noise_from_config(section("target_noise")),
-        feature_noise=feature_noise_from_config(section("feature_noise"), input_dim),
+        target_noise=target_noise,
+        feature_noise=feature_noise,
         selection=selection,
-        master_seed=int(cfg["seed"]),
+        master_seed=master_seed,
     )
     return world.validate()
+
+
+def world_to_config(world: World) -> dict:
+    """The ``world`` mapping ``build_world`` reads back into ``world``."""
+    f_star = spec_to_config(world.f_star, skip=("input_dim", "interactions"))
+    if world.f_star.interactions:
+        f_star["interactions"] = [
+            {"pair": [i, j], "weight": w} for i, j, w in world.f_star.interactions
+        ]
+    return {
+        "x": {**spec_to_config(world.x_dist), "dim": world.input_dim},
+        "f_star": f_star,
+        "aleatoric": spec_to_config(world.aleatoric),
+        "target_noise": spec_to_config(world.target_noise),
+        "feature_noise": spec_to_config(world.feature_noise),
+        "selection": spec_to_config(world.selection),
+        "seed": world.master_seed,
+    }
 
 
 def eval_true_function(world: World, x: Sequence[float]) -> float:

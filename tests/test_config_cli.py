@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -314,8 +315,9 @@ def test_replicates_override_below_two_exits_two(tmp_path, capsys):
 
 
 def test_exit_code_three_on_non_finite_json(tmp_path, capsys):
-    # At learning_rate 5.0 the OO fit's epoch loss turns NaN; the fit stops
-    # there, before any decomposition or output.
+    # At learning_rate 5.0 the OO fit diverges (its epoch loss would turn
+    # NaN at epoch 27); the fit stops at the divergence bound, before any
+    # decomposition or output.
     config = _standard_with(
         tmp_path,
         model={"family": "mlp", "learning_rate": 5.0},
@@ -329,6 +331,88 @@ def test_exit_code_three_on_non_finite_json(tmp_path, capsys):
     assert "non-finite" in err
     assert "regime OO" in err and "after epoch" in err
     assert not (tmp_path / "d").exists()
+
+
+def test_finite_mlp_divergence_exits_three(tmp_path, capsys):
+    # This fit stays finite for all 20 epochs (OO ends near 5e194), so
+    # only the divergence bound stops it: the first epoch's loss, 1.3e8,
+    # is above 1e6 times mean(y^2), about 7.
+    config = _standard_with(
+        tmp_path,
+        model={"family": "mlp", "widths": [8], "epochs": 20, "learning_rate": 5.0},
+        decompose={"train_n": 100, "n": 50},
+    )
+    code = main(["decompose", "--config", str(config), "--out", str(tmp_path / "d")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "regime OO" in err and "after epoch 1 of 20" in err and "divergence bound" in err
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize(
+    "section, fields, message",
+    [
+        ("model", {"famly": "knn"}, "model.famly: unknown field"),
+        ("world", {"aleatorc": {"variance": 5.0}}, "world.aleatorc: unknown field"),
+        ("decompose", {"nn": 20}, "decompose.nn: unknown field"),
+        ("biasvar", {"replicate": 7}, "biasvar.replicate: unknown field"),
+    ],
+)
+def test_misspelled_key_exits_two(tmp_path, capsys, section, fields, message):
+    config = _standard_with(tmp_path, **{section: fields})
+    code = main(["decompose", "--config", str(config), "--out", str(tmp_path / "t")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize(
+    "where, key, message",
+    [
+        ((), "modle", "modle"),
+        (("world", "x"), "kidn", "world.x.kidn"),
+        (("world", "f_star"), "input_dim", "world.f_star.input_dim"),
+        (("world", "target_noise"), "varaince", "world.target_noise.varaince"),
+        (("world", "feature_noise"), "coarse", "world.feature_noise.coarse"),
+        (("world", "selection"), "rul", "world.selection.rul"),
+        (("simulate",), "lable", "simulate.lable"),
+        (("probe",), "nn", "probe.nn"),
+        (("curve",), "replicate", "curve.replicate"),
+        (("curve", "axis"), "level", "curve.axis.level"),
+        (("curve", "axis", "levels", 2), "fidelty", "curve.axis.levels[2].fidelty"),
+        (("panels",), "variant", "panels.variant"),
+        (("panels", "variants", 0), "target", "panels.variants[0].target"),
+        (
+            ("panels", "variants", 1, "target_noise"),
+            "varience",
+            "panels.variants[1].target_noise.varience",
+        ),
+        (
+            ("panels", "variants", 2, "feature_noise"),
+            "omitt",
+            "panels.variants[2].feature_noise.omitt",
+        ),
+        (("gallery",), "replicate", "gallery.replicate"),
+        (("gallery", "axis", "levels", 0), "n", "gallery.axis.levels[0].n"),
+        (("gallery", "low"), "modl", "gallery.low.modl"),
+        (("gallery", "low", "world"), "aleatorc", "gallery.low.world.aleatorc"),
+        (
+            ("gallery", "high", "world", "aleatoric"),
+            "varianc",
+            "gallery.high.world.aleatoric.varianc",
+        ),
+        (("gallery", "high", "model"), "famly", "gallery.high.model.famly"),
+    ],
+)
+def test_unknown_key_rejected_at_every_level(tmp_path, where, key, message):
+    scenario = yaml.safe_load(STANDARD.read_text(encoding="utf-8"))
+    node = scenario
+    for step in where:
+        node = node[step]
+    node[key] = 1
+    with pytest.raises(ConfigError, match=rf"^{re.escape(message)}: unknown field$"):
+        parse_config(_write(tmp_path, yaml.safe_dump(scenario)))
 
 
 def test_exit_code_four_on_invariant_breach(tmp_path, capsys, monkeypatch):

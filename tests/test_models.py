@@ -505,6 +505,25 @@ def test_divergent_mlp_raises_fit_error_naming_regime_and_epoch():
     assert "after epoch" in message
 
 
+def test_finite_mlp_divergence_raises_at_the_bound():
+    rng = rng_for(48, "mlp/diverge-finite")
+    x = rng.standard_normal((100, 2))
+    y = x[:, 0] + rng.standard_normal(100)
+    spec = ModelSpec(family="mlp", widths=(8,), learning_rate=5.0, epochs=20)
+    with np.errstate(all="ignore"), pytest.raises(el.errors.FitError, match="divergence bound"):
+        fit(spec, x, y, regime="TT")
+
+
+@pytest.mark.parametrize("x_scale", [0.0, 1.0])
+def test_mlp_divergence_bound_holds_on_all_zero_labels(x_scale):
+    # mean(y^2) is 0 here; with all-zero inputs the loss stays exactly 0.
+    x = x_scale * rng_for(50, "mlp/zero-labels").standard_normal((64, 2))
+    y = np.zeros(64)
+    model = fit(ModelSpec(family="mlp", widths=(8,), epochs=30), x, y)
+    assert all(math.isfinite(loss) for loss in model.diagnostics["epoch_losses"])
+    assert model.diagnostics["final_loss"] <= model.diagnostics["epoch_losses"][0]
+
+
 def test_regime_view_selects_each_regimes_training_data():
     world = make_world(selection={"rule": "probabilistic", "coverage": 0.6})
     bundle = el.sample(world, 50, "regime-view")
