@@ -36,6 +36,7 @@ from .experiments import (
     run_panel_scenarios,
 )
 from .models import fit_regimes, model_to_json
+from .parallel import command_pool
 from .runio import RunManifest, render_csv, render_json, sha256_text, write_outputs
 
 COMMANDS = ("simulate", "decompose", "biasvar", "curve", "panels", "gallery", "probe")
@@ -325,7 +326,8 @@ def run(run_config: RunConfig) -> RunManifest:
     seed_log: set[str] = set()
     handler = _HANDLERS[run_config.command]
     compute_started = time.perf_counter()
-    payloads = handler(scenario, run_config, seed_log)
+    with command_pool(run_config.workers) as pool:
+        payloads = handler(scenario, run_config, seed_log)
     compute_seconds = time.perf_counter() - compute_started
 
     out_dir = Path(run_config.out_dir)
@@ -341,6 +343,7 @@ def run(run_config: RunConfig) -> RunManifest:
         timings={
             "compute_seconds": compute_seconds,
             "total_seconds": time.perf_counter() - started,
+            "processes": pool.processes,
         },
     )
     (out_dir / "manifest.json").write_text(

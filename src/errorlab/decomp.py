@@ -470,14 +470,18 @@ class CeilingEstimate:
 
 def estimate_ceiling(world: World, n: int, base_label: str = "ceiling",
                      seed_log: Optional[set] = None) -> CeilingEstimate:
-    """Estimate the noise floor and the matching R^2 ceiling from draws."""
+    """Estimate the noise floor and the matching R^2 ceiling from draws.
+
+    Only the inputs and the inherent noise are drawn (the ``x`` and ``eps``
+    substreams of ``worldgen.sample`` under the same label): the ceiling
+    concerns the true outcome, so no corruption or selection applies."""
     if n < 2:
         raise InvalidSpecError("estimate_ceiling needs n >= 2")
     if seed_log is not None:
         seed_log.add(base_label)
-    bundle = worldgen.sample(world, n, base_label)
-    eps = bundle.epsilon
-    y = bundle.y_true
+    x_true = worldgen.draw_inputs(world, n, base_label)
+    eps = worldgen.draw_aleatoric(world, x_true, base_label)
+    y = world.f_star.values(x_true) + eps
     sigma_sq = float(np.var(eps, ddof=1))
     var_y = float(np.var(y, ddof=1))
     if var_y == 0.0:

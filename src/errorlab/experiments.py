@@ -138,23 +138,17 @@ class LearningCurve:
         return self.points[-1]
 
 
-def _curve_cell(args) -> tuple[float, float, float, float]:
-    """One (level, replicate) cell; recomputes the shared test pack from
-    its labels so the cell is self-contained for worker processes."""
-    world, level, spec, label, base_label, test_points, comp_points = args
-    w_level = level_world(world, level)
-    grid = worldgen.draw_inputs(world, test_points, f"{base_label}/test")
-    eps_test = worldgen.draw_aleatoric(world, grid, f"{base_label}/test")
-    y_test = world.f_star.values(grid) + eps_test
-    x_obs_test = worldgen.observe_features(w_level, grid, f"{base_label}/test")
-    bundle = worldgen.sample(w_level, level.n_train, label)
+def _replicate_scores(w_level, n_train, spec, label, grid, x_obs_test, y_test, eps_test, cp):
+    """Held-out mse and mean absolute gains of one replicate's refit.  A
+    function of its own, so the replicate's sample and models are freed
+    before the level's next replicate draws its own."""
+    bundle = worldgen.sample(w_level, n_train, label)
     try:
         regimes = fit_regimes(w_level, bundle, spec)
     except FitError as exc:
         raise type(exc)(f"cell {label}: {exc}") from exc
     preds = predict(regimes.oo, x_obs_test)
     mse = float(np.mean((preds - y_test) ** 2))
-    cp = min(comp_points, test_points)
     table = decompose_rows(
         w_level, regimes, grid[:cp], x_obs_test[:cp], y_test[:cp], eps_test[:cp]
     )
@@ -164,6 +158,23 @@ def _curve_cell(args) -> tuple[float, float, float, float]:
         float(np.mean(np.abs(table.meas_gain_y))),
         float(np.mean(np.abs(table.meas_gain_x))),
     )
+
+
+def _curve_cell(args) -> list[tuple[float, float, float, float]]:
+    """One level's replicates, scored on the shared test pack.
+
+    The level's observed view of the grid depends only on the level, so it
+    is built once here and serves every replicate of the level."""
+    world, level, spec, labels, base_label, comp_points, grid, eps_test, y_test = args
+    w_level = level_world(world, level)
+    x_obs_test = worldgen.observe_features(w_level, grid, f"{base_label}/test")
+    cp = min(comp_points, len(grid))
+    return [
+        _replicate_scores(
+            w_level, level.n_train, spec, label, grid, x_obs_test, y_test, eps_test, cp
+        )
+        for label in labels
+    ]
 
 
 def run_learning_curve(
@@ -181,29 +192,30 @@ def run_learning_curve(
 
     Every level and replicate refits in the observable (OO) regime on its
     own substream; the held-out grid and its noise are drawn once per
-    world and shared by all levels and replicates.
+    world and shared by all levels and replicates, and each level's
+    observed view of the grid is built once.
     """
     if replicates < 1:
         raise InvalidSpecError("run_learning_curve needs replicates >= 1")
     axis.validate()
+    n_levels = len(axis.levels)
+    test_label = f"{base_label}/test"
+    grid = worldgen.draw_inputs(world, test_points, test_label)
+    eps_test = worldgen.draw_aleatoric(world, grid, test_label)
+    y_test = world.f_star.values(grid) + eps_test
+    var_y = float(np.var(y_test, ddof=1))
+
     labels = [
-        (li, f"{base_label}/L{li}/rep{r:04d}")
-        for li in range(len(axis.levels))
-        for r in range(replicates)
+        [f"{base_label}/L{li}/rep{r:04d}" for r in range(replicates)] for li in range(n_levels)
     ]
     if seed_log is not None:
-        seed_log.add(f"{base_label}/test")
-        seed_log.update(label for _, label in labels)
+        seed_log.add(test_label)
+        seed_log.update(label for level_labels in labels for label in level_labels)
     tasks = [
-        (world, axis.levels[li], spec, label, base_label, test_points, comp_points)
-        for li, label in labels
+        (world, level, spec, labels[li], base_label, comp_points, grid, eps_test, y_test)
+        for li, level in enumerate(axis.levels)
     ]
-    results = ordered_map(_curve_cell, tasks, workers=workers)
-    values = np.asarray(results, dtype=float).reshape(len(axis.levels), replicates, 4)
-
-    grid = worldgen.draw_inputs(world, test_points, f"{base_label}/test")
-    eps_test = worldgen.draw_aleatoric(world, grid, f"{base_label}/test")
-    var_y = float(np.var(world.f_star.values(grid) + eps_test, ddof=1))
+    values = np.asarray(ordered_map(_curve_cell, tasks, workers=workers), dtype=float)
 
     points = []
     for li, level in enumerate(axis.levels):

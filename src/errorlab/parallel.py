@@ -2,13 +2,19 @@
 
 Cells derive all randomness from their own substream labels, so results are
 identical for any worker count; only wall time changes.
+
+A spawn pool costs a fresh interpreter per process, so a caller that maps
+several times (the CLI runs one command's curves, sides and components one
+after another) opens a :func:`command_pool`, and every ``ordered_map``
+inside it shares one pool, started on first use.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-from typing import Callable, Sequence, TypeVar
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -29,11 +35,54 @@ def pool_size(workers: int, n_items: int) -> int:
     return max(1, min(workers, n_items, usable_cpus()))
 
 
+class CommandPool:
+    """One spawn pool of ``min(workers, usable_cpus())`` processes, started
+    by the first map that needs it and shared by every later one."""
+
+    def __init__(self, workers: int) -> None:
+        self.size = max(1, min(workers, usable_cpus()))
+        self._pool = None
+
+    @property
+    def processes(self) -> int:
+        """Processes that ran cells: the pool's size once it started, else 1."""
+        return self.size if self._pool is not None else 1
+
+    def map(self, fn: Callable[[T], R], items: Sequence[T], chunksize: int) -> list[R]:
+        if self._pool is None:
+            self._pool = mp.get_context("spawn").Pool(processes=self.size)
+        return self._pool.map(fn, items, chunksize=chunksize)
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
+
+
+_OPEN: Optional[CommandPool] = None
+
+
+@contextmanager
+def command_pool(workers: int) -> Iterator[CommandPool]:
+    """Share one pool among the ``ordered_map`` calls made inside the block;
+    the pool is shut down when the block exits."""
+    global _OPEN
+    if _OPEN is not None:
+        raise RuntimeError("a command pool is already open")
+    _OPEN = CommandPool(workers)
+    try:
+        yield _OPEN
+    finally:
+        pool, _OPEN = _OPEN, None
+        pool.close()
+
+
 def ordered_map(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> list[R]:
     processes = pool_size(workers, len(items))
     if processes == 1:
         return [fn(item) for item in items]
-    ctx = mp.get_context("spawn")
     chunksize = max(1, len(items) // (processes * 4))
-    with ctx.Pool(processes=processes) as pool:
-        return pool.map(fn, items, chunksize=chunksize)
+    if _OPEN is not None:
+        return _OPEN.map(fn, items, chunksize)
+    with command_pool(processes) as pool:
+        return pool.map(fn, items, chunksize)

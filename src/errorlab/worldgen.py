@@ -18,6 +18,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionError,
     EmptySelectionError,
     InvalidSpecError,
@@ -485,6 +486,23 @@ def reject_unknown(rest: Mapping, path: str) -> None:
         raise InvalidSpecError(f"{path}.{key}: unknown field" if path else f"{key}: unknown field")
 
 
+def coerce(kind, value, path: str):
+    """``kind(value)``, raising :class:`ConfigError` naming ``path`` when the
+    value cannot be read as that type.  A string or mapping is not read as
+    a list (``tuple("16")`` would split it into characters), nor a float
+    with a fractional part as an int (``int(2.5)`` would truncate it)."""
+    name = "list" if kind is tuple else kind.__name__
+    wrong = ConfigError(f"{path}: expected {name}, got {value!r}")
+    if kind is tuple and isinstance(value, (str, bytes, Mapping)):
+        raise wrong
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise wrong
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise wrong from exc
+
+
 def spec_from_config(cls, cfg: Mapping, path: str, **given):
     """An instance of the dataclass ``cls`` from the mapping ``cfg``.
 
@@ -492,7 +510,8 @@ def spec_from_config(cls, cfg: Mapping, path: str, **given):
     field's default; an absent key keeps the default.  A field whose
     default is None, or that has none, takes the value as it is, and a
     field with no default is required.  Keys naming no field, and the keys
-    of the ``given`` fields, are rejected: their caller reads them.
+    of the ``given`` fields, are rejected: their caller reads them.  A
+    value of the wrong type raises :class:`ConfigError` naming its key.
     """
     rest = dict(cfg)
     values = dict(given)
@@ -502,12 +521,16 @@ def spec_from_config(cls, cfg: Mapping, path: str, **given):
         if f.name in rest:
             value = rest.pop(f.name)
             if f.default is not MISSING and f.default is not None:
-                value = type(f.default)(value)
+                value = coerce(type(f.default), value, f"{path}.{f.name}")
             values[f.name] = value
         elif f.default is MISSING:
             raise InvalidSpecError(f"{path}.{f.name}: required field is missing")
     reject_unknown(rest, path)
-    return cls(**values)
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        # A field's own conversion in __post_init__ (its items, say) failed.
+        raise ConfigError(f"{path}: a value has the wrong type: {exc}") from exc
 
 
 def _plain(value):
@@ -540,9 +563,12 @@ def feature_noise_from_config(cfg: Mapping, input_dim: int, path: str) -> Featur
     if cov is None:
         cov = none.cov
     elif np.isscalar(cov):
-        cov = float(cov) * np.eye(input_dim)
+        cov = coerce(float, cov, f"{path}.cov") * np.eye(input_dim)
     else:
-        cov_arr = np.asarray(cov, dtype=float)
+        try:
+            cov_arr = np.asarray(cov, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path}.cov: expected numbers, got {cov!r}") from exc
         cov = np.diag(cov_arr) if cov_arr.ndim == 1 else cov_arr
     defaults = spec_to_config(none, skip=("cov",))
     return spec_from_config(FeatureNoiseSpec, {**defaults, **cfg}, path, cov=cov)
@@ -566,15 +592,25 @@ def build_world(config: Mapping, path: str = "world") -> World:
     x_cfg = section("x")
     if "dim" not in x_cfg:
         raise InvalidSpecError(f"{path}.x.dim: required field is missing")
-    input_dim = int(x_cfg.pop("dim"))
+    input_dim = coerce(int, x_cfg.pop("dim"), f"{path}.x.dim")
 
     f_cfg = section("f_star")
-    interactions = tuple(
-        (int(item["pair"][0]), int(item["pair"][1]), float(item["weight"]))
-        for item in f_cfg.pop("interactions", None) or []
-    )
+    interactions = []
+    for i, item in enumerate(f_cfg.pop("interactions", None) or []):
+        try:
+            (a, b), weight = item["pair"], item["weight"]
+            interactions.append((int(a), int(b), float(weight)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"{path}.f_star.interactions[{i}]: expected {{pair: [i, j], weight: w}}, "
+                f"got {item!r}"
+            ) from exc
     f_star = spec_from_config(
-        TrueFunctionSpec, f_cfg, f"{path}.f_star", input_dim=input_dim, interactions=interactions
+        TrueFunctionSpec,
+        f_cfg,
+        f"{path}.f_star",
+        input_dim=input_dim,
+        interactions=tuple(interactions),
     )
     x_dist = spec_from_config(XDistributionSpec, x_cfg, f"{path}.x")
     aleatoric = spec_from_config(AleatoricSpec, section("aleatoric"), f"{path}.aleatoric")
@@ -588,7 +624,7 @@ def build_world(config: Mapping, path: str = "world") -> World:
 
     if "seed" not in cfg:
         raise InvalidSpecError(f"{path}.seed: required field is missing")
-    master_seed = int(cfg.pop("seed"))
+    master_seed = coerce(int, cfg.pop("seed"), f"{path}.seed")
     reject_unknown(cfg, path)
 
     world = World(

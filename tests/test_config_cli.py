@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 import errorlab as el
-from errorlab import cli, seeding
+from errorlab import cli, parallel, seeding
 from errorlab.cli import RunConfig, main, run
 from errorlab.config import normalize_scenario, parse_config, scenario_to_yaml
 from errorlab.errors import ConfigError, InvariantError
@@ -413,6 +413,135 @@ def test_unknown_key_rejected_at_every_level(tmp_path, where, key, message):
     node[key] = 1
     with pytest.raises(ConfigError, match=rf"^{re.escape(message)}: unknown field$"):
         parse_config(_write(tmp_path, yaml.safe_dump(scenario)))
+
+
+@pytest.mark.parametrize("version", [99, 0, "1", 1.5, True])
+def test_foreign_schema_version_exits_two(tmp_path, capsys, version):
+    scenario = yaml.safe_load(STANDARD.read_text(encoding="utf-8"))
+    scenario["schema_version"] = version
+    config = _write(tmp_path, yaml.safe_dump(scenario))
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "v")])
+    assert code == 2
+    assert "schema_version" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
+
+
+def test_current_or_absent_schema_version_is_accepted(tmp_path):
+    scenario = yaml.safe_load(STANDARD.read_text(encoding="utf-8"))
+    assert "schema_version" not in scenario
+    parse_config(_write(tmp_path, yaml.safe_dump(scenario), "absent.yaml"))
+    scenario["schema_version"] = 1
+    parse_config(_write(tmp_path, yaml.safe_dump(scenario), "current.yaml"))
+
+
+def _with_interactions(items) -> dict:
+    f_star = {"family": "linear", "coefficients": [1.5, -2.0, 0.7], "interactions": items}
+    return {"world": {"f_star": f_star}}
+
+
+@pytest.mark.parametrize(
+    "sections, message",
+    [
+        ({"simulate": {"n": "abc"}}, "simulate.n: expected int, got 'abc'"),
+        ({"model": {"family": "mlp", "widths": 8}}, "model.widths: expected list, got 8"),
+        ({"model": {"family": "mlp", "widths": "16"}}, "model.widths: expected list, got '16'"),
+        ({"model": {"family": "mlp", "widths": {"a": 1}}}, "model.widths: expected list"),
+        ({"simulate": {"n": 2.5}}, "simulate.n: expected int, got 2.5"),
+        ({"model": {"family": "mlp", "widths": ["a"]}}, "model: a value has the wrong type"),
+        ({"curve": {"comp_points": [1]}}, "curve.comp_points: expected int"),
+        ({"world": {"x": {"kind": "gaussian", "dim": "three"}}}, "world.x.dim: expected int"),
+        (
+            {"world": {"feature_noise": {"cov": "abc"}}},
+            "world.feature_noise.cov: expected float",
+        ),
+        (
+            {"world": {"feature_noise": {"cov": [[0.4, "x"], [0.0, 0.4]]}}},
+            "world.feature_noise.cov: expected",
+        ),
+        (
+            _with_interactions([{"pair": [0]}]),
+            "world.f_star.interactions[0]: expected {pair: [i, j], weight: w}",
+        ),
+        (_with_interactions([{"pair": [0, 1]}]), "world.f_star.interactions[0]"),
+        (_with_interactions([{"pair": [0, 1], "weight": 1.0}, 7]), "world.f_star.interactions[1]"),
+    ],
+)
+def test_wrong_typed_value_exits_two_naming_the_key(tmp_path, capsys, sections, message):
+    config = _standard_with(tmp_path, **sections)
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "t")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert message in err
+    assert not (tmp_path / "t").exists()
+
+
+class _CountingPool:
+    def __init__(self, log):
+        self.log = log
+
+    def map(self, fn, items, chunksize=1):
+        return [fn(item) for item in items]
+
+    def terminate(self):
+        self.log.append("closed")
+
+    def join(self):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.terminate()
+        return False
+
+
+class _CountingMultiprocessing:
+    """Stands in for ``multiprocessing`` in ``errorlab.parallel``: records
+    each pool it is asked for and runs the pool's maps in this process."""
+
+    def __init__(self):
+        self.log = []
+
+    def get_context(self, method=None):
+        assert method == "spawn"
+        return self
+
+    def Pool(self, processes=None):
+        self.log.append(("pool", processes))
+        return _CountingPool(self.log)
+
+
+@pytest.mark.parametrize("command", ["panels", "biasvar", "gallery"])
+def test_one_pool_serves_a_whole_command(tmp_path, monkeypatch, command):
+    # panels maps three curves, biasvar its replicates and then the
+    # components, gallery its two sides: each run starts one pool.
+    fake = _CountingMultiprocessing()
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "mp", fake)
+    config = _standard_with(
+        tmp_path,
+        biasvar={"replicates": 10, "components_replicates": 4},
+        curve={"replicates": 2, "test_points": 200},
+        gallery={"replicates": 2, "test_points": 200, "ceiling_n": 1000},
+    )
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "p"), "--workers", "2"]
+    assert main(argv) == 0
+    assert fake.log == [("pool", 2), "closed"]
+    manifest = json.loads((tmp_path / "p" / "manifest.json").read_text())
+    assert manifest["timings"]["processes"] == 2
+
+
+def test_serial_command_starts_no_pool(tmp_path, monkeypatch):
+    fake = _CountingMultiprocessing()
+    monkeypatch.setattr(parallel, "mp", fake)
+    config = _write(tmp_path, REFERENCE)
+    for command in ("simulate", "curve"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path / command)]) == 0
+        manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+        assert manifest["timings"]["processes"] == 1
+    assert fake.log == []
 
 
 def test_exit_code_four_on_invariant_breach(tmp_path, capsys, monkeypatch):

@@ -260,6 +260,41 @@ def test_ceiling_matches_plugin_variance_ratio():
     assert estimate.se_ceiling_r2 > 0.0
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"selection": {"rule": "threshold", "score": "y_true", "coverage": 0.3}},
+        {
+            "x": {"kind": "uniform", "dim": 3},
+            "aleatoric": {"variance": 0.4, "het_link": "one_plus_mean_sq"},
+        },
+    ],
+)
+def test_ceiling_draws_equal_the_full_sample(overrides):
+    # The ceiling reads only epsilon and y_true, which sample() draws from
+    # the same "x" and "eps" substreams under the same label.
+    world = make_world(**overrides)
+    bundle = el.sample(world, 5000, "ceil")
+    x_true = worldgen.draw_inputs(world, 5000, "ceil")
+    eps = worldgen.draw_aleatoric(world, x_true, "ceil")
+    assert np.array_equal(eps, bundle.epsilon)
+    assert np.array_equal(world.f_star.values(x_true) + eps, bundle.y_true)
+    estimate = estimate_ceiling(world, 5000, base_label="ceil")
+    assert estimate.sigma_eps_sq == float(np.var(bundle.epsilon, ddof=1))
+    assert estimate.ceiling_r2 == 1.0 - estimate.sigma_eps_sq / float(np.var(bundle.y_true, ddof=1))
+
+
+def test_ceiling_ignores_the_selection_rule():
+    # At coverage 1e-9 a two-row sample keeps no row, but the ceiling
+    # concerns every row of the population and never selects.
+    world = make_world(selection={"rule": "probabilistic", "coverage": 1e-9})
+    with pytest.raises(el.errors.EmptySelectionError):
+        el.sample(world, 2, "ceiling")
+    unselected = make_world()
+    assert estimate_ceiling(world, 2) == estimate_ceiling(unselected, 2)
+
+
 def test_degenerate_variance_rejected():
     world = make_world(
         x={"kind": "gaussian", "dim": 1},

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import errorlab as el
-from errorlab import worldgen
-from errorlab.decomp import bias_variance_monte_carlo
+from errorlab import parallel, worldgen
+from errorlab.decomp import bias_variance_monte_carlo, decompose_rows
 from errorlab.errors import InvalidSpecError
 from errorlab.experiments import (
     AxisLevel,
@@ -19,7 +19,7 @@ from errorlab.experiments import (
     run_learning_curve,
     run_panel_scenarios,
 )
-from errorlab.models import ModelSpec
+from errorlab.models import ModelSpec, fit_regimes, predict
 from errorlab.worldgen import FeatureNoiseSpec, TargetNoiseSpec
 
 from conftest import make_world
@@ -150,6 +150,115 @@ def test_curve_workers_do_not_change_results():
     serial = run_learning_curve(world, RIDGE, axis, 6, test_points=500, workers=1)
     parallel = run_learning_curve(world, RIDGE, axis, 6, test_points=500, workers=4)
     assert np.array_equal(serial.replicate_mse, parallel.replicate_mse)
+
+
+# The per-cell engine the per-level engine replaced: every (level, replicate)
+# cell redraws the test pack and its observed view.  Kept as the reference
+# that the per-level engine must reproduce bit for bit.
+def _reference_cell(world, level, spec, label, base_label, test_points, comp_points):
+    w_level = level_world(world, level)
+    grid = worldgen.draw_inputs(world, test_points, f"{base_label}/test")
+    eps_test = worldgen.draw_aleatoric(world, grid, f"{base_label}/test")
+    y_test = world.f_star.values(grid) + eps_test
+    x_obs_test = worldgen.observe_features(w_level, grid, f"{base_label}/test")
+    bundle = worldgen.sample(w_level, level.n_train, label)
+    regimes = fit_regimes(w_level, bundle, spec)
+    preds = predict(regimes.oo, x_obs_test)
+    mse = float(np.mean((preds - y_test) ** 2))
+    cp = min(comp_points, test_points)
+    table = decompose_rows(
+        w_level, regimes, grid[:cp], x_obs_test[:cp], y_test[:cp], eps_test[:cp]
+    )
+    return (
+        mse,
+        float(np.mean(np.abs(table.model_approx_gain))),
+        float(np.mean(np.abs(table.meas_gain_y))),
+        float(np.mean(np.abs(table.meas_gain_x))),
+    )
+
+
+def _reference_curve(world, spec, axis, replicates, test_points, comp_points, base_label):
+    values = np.asarray(
+        [
+            _reference_cell(
+                world, level, spec, f"{base_label}/L{li}/rep{r:04d}",
+                base_label, test_points, comp_points,
+            )
+            for li, level in enumerate(axis.levels)
+            for r in range(replicates)
+        ]
+    ).reshape(len(axis.levels), replicates, 4)
+    grid = worldgen.draw_inputs(world, test_points, f"{base_label}/test")
+    eps_test = worldgen.draw_aleatoric(world, grid, f"{base_label}/test")
+    var_y = float(np.var(world.f_star.values(grid) + eps_test, ddof=1))
+    return values, var_y
+
+
+def _hard_world():
+    # Probabilistic selection, an omitted feature and a coarsened column.
+    return make_world(
+        feature_noise={"cov": 0.3, "omit": [False, False, True], "coarsen": [0.25, 0.0, 0.0]},
+        selection={"rule": "probabilistic", "coverage": 0.8},
+    )
+
+
+def _hard_axis():
+    return _axis(
+        [
+            AxisLevel(40, (0, 1), (1.0, 1.0)),
+            AxisLevel(90, FEATS, (1.0, 0.7)),
+            AxisLevel(160, FEATS, (0.5, 0.4)),
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        RIDGE,
+        ModelSpec(family="knn", k=5),
+        ModelSpec(family="mlp", widths=(8,), epochs=4, batch_size=16),
+    ],
+    ids=["ridge", "knn", "mlp"],
+)
+def test_per_level_engine_matches_per_cell_reference_bitwise(spec):
+    world, axis = _hard_world(), _hard_axis()
+    curve = run_learning_curve(world, spec, axis, 3, test_points=300, comp_points=64)
+    values, var_y = _reference_curve(world, spec, axis, 3, 300, 64, "curve")
+    assert np.array_equal(curve.replicate_mse, values[:, :, 0])
+    assert curve.var_y_test == var_y
+    for li, point in enumerate(curve.points):
+        assert point.mean_mse == float(values[li, :, 0].mean())
+        assert point.mean_abs_approx == float(values[li, :, 1].mean())
+        assert point.mean_abs_meas_y == float(values[li, :, 2].mean())
+        assert point.mean_abs_meas_x == float(values[li, :, 3].mean())
+
+
+def test_curve_and_panels_identical_at_one_two_and_four_workers():
+    world, axis = _hard_world(), _hard_axis()
+    variants = [
+        PanelScenario("baseline"),
+        PanelScenario("reconstructed_target", target_noise=TargetNoiseSpec(variance=0.1)),
+    ]
+    curves, panels = [], []
+    for workers in (1, 2, 4):
+        with parallel.command_pool(workers):
+            curves.append(
+                run_learning_curve(world, RIDGE, axis, 4, test_points=200, workers=workers)
+            )
+            panels.append(
+                run_panel_scenarios(
+                    world, variants, axis, RIDGE, 4, test_points=200, workers=workers
+                )
+            )
+    for curve in curves[1:]:
+        assert np.array_equal(curve.replicate_mse, curves[0].replicate_mse)
+        assert curve.points == curves[0].points
+    for panel in panels[1:]:
+        assert panel.comparisons == panels[0].comparisons
+        for a, b in zip(panel.curves, panels[0].curves):
+            assert np.array_equal(a.replicate_mse, b.replicate_mse)
+            assert a.points == b.points
 
 
 # ---------------------------------------------------------------------------

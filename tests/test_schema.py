@@ -3,6 +3,7 @@ keys equal to field names, defaults taken from the dataclasses, and a
 parse -> normalize -> parse round trip over random scenarios."""
 
 import hashlib
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 import yaml
 
 import errorlab as el
+from errorlab import config
 from errorlab.config import (
     BiasVarConfig,
     DecomposeConfig,
@@ -28,17 +30,60 @@ from hypothesis import strategies as st  # noqa: E402
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
+# (loader, dumper) per YAML backend: PyYAML's pure-Python classes, and
+# libyaml's where PyYAML was built with it.
+BACKENDS = {"python": (yaml.SafeLoader, yaml.SafeDumper)}
+if yaml.__with_libyaml__:
+    BACKENDS["libyaml"] = (yaml.CSafeLoader, yaml.CSafeDumper)
 
-@pytest.mark.parametrize(
-    "name, digest",
-    [
-        ("standard.yaml", "fc5db7f5c930864459884deb0f0df687c5c0d4bed70a07adbe44f07c7a79fb1c"),
-        ("reference.yaml", "4f6648d2a2243a001f724b0ad5d03d8335490392655de4e5911529d89576406a"),
-    ],
-)
+
+PINNED = [
+    ("standard.yaml", "fc5db7f5c930864459884deb0f0df687c5c0d4bed70a07adbe44f07c7a79fb1c"),
+    ("reference.yaml", "4f6648d2a2243a001f724b0ad5d03d8335490392655de4e5911529d89576406a"),
+]
+
+
+@pytest.fixture(params=sorted(BACKENDS))
+def yaml_backend(request, monkeypatch):
+    loader, dumper = BACKENDS[request.param]
+    monkeypatch.setattr(config, "SafeLoader", loader)
+    monkeypatch.setattr(config, "SafeDumper", dumper)
+    return request.param
+
+
+def test_config_uses_libyaml_when_available():
+    expected = "libyaml" if yaml.__with_libyaml__ else "python"
+    assert (config.SafeLoader, config.SafeDumper) == BACKENDS[expected]
+
+
+@pytest.mark.parametrize("name, digest", PINNED)
 def test_normalized_scenario_bytes_are_pinned(name, digest):
     text = scenario_to_yaml(parse_config(SCENARIOS / name))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, digest", PINNED)
+def test_every_yaml_backend_gives_the_pinned_bytes(yaml_backend, name, digest):
+    text = scenario_to_yaml(parse_config(SCENARIOS / name))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_special_floats_normalize_identically_on_every_backend(tmp_path, yaml_backend):
+    raw = yaml.safe_load((SCENARIOS / "standard.yaml").read_text(encoding="utf-8"))
+    raw["world"]["f_star"]["coefficients"] = [1e-300, -0.0, 0.1 + 0.2]
+    raw["world"]["feature_noise"]["coarsen"] = [5e-324, 0.0, 1.7976931348623157e308]
+    raw["model"]["lam"] = 0.1 + 0.2
+    path = tmp_path / "floats.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    scenario = parse_config(path)
+    assert scenario.world.f_star.coefficients == (1e-300, -0.0, 0.1 + 0.2)
+    assert math.copysign(1.0, scenario.world.f_star.coefficients[1]) == -1.0
+    assert scenario.world.feature_noise.coarsen == (5e-324, 0.0, 1.7976931348623157e308)
+    text = scenario_to_yaml(scenario)
+    assert "-0.0" in text
+    for loader, dumper in BACKENDS.values():
+        assert yaml.dump(normalize_scenario(scenario), Dumper=dumper, sort_keys=True) == text
+        assert scenario_from_mapping(yaml.load(text, Loader=loader)) == scenario
 
 
 def _keys(spec) -> set:
@@ -334,3 +379,10 @@ def test_normalized_scenario_round_trips(raw):
     reparsed = scenario_from_mapping(yaml.safe_load(text))
     assert reparsed == scenario
     assert scenario_to_yaml(reparsed) == text
+    # Both YAML backends read and write the same scenario the same way.
+    for loader, dumper in BACKENDS.values():
+        assert scenario_from_mapping(yaml.load(yaml.dump(raw, Dumper=dumper), Loader=loader)) == (
+            scenario
+        )
+        assert yaml.dump(normalize_scenario(scenario), Dumper=dumper, sort_keys=True) == text
+        assert scenario_from_mapping(yaml.load(text, Loader=loader)) == scenario
