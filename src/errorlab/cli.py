@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import __version__, worldgen
+from . import __version__, seeding, worldgen
 from .config import Scenario, parse_config, scenario_to_yaml
 from .decomp import (
     bias_variance_monte_carlo,
@@ -96,9 +96,8 @@ def _curve_columns(curves) -> list[list]:
     ]
 
 
-def _cmd_simulate(scenario: Scenario, run_config: RunConfig, seed_log: set) -> dict[str, str]:
+def _cmd_simulate(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
     cfg = scenario.simulate
-    seed_log.add(cfg.label)
     bundle = worldgen.sample(scenario.world, cfg.n, cfg.label)
     header, columns = worldgen.bundle_columns(bundle)
     summary = {
@@ -116,10 +115,9 @@ def _cmd_simulate(scenario: Scenario, run_config: RunConfig, seed_log: set) -> d
     }
 
 
-def _cmd_decompose(scenario: Scenario, run_config: RunConfig, seed_log: set) -> dict[str, str]:
+def _cmd_decompose(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
     cfg = scenario.decompose
     world = scenario.world
-    seed_log.update(("decompose/train", "decompose/eval"))
     train = worldgen.sample(world, cfg.train_n, "decompose/train")
     regimes = fit_regimes(world, train, scenario.model)
     heldout = worldgen.sample(world, cfg.n, "decompose/eval")
@@ -148,10 +146,9 @@ def _cmd_decompose(scenario: Scenario, run_config: RunConfig, seed_log: set) -> 
     }
 
 
-def _cmd_biasvar(scenario: Scenario, run_config: RunConfig, seed_log: set) -> dict[str, str]:
+def _cmd_biasvar(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
     cfg = scenario.biasvar
     world = scenario.world
-    seed_log.add("biasvar/test_grid")
     grid = worldgen.draw_inputs(world, cfg.test_points, "biasvar/test_grid")
     report = bias_variance_monte_carlo(
         world,
@@ -162,7 +159,6 @@ def _cmd_biasvar(scenario: Scenario, run_config: RunConfig, seed_log: set) -> di
         grid,
         base_label="biasvar",
         workers=run_config.workers,
-        seed_log=seed_log,
     )
     payload = dataclasses.asdict(report)
     del payload["replicate_mse"]
@@ -190,7 +186,6 @@ def _cmd_biasvar(scenario: Scenario, run_config: RunConfig, seed_log: set) -> di
             grid,
             base_label="components",
             workers=run_config.workers,
-            seed_log=seed_log,
         )
         comp_payload = dataclasses.asdict(comp)
         comp_payload["replicates"] = comp_payload.pop("replicate_count")
@@ -204,7 +199,7 @@ def _require_curve(scenario: Scenario):
     return scenario.curve
 
 
-def _cmd_curve(scenario: Scenario, run_config: RunConfig, seed_log: set) -> dict[str, str]:
+def _cmd_curve(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
     cfg = _require_curve(scenario)
     curve = run_learning_curve(
         scenario.world,
@@ -215,7 +210,6 @@ def _cmd_curve(scenario: Scenario, run_config: RunConfig, seed_log: set) -> dict
         comp_points=cfg.comp_points,
         base_label="curve",
         workers=run_config.workers,
-        seed_log=seed_log,
     )
     payload = {
         "replicates": cfg.replicates,
@@ -229,7 +223,7 @@ def _cmd_curve(scenario: Scenario, run_config: RunConfig, seed_log: set) -> dict
     }
 
 
-def _cmd_panels(scenario: Scenario, run_config: RunConfig, seed_log: set) -> dict[str, str]:
+def _cmd_panels(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
     cfg = _require_curve(scenario)
     if scenario.panels is None:
         raise ConfigError("panels: required section is missing for this command")
@@ -243,7 +237,6 @@ def _cmd_panels(scenario: Scenario, run_config: RunConfig, seed_log: set) -> dic
         comp_points=cfg.comp_points,
         base_label="panels",
         workers=run_config.workers,
-        seed_log=seed_log,
     )
     curves = [
         (f"panel{idx}", panel.variant, curve)
@@ -256,7 +249,7 @@ def _cmd_panels(scenario: Scenario, run_config: RunConfig, seed_log: set) -> dic
     }
 
 
-def _cmd_gallery(scenario: Scenario, run_config: RunConfig, seed_log: set) -> dict[str, str]:
+def _cmd_gallery(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
     if scenario.gallery is None:
         raise ConfigError("gallery: required section is missing for this command")
     cfg = scenario.gallery
@@ -271,7 +264,6 @@ def _cmd_gallery(scenario: Scenario, run_config: RunConfig, seed_log: set) -> di
         ceiling_n=cfg.ceiling_n,
         base_label="gallery",
         workers=run_config.workers,
-        seed_log=seed_log,
     )
     sides = (result.low_noise, result.high_noise)
     payload = {}
@@ -291,13 +283,9 @@ def _cmd_gallery(scenario: Scenario, run_config: RunConfig, seed_log: set) -> di
     }
 
 
-def _cmd_probe(scenario: Scenario, run_config: RunConfig, seed_log: set) -> dict[str, str]:
-    report = representativeness_probe(
-        scenario.world, scenario.probe.n, base_label="probe", seed_log=seed_log
-    )
-    ceiling = estimate_ceiling(
-        scenario.world, max(scenario.probe.n, 2), base_label="probe/ceiling", seed_log=seed_log
-    )
+def _cmd_probe(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
+    report = representativeness_probe(scenario.world, scenario.probe.n, base_label="probe")
+    ceiling = estimate_ceiling(scenario.world, max(scenario.probe.n, 2), base_label="probe/ceiling")
     payload = {**dataclasses.asdict(report), "ceiling_r2": ceiling.ceiling_r2}
     return {"probe.json": render_json(payload)}
 
@@ -323,11 +311,10 @@ def run(run_config: RunConfig) -> RunManifest:
         normalized + f"|command={run_config.command}|replicates={run_config.replicates}"
     )
 
-    seed_log: set[str] = set()
     handler = _HANDLERS[run_config.command]
     compute_started = time.perf_counter()
-    with command_pool(run_config.workers) as pool:
-        payloads = handler(scenario, run_config, seed_log)
+    with command_pool(run_config.workers) as pool, seeding.recording() as seed_labels:
+        payloads = handler(scenario, run_config)
     compute_seconds = time.perf_counter() - compute_started
 
     out_dir = Path(run_config.out_dir)
@@ -339,7 +326,7 @@ def run(run_config: RunConfig) -> RunManifest:
         config_hash=config_hash,
         artifact_version=__version__,
         files=checksums,
-        seed_labels=sorted(seed_log),
+        seed_labels=sorted(seed_labels),
         timings={
             "compute_seconds": compute_seconds,
             "total_seconds": time.perf_counter() - started,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -139,16 +139,10 @@ def decompose_rows(
 
 
 def decompose_bundle(
-    world: World, regimes: RegimeModels, bundle: SampleBundle, rows: Optional[np.ndarray] = None
+    world: World, regimes: RegimeModels, bundle: SampleBundle
 ) -> DecompositionTable:
-    idx = np.arange(bundle.n) if rows is None else np.asarray(rows)
     return decompose_rows(
-        world,
-        regimes,
-        bundle.x_true[idx],
-        bundle.x_observed[idx],
-        bundle.y_true[idx],
-        bundle.epsilon[idx],
+        world, regimes, bundle.x_true, bundle.x_observed, bundle.y_true, bundle.epsilon
     )
 
 
@@ -328,7 +322,6 @@ def bias_variance_monte_carlo(
     test_grid: np.ndarray,
     base_label: str = "biasvar",
     workers: int = 1,
-    seed_log: Optional[set] = None,
 ) -> BiasVarianceReport:
     """Refit on independent training draws and decompose the squared error.
 
@@ -349,9 +342,6 @@ def bias_variance_monte_carlo(
         )
     m = grid.shape[0]
     labels = [f"{base_label}/rep{r:05d}" for r in range(n_replicates)]
-    if seed_log is not None:
-        seed_log.update(labels)
-        seed_log.update(f"{label}/test" for label in labels)
     tasks = [(world, spec, regime, n_train, grid, label) for label in labels]
     results = ordered_map(_biasvar_cell, tasks, workers=workers)
 
@@ -410,7 +400,10 @@ class ComponentCovarianceReport:
 def _component_cell(args) -> np.ndarray:
     world, spec, n_train, grid, label = args
     bundle = worldgen.sample(world, n_train, label)
-    regimes = fit_regimes(world, bundle, spec)
+    try:
+        regimes = fit_regimes(world, bundle, spec)
+    except FitError as exc:
+        raise type(exc)(f"replicate {label}: {exc}") from exc
     x_obs_grid = worldgen.observe_features(world, grid, f"{label}/test")
     eps_test = worldgen.draw_aleatoric(world, grid, f"{label}/test")
     f_star_grid = world.f_star.values(grid)
@@ -433,15 +426,11 @@ def component_covariances(
     test_grid: np.ndarray,
     base_label: str = "components",
     workers: int = 1,
-    seed_log: Optional[set] = None,
 ) -> ComponentCovarianceReport:
     if n_replicates < 2:
         raise InvalidSpecError("component_covariances needs n_replicates >= 2")
     grid = np.asarray(test_grid, dtype=float)
     labels = [f"{base_label}/rep{r:05d}" for r in range(n_replicates)]
-    if seed_log is not None:
-        seed_log.update(labels)
-        seed_log.update(f"{label}/test" for label in labels)
     tasks = [(world, spec, n_train, grid, label) for label in labels]
     samples = np.stack(ordered_map(_component_cell, tasks, workers=workers))
     return ComponentCovarianceReport(
@@ -468,8 +457,7 @@ class CeilingEstimate:
     n: int
 
 
-def estimate_ceiling(world: World, n: int, base_label: str = "ceiling",
-                     seed_log: Optional[set] = None) -> CeilingEstimate:
+def estimate_ceiling(world: World, n: int, base_label: str = "ceiling") -> CeilingEstimate:
     """Estimate the noise floor and the matching R^2 ceiling from draws.
 
     Only the inputs and the inherent noise are drawn (the ``x`` and ``eps``
@@ -477,8 +465,6 @@ def estimate_ceiling(world: World, n: int, base_label: str = "ceiling",
     concerns the true outcome, so no corruption or selection applies."""
     if n < 2:
         raise InvalidSpecError("estimate_ceiling needs n >= 2")
-    if seed_log is not None:
-        seed_log.add(base_label)
     x_true = worldgen.draw_inputs(world, n, base_label)
     eps = worldgen.draw_aleatoric(world, x_true, base_label)
     y = world.f_star.values(x_true) + eps
@@ -542,15 +528,13 @@ def _var_se_sq(values: np.ndarray) -> float:
 
 
 def representativeness_probe(
-    world: World, n: int, base_label: str = "probe", seed_log: Optional[set] = None
+    world: World, n: int, base_label: str = "probe"
 ) -> RepresentativenessReport:
     """Measure how biased selection distorts the observable noise moments."""
     if world.selection.rule == "none":
         raise InvalidSpecError("representativeness_probe needs a world with a selection rule")
     if n < 4:
         raise InvalidSpecError("representativeness_probe needs n >= 4")
-    if seed_log is not None:
-        seed_log.add(base_label)
     bundle = worldgen.sample(world, n, base_label)
     eps = bundle.epsilon
     sel = eps[bundle.selected]

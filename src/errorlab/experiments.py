@@ -186,7 +186,6 @@ def run_learning_curve(
     comp_points: int = 512,
     base_label: str = "curve",
     workers: int = 1,
-    seed_log: Optional[set] = None,
 ) -> LearningCurve:
     """Held-out MSE and mean absolute gain components per axis level.
 
@@ -197,7 +196,6 @@ def run_learning_curve(
     """
     if replicates < 1:
         raise InvalidSpecError("run_learning_curve needs replicates >= 1")
-    axis.validate()
     n_levels = len(axis.levels)
     test_label = f"{base_label}/test"
     grid = worldgen.draw_inputs(world, test_points, test_label)
@@ -208,9 +206,6 @@ def run_learning_curve(
     labels = [
         [f"{base_label}/L{li}/rep{r:04d}" for r in range(replicates)] for li in range(n_levels)
     ]
-    if seed_log is not None:
-        seed_log.add(test_label)
-        seed_log.update(label for level_labels in labels for label in level_labels)
     tasks = [
         (world, level, spec, labels[li], base_label, comp_points, grid, eps_test, y_test)
         for li, level in enumerate(axis.levels)
@@ -325,7 +320,6 @@ def run_panel_scenarios(
     comp_points: int = 512,
     base_label: str = "panels",
     workers: int = 1,
-    seed_log: Optional[set] = None,
 ) -> PanelResult:
     """Aligned variant curves with a paired terminal comparison.
 
@@ -346,7 +340,6 @@ def run_panel_scenarios(
             comp_points=comp_points,
             base_label=base_label,
             workers=workers,
-            seed_log=seed_log,
         )
         for s in scenario_list
     ]
@@ -413,7 +406,6 @@ def regime_gallery(
     ceiling_n: int = 100_000,
     base_label: str = "gallery",
     workers: int = 1,
-    seed_log: Optional[set] = None,
 ) -> GalleryResult:
     """Contrast a low-noise fast-attaining world with a high-noise slow one.
 
@@ -433,11 +425,8 @@ def regime_gallery(
             test_points=test_points,
             base_label=f"{base_label}/{name}",
             workers=workers,
-            seed_log=seed_log,
         )
-        ceiling = estimate_ceiling(
-            world, ceiling_n, base_label=f"{base_label}/{name}/ceiling", seed_log=seed_log
-        )
+        ceiling = estimate_ceiling(world, ceiling_n, base_label=f"{base_label}/{name}/ceiling")
         results.append(
             GalleryScenarioResult(
                 name=name,

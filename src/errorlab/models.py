@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -79,9 +78,6 @@ class FittedModel:
     params: dict
     diagnostics: dict = field(default_factory=dict)
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        return predict(self, x)
-
 
 @dataclass(frozen=True)
 class RegimeModels:
@@ -114,9 +110,6 @@ def _check_training_arrays(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _fit_ridge(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[dict, dict]:
-    order = canonical_row_order(x, y)
-    x = x[order]
-    y = y[order]
     x_mean = x.mean(axis=0)
     y_mean = float(y.mean())
     xc = x - x_mean
@@ -156,9 +149,6 @@ _KNN_COLUMNWISE_MAX_DIM = 7
 def _fit_knn(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[dict, dict]:
     if x.shape[0] < spec.k:
         raise FitError(f"knn needs at least k={spec.k} training rows, got {x.shape[0]}")
-    order = canonical_row_order(x, y)
-    x = x[order]
-    y = y[order]
     mean = x.mean(axis=0)
     sd = x.std(axis=0)
     sd = np.where(sd == 0.0, 1.0, sd)
@@ -350,9 +340,6 @@ def _fit_mlp(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[dict, dict]
         raise FitError(
             f"mlp needs at least batch_size={spec.batch_size} training rows, got {x.shape[0]}"
         )
-    order = canonical_row_order(x, y)
-    x = x[order]
-    y = y[order]
     n = x.shape[0]
     lr = spec.learning_rate
     init = mlp_init_params(spec, x.shape[1])
@@ -466,6 +453,9 @@ def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray, regime: str = "OO") -> Fi
         x, y = _check_training_arrays(x, y)
         if x.shape[0] < 1:
             raise FitError("training data is empty")
+        # Every family trains on the canonical row order.
+        order = canonical_row_order(x, y)
+        x, y = x[order], y[order]
         if spec.family == "ridge":
             params, diagnostics = _fit_ridge(spec, x, y)
         elif spec.family == "knn":

@@ -14,7 +14,10 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Iterator, Optional, Sequence, TypeVar
+
+from . import seeding
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -77,12 +80,25 @@ def command_pool(workers: int) -> Iterator[CommandPool]:
         pool.close()
 
 
+def _recorded_cell(fn: Callable[[T], R], item: T) -> tuple[R, set[str]]:
+    """Run one cell in a pool worker, which has a seed-label ledger of its
+    own; return the cell's result with the labels it drew, so the caller's
+    ledger comes out the same for any worker count."""
+    with seeding.recording() as labels:
+        result = fn(item)
+    return result, labels
+
+
 def ordered_map(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> list[R]:
     processes = pool_size(workers, len(items))
     if processes == 1:
         return [fn(item) for item in items]
     chunksize = max(1, len(items) // (processes * 4))
+    cell = partial(_recorded_cell, fn)
     if _OPEN is not None:
-        return _OPEN.map(fn, items, chunksize)
-    with command_pool(processes) as pool:
-        return pool.map(fn, items, chunksize)
+        pairs = _OPEN.map(cell, items, chunksize)
+    else:
+        with command_pool(processes) as pool:
+            pairs = pool.map(cell, items, chunksize)
+    seeding.record(label for _, labels in pairs for label in labels)
+    return [result for result, _ in pairs]

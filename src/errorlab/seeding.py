@@ -5,19 +5,42 @@ from a 64-bit master seed and a text label.  The derivation is pure integer
 mixing (splitmix64 over an FNV-1a label hash), so identical (seed, label)
 pairs yield identical streams on any platform, regardless of worker count
 or scheduling.  Distinct labels give statistically independent streams.
+
+:func:`rng_for` is the only place a substream is handed out, so it is also
+the only writer of the seed-label ledger: inside a :func:`recording` block
+it notes every label it serves.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-# Test instrumentation only: when set, called with every label consumed
-# in-process.  Library code never sets it.
-label_observer: Optional[Callable[[str], None]] = None
+# The labels handed out inside the innermost open ``recording`` block.
+_ledger: Optional[set[str]] = None
+
+
+@contextmanager
+def recording() -> Iterator[set[str]]:
+    """Collect every label :func:`rng_for` hands out inside the block; an
+    enclosing block receives them too when this one exits."""
+    global _ledger
+    outer, _ledger = _ledger, set()
+    try:
+        yield _ledger
+    finally:
+        inner, _ledger = _ledger, outer
+        record(inner)
+
+
+def record(labels: Iterable[str]) -> None:
+    """Add labels handed out elsewhere (in a pool worker) to the open ledger."""
+    if _ledger is not None:
+        _ledger.update(labels)
 
 
 def splitmix64(value: int) -> int:
@@ -53,6 +76,6 @@ def derive_seed(master_seed: int, label: str, purpose: str = "") -> int:
 
 def rng_for(master_seed: int, label: str, purpose: str = "") -> np.random.Generator:
     """Generator for the named substream."""
-    if label_observer is not None:
-        label_observer(label)
+    if _ledger is not None:
+        _ledger.add(label)
     return np.random.default_rng(derive_seed(master_seed, label, purpose))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -313,8 +314,13 @@ class FeatureNoiseSpec:
             )
         if any(s < 0 for s in self.coarsen):
             raise InvalidSpecError("feature_noise.coarsen: steps must be nonnegative")
-        psd_factor(np.asarray(self.cov), name="feature_noise.cov")
+        self.factor  # raises on an asymmetric or non-PSD cov
         return self
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """``psd_factor`` of ``cov``, computed once per spec."""
+        return psd_factor(np.asarray(self.cov), name="feature_noise.cov")
 
     def observed_indices(self) -> tuple[int, ...]:
         return tuple(j for j, dropped in enumerate(self.omit) if not dropped)
@@ -322,8 +328,7 @@ class FeatureNoiseSpec:
     def draw_delta(self, rng: np.random.Generator, n: int) -> np.ndarray:
         d = len(self.means)
         z = rng.standard_normal((n, d))
-        factor = psd_factor(np.asarray(self.cov), name="feature_noise.cov")
-        return np.asarray(self.means) + z @ factor.T
+        return np.asarray(self.means) + z @ self.factor.T
 
     def observe(self, x_true: np.ndarray, delta: np.ndarray) -> np.ndarray:
         keep = list(self.observed_indices())
@@ -403,16 +408,20 @@ class XDistributionSpec:
                 raise InvalidSpecError(
                     f"x.cov: expected shape ({input_dim}, {input_dim}), got {cov.shape}"
                 )
-            psd_factor(cov, name="x.cov")
+            self.factor  # raises on an asymmetric or non-PSD cov
         return self
+
+    @cached_property
+    def factor(self) -> np.ndarray:
+        """``psd_factor`` of ``cov``, computed once per spec."""
+        return psd_factor(np.asarray(self.cov), name="x.cov")
 
     def draw(self, rng: np.random.Generator, n: int, input_dim: int) -> np.ndarray:
         if self.kind == "gaussian":
             return rng.standard_normal((n, input_dim))
         if self.kind == "uniform":
             return rng.uniform(self.low, self.high, (n, input_dim))
-        factor = psd_factor(np.asarray(self.cov), name="x.cov")
-        return rng.standard_normal((n, input_dim)) @ factor.T
+        return rng.standard_normal((n, input_dim)) @ self.factor.T
 
 
 @dataclass(frozen=True)

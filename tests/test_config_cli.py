@@ -247,21 +247,49 @@ def test_workers_do_not_change_bytes(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_seed_ledger_covers_all_consumed_labels(tmp_path):
-    seen: set[str] = set()
-    seeding.label_observer = seen.add
-    try:
-        manifest, _ = _run(tmp_path, "biasvar", out="ledger")
-    finally:
-        seeding.label_observer = None
-    ledger = set(manifest.seed_labels)
-    # Every label the run consumed is either logged directly or an internal
-    # derivation of a logged label (separated by "/").
-    for label in seen:
-        assert label in ledger or any(
-            label.startswith(entry + "/") for entry in ledger
-        ), f"unlogged substream label {label}"
-    assert "biasvar/test_grid" in ledger
+@pytest.mark.parametrize(
+    "command, edits",
+    [
+        ("biasvar", ()),
+        (
+            "decompose",
+            (("model: {family: ridge, lam: 0.0}", "model: {family: mlp, widths: [4], epochs: 3}"),),
+        ),
+        ("biasvar", (("regime: TT", "regime: ORACLE"),)),
+    ],
+    ids=["ridge-biasvar", "mlp-decompose", "oracle-biasvar"],
+)
+def test_seed_ledger_covers_all_consumed_labels(tmp_path, monkeypatch, command, edits):
+    # Observe every seed derivation directly, independently of the ledger.
+    consumed: set[str] = set()
+    derive = seeding.derive_seed
+
+    def observed(master_seed, label, purpose=""):
+        consumed.add(label)
+        return derive(master_seed, label, purpose)
+
+    monkeypatch.setattr(seeding, "derive_seed", observed)
+    text = REFERENCE
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    manifest, _ = _run(tmp_path, command, text=text, out="ledger")
+    assert set(manifest.seed_labels) == consumed
+
+
+def test_seed_ledger_is_the_same_at_one_and_two_workers(tmp_path, monkeypatch):
+    # The mlp streams are drawn inside the curve's cells, so at two workers
+    # they reach the ledger only through what the pool's workers return.
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    text = REFERENCE.replace(
+        "model: {family: ridge, lam: 0.0}", "model: {family: mlp, widths: [4], epochs: 2}"
+    )
+    m1, _ = _run(tmp_path, "curve", text=text, out="w1", workers=1)
+    m2, _ = _run(tmp_path, "curve", text=text, out="w2", workers=2)
+    assert m2.timings["processes"] == 2
+    assert m1.files == m2.files
+    assert m1.seed_labels == m2.seed_labels
+    assert {"mlp/init", "mlp/batches", "curve/test", "curve/L2/rep0003"} <= set(m1.seed_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +573,7 @@ def test_serial_command_starts_no_pool(tmp_path, monkeypatch):
 
 
 def test_exit_code_four_on_invariant_breach(tmp_path, capsys, monkeypatch):
-    def broken(scenario, run_config, seed_log):
+    def broken(scenario, run_config):
         raise InvariantError("component sum failed to collapse")
 
     monkeypatch.setitem(cli._HANDLERS, "decompose", broken)

@@ -205,6 +205,16 @@ def test_biasvar_fit_failure_names_the_replicate():
         )
 
 
+def test_component_fit_failure_names_the_replicate():
+    world = make_world(
+        x={"kind": "gaussian", "dim": 2},
+        f_star={"family": "linear", "coefficients": [1.0, 1.0]},
+        feature_noise={"coarsen": [100.0, 100.0]},
+    )
+    with pytest.raises(el.errors.SingularSystemError, match="replicate components/rep00000"):
+        component_covariances(world, ModelSpec(family="ridge", lam=0.0), 60, 4, _grid(world, 32))
+
+
 def test_component_covariances_report():
     world = make_world()
     report = component_covariances(

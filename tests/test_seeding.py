@@ -52,11 +52,21 @@ def test_rng_for_reproduces_draws():
     assert not np.array_equal(a, c)
 
 
-def test_label_observer_sees_labels():
-    seen = []
-    seeding.label_observer = seen.append
-    try:
-        seeding.rng_for(1, "watched")
-    finally:
-        seeding.label_observer = None
-    assert seen == ["watched"]
+def test_recording_collects_the_labels_handed_out_in_its_block():
+    seeding.rng_for(1, "before")
+    with seeding.recording() as outer:
+        seeding.rng_for(1, "a", "x")
+        seeding.rng_for(2, "a", "eps")
+        with seeding.recording() as inner:
+            seeding.rng_for(3, "b")
+        seeding.record(["from/worker"])
+    seeding.rng_for(1, "after")
+    assert inner == {"b"}
+    assert outer == {"a", "b", "from/worker"}
+
+
+def test_record_outside_a_recording_is_a_no_op():
+    seeding.record(["nobody/listens"])
+    with seeding.recording() as labels:
+        pass
+    assert labels == set()

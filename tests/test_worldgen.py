@@ -36,6 +36,28 @@ def test_non_psd_feature_cov_rejected():
         )
 
 
+def test_non_psd_x_cov_rejected_on_every_validation():
+    spec = worldgen.XDistributionSpec(kind="correlated", cov=((1.0, 2.0), (2.0, 1.0)))
+    for _ in range(2):
+        with pytest.raises(InvalidSpecError, match="x.cov: not positive semidefinite"):
+            spec.validate(2)
+
+
+def test_validated_covariances_are_not_factored_again_per_draw(monkeypatch):
+    cov = [[1.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.0]]
+    world = make_world(
+        x={"kind": "correlated", "dim": 3, "cov": cov}, feature_noise={"cov": 0.3}
+    )
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+    for _ in range(2):
+        bundle = el.sample(world, 50, "factor")
+        worldgen.observe_features(world, bundle.x_true, "factor/view")
+        worldgen.draw_inputs(world, 20, "factor/grid")
+    assert calls == []
+
+
 def test_missing_input_dim_rejected():
     with pytest.raises(InvalidSpecError, match="world.x.dim"):
         el.build_world({"f_star": {"coefficients": [1.0]}, "seed": 1})
