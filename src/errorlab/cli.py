@@ -39,8 +39,6 @@ from .models import fit_regimes, model_to_json
 from .parallel import command_pool
 from .runio import RunManifest, render_csv, render_json, sha256_text, write_outputs
 
-COMMANDS = ("simulate", "decompose", "biasvar", "curve", "panels", "gallery", "probe")
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -119,7 +117,7 @@ def _cmd_decompose(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
     cfg = scenario.decompose
     world = scenario.world
     train = worldgen.sample(world, cfg.train_n, "decompose/train")
-    regimes = fit_regimes(world, train, scenario.model)
+    regimes = fit_regimes(train, scenario.model)
     heldout = worldgen.sample(world, cfg.n, "decompose/eval")
     table = decompose_bundle(world, regimes, heldout)
     check_telescoping(table)
@@ -193,14 +191,15 @@ def _cmd_biasvar(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
     return files
 
 
-def _require_curve(scenario: Scenario):
-    if scenario.curve is None:
-        raise ConfigError("curve: required section is missing for this command")
-    return scenario.curve
+def _required(scenario: Scenario, name: str):
+    section = getattr(scenario, name)
+    if section is None:
+        raise ConfigError(f"{name}: required section is missing for this command")
+    return section
 
 
 def _cmd_curve(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
-    cfg = _require_curve(scenario)
+    cfg = _required(scenario, "curve")
     curve = run_learning_curve(
         scenario.world,
         scenario.model,
@@ -224,12 +223,10 @@ def _cmd_curve(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
 
 
 def _cmd_panels(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
-    cfg = _require_curve(scenario)
-    if scenario.panels is None:
-        raise ConfigError("panels: required section is missing for this command")
+    cfg = _required(scenario, "curve")
     result = run_panel_scenarios(
         scenario.world,
-        scenario.panels,
+        _required(scenario, "panels"),
         cfg.axis,
         scenario.model,
         cfg.replicates,
@@ -250,9 +247,7 @@ def _cmd_panels(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
 
 
 def _cmd_gallery(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
-    if scenario.gallery is None:
-        raise ConfigError("gallery: required section is missing for this command")
-    cfg = scenario.gallery
+    cfg = _required(scenario, "gallery")
     result = regime_gallery(
         cfg.low_world,
         cfg.low_model,
@@ -285,7 +280,7 @@ def _cmd_gallery(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
 
 def _cmd_probe(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
     report = representativeness_probe(scenario.world, scenario.probe.n, base_label="probe")
-    ceiling = estimate_ceiling(scenario.world, max(scenario.probe.n, 2), base_label="probe/ceiling")
+    ceiling = estimate_ceiling(scenario.world, scenario.probe.n, base_label="probe/ceiling")
     payload = {**dataclasses.asdict(report), "ceiling_r2": ceiling.ceiling_r2}
     return {"probe.json": render_json(payload)}
 
@@ -299,6 +294,8 @@ _HANDLERS = {
     "gallery": _cmd_gallery,
     "probe": _cmd_probe,
 }
+
+COMMANDS = tuple(_HANDLERS)
 
 
 def run(run_config: RunConfig) -> RunManifest:
@@ -334,7 +331,7 @@ def run(run_config: RunConfig) -> RunManifest:
         },
     )
     (out_dir / "manifest.json").write_text(
-        render_json(manifest.to_payload()), encoding="utf-8"
+        render_json(dataclasses.asdict(manifest)), encoding="utf-8"
     )
     return manifest
 

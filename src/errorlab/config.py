@@ -10,16 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import yaml
 
 from .errors import ConfigError, InvalidSpecError
-from .experiments import AxisLevel, InformationAxis, PanelScenario
-from .models import ModelSpec
+from .experiments import AxisLevel, InformationAxis, PanelScenario, level_world
+from .models import REGIMES, ModelSpec
 from .worldgen import (
     TargetNoiseSpec,
     World,
+    as_mapping,
     build_world,
     coerce,
     feature_noise_from_config,
@@ -99,14 +100,6 @@ class Scenario:
     gallery: Optional[GalleryConfig]
 
 
-def _mapping(value, path: str) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, Mapping):
-        raise ConfigError(f"{path}: expected a mapping")
-    return dict(value)
-
-
 # Smallest accepted value of an integer section field; every other integer
 # field is a size and must be positive.
 _INT_MINIMUM = {"replicates": 2, "components_replicates": 0}
@@ -115,7 +108,7 @@ _INT_MINIMUM = {"replicates": 2, "components_replicates": 0}
 def _section(cls, cfg, path: str, **given):
     """A command section, with its integer fields checked against
     ``_INT_MINIMUM``."""
-    section = spec_from_config(cls, _mapping(cfg, path), path, **given)
+    section = spec_from_config(cls, cfg, path, **given)
     for f in fields(cls):
         value = getattr(section, f.name)
         minimum = _INT_MINIMUM.get(f.name, 1)
@@ -125,19 +118,20 @@ def _section(cls, cfg, path: str, **given):
 
 
 def _model(cfg, path: str) -> ModelSpec:
-    return spec_from_config(ModelSpec, _mapping(cfg, path), path).validate()
+    return spec_from_config(ModelSpec, cfg, path).validate()
 
 
 def _world(cfg, path: str, seed: int) -> World:
-    world_cfg = _mapping(cfg, path)
+    world_cfg = as_mapping(cfg, path)
     if not world_cfg:
         raise ConfigError(f"{path}: required section is missing")
     world_cfg.setdefault("seed", seed)
     return build_world(world_cfg, path)
 
 
-def _axis_from_config(cfg, path: str) -> InformationAxis:
-    cfg = _mapping(cfg, path)
+def _axis_from_config(cfg, path: str, worlds: Sequence[World]) -> InformationAxis:
+    """The axis at ``path``, checked against each world it will run on."""
+    cfg = as_mapping(cfg, path)
     levels_cfg = cfg.pop("levels", None)
     if not levels_cfg:
         raise ConfigError(f"{path}.levels: required field is missing")
@@ -145,16 +139,24 @@ def _axis_from_config(cfg, path: str) -> InformationAxis:
     levels = []
     for i, level in enumerate(levels_cfg):
         level_path = f"{path}.levels[{i}]"
-        level = _mapping(level, level_path)
+        level = as_mapping(level, level_path)
         fidelity = level.get("fidelity")
         if "fidelity" in level and (not isinstance(fidelity, (list, tuple)) or len(fidelity) != 2):
             raise ConfigError(f"{level_path}.fidelity: expected [target, feature] factors")
         levels.append(spec_from_config(AxisLevel, level, level_path))
-    return InformationAxis(levels=tuple(levels))
+    try:
+        axis = InformationAxis(levels=tuple(levels))
+        for world in worlds:
+            for level in axis.levels:
+                level_world(world, level)
+    except InvalidSpecError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    return axis
 
 
-def _panels_from_config(cfg, world: World) -> list[PanelScenario]:
-    cfg = _mapping(cfg, "panels")
+def _panels_from_config(cfg, world: World, axis: InformationAxis) -> list[PanelScenario]:
+    """The panel variants, each checked on its world along the curve axis."""
+    cfg = as_mapping(cfg, "panels")
     variants_cfg = cfg.pop("variants", None)
     if not variants_cfg:
         raise ConfigError("panels.variants: required field is missing")
@@ -162,24 +164,28 @@ def _panels_from_config(cfg, world: World) -> list[PanelScenario]:
     scenarios = []
     for i, raw in enumerate(variants_cfg):
         path = f"panels.variants[{i}]"
-        raw = _mapping(raw, path)
+        raw = as_mapping(raw, path)
         target = raw.pop("target_noise", None)
         if target is not None:
-            t_path = f"{path}.target_noise"
-            target = spec_from_config(TargetNoiseSpec, _mapping(target, t_path), t_path)
+            target = spec_from_config(TargetNoiseSpec, target, f"{path}.target_noise")
         feature = raw.pop("feature_noise", None)
         if feature is not None:
-            f_path = f"{path}.feature_noise"
-            feature = feature_noise_from_config(_mapping(feature, f_path), world.input_dim, f_path)
+            feature = feature_noise_from_config(feature, world.input_dim, f"{path}.feature_noise")
         scenario = spec_from_config(
             PanelScenario, raw, path, target_noise=target, feature_noise=feature
         )
-        scenarios.append(scenario.validate())
+        try:
+            variant_world = scenario.validate().apply(world)
+            for level in axis.levels:
+                level_world(variant_world, level)
+        except InvalidSpecError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+        scenarios.append(scenario)
     return scenarios
 
 
 def _gallery_side(cfg, path: str, seed: int) -> tuple[World, ModelSpec]:
-    side = _mapping(cfg, path)
+    side = as_mapping(cfg, path)
     if not side:
         raise ConfigError(f"{path}: required section is missing")
     world = _world(side.pop("world", None), f"{path}.world", seed)
@@ -190,7 +196,7 @@ def _gallery_side(cfg, path: str, seed: int) -> tuple[World, ModelSpec]:
 
 def scenario_from_mapping(raw: Mapping) -> Scenario:
     """Validate a parsed scenario mapping into typed objects."""
-    cfg = _mapping(raw, "scenario")
+    cfg = as_mapping(raw, "scenario")
     version = cfg.pop("schema_version", SCENARIO_SCHEMA_VERSION)
     if type(version) is not int or version != SCENARIO_SCHEMA_VERSION:
         raise ConfigError(
@@ -205,7 +211,7 @@ def scenario_from_mapping(raw: Mapping) -> Scenario:
     simulate = _section(SimulateConfig, cfg.pop("simulate", None), "simulate")
     decompose = _section(DecomposeConfig, cfg.pop("decompose", None), "decompose")
     biasvar = _section(BiasVarConfig, cfg.pop("biasvar", None), "biasvar")
-    if biasvar.regime not in ("OO", "TO", "TT", "ORACLE"):
+    if biasvar.regime not in REGIMES:
         raise ConfigError(f"biasvar.regime: unknown regime {biasvar.regime!r}")
     if biasvar.components_replicates == 1:
         raise ConfigError("biasvar.components_replicates: must be 0 (off) or >= 2, got 1")
@@ -214,8 +220,8 @@ def scenario_from_mapping(raw: Mapping) -> Scenario:
     curve = None
     cur_cfg = cfg.pop("curve", None)
     if cur_cfg is not None:
-        cur_cfg = _mapping(cur_cfg, "curve")
-        axis = _axis_from_config(cur_cfg.pop("axis", None), "curve.axis")
+        cur_cfg = as_mapping(cur_cfg, "curve")
+        axis = _axis_from_config(cur_cfg.pop("axis", None), "curve.axis", [world])
         curve = _section(CurveConfig, cur_cfg, "curve", axis=axis)
 
     panels = None
@@ -223,14 +229,15 @@ def scenario_from_mapping(raw: Mapping) -> Scenario:
     if panels_cfg is not None:
         if curve is None:
             raise ConfigError("panels: requires a curve section (shared axis)")
-        panels = _panels_from_config(panels_cfg, world)
+        panels = _panels_from_config(panels_cfg, world, curve.axis)
 
     gallery = None
     gal_cfg = cfg.pop("gallery", None)
     if gal_cfg is not None:
-        gal_cfg = _mapping(gal_cfg, "gallery")
+        gal_cfg = as_mapping(gal_cfg, "gallery")
         low_world, low_model = _gallery_side(gal_cfg.pop("low", None), "gallery.low", seed)
         high_world, high_model = _gallery_side(gal_cfg.pop("high", None), "gallery.high", seed)
+        axis = _axis_from_config(gal_cfg.pop("axis", None), "gallery.axis", [low_world, high_world])
         gallery = _section(
             GalleryConfig,
             gal_cfg,
@@ -239,7 +246,7 @@ def scenario_from_mapping(raw: Mapping) -> Scenario:
             low_model=low_model,
             high_world=high_world,
             high_model=high_model,
-            axis=_axis_from_config(gal_cfg.pop("axis", None), "gallery.axis"),
+            axis=axis,
         )
     reject_unknown(cfg, "")
 

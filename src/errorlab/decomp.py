@@ -20,6 +20,7 @@ import numpy as np
 from . import worldgen
 from .errors import FitError, InvalidSpecError, InvariantError
 from .models import (
+    REGIMES,
     FittedModel,
     ModelSpec,
     RegimeModels,
@@ -186,10 +187,9 @@ def decompose_error(
     return _decompose_one(ErrorDecomposition, world, regimes, x_true, x_observed, y_true, epsilon)
 
 
-def check_telescoping(
-    table: DecompositionTable, rtol: float = REL_TOL, atol: float = ABS_TOL
-) -> None:
-    """Raise :class:`InvariantError` unless both component sums collapse.
+def check_telescoping(table: DecompositionTable) -> None:
+    """Raise :class:`InvariantError` unless both component sums collapse to
+    within ``ABS_TOL + REL_TOL * |target|``.
 
     A non-finite term makes its sum non-finite, and every comparison with
     NaN is False, so finiteness is checked first.
@@ -206,7 +206,7 @@ def check_telescoping(
         worst = int(np.argmin(finite))
         raise InvariantError(f"decomposition holds a non-finite term or sum at row {worst}")
     point_err = np.abs(point_sum - table.y_true)
-    point_bound = atol + rtol * np.abs(table.y_true)
+    point_bound = ABS_TOL + REL_TOL * np.abs(table.y_true)
     if np.any(point_err > point_bound):
         worst = int(np.argmax(point_err - point_bound))
         raise InvariantError(
@@ -214,7 +214,7 @@ def check_telescoping(
         )
     target = table.y_pred - table.y_true
     err = np.abs(error_sum - target)
-    bound = atol + rtol * np.abs(target)
+    bound = ABS_TOL + REL_TOL * np.abs(target)
     if np.any(err > bound):
         worst = int(np.argmax(err - bound))
         raise InvariantError(
@@ -333,7 +333,7 @@ def bias_variance_monte_carlo(
     """
     if n_replicates < 2:
         raise InvalidSpecError("bias_variance_monte_carlo needs n_replicates >= 2")
-    if regime not in ("OO", "TO", "TT", "ORACLE"):
+    if regime not in REGIMES:
         raise InvalidSpecError(f"unknown training regime {regime!r}")
     grid = np.asarray(test_grid, dtype=float)
     if grid.ndim != 2 or grid.shape[1] != world.input_dim:
@@ -401,7 +401,7 @@ def _component_cell(args) -> np.ndarray:
     world, spec, n_train, grid, label = args
     bundle = worldgen.sample(world, n_train, label)
     try:
-        regimes = fit_regimes(world, bundle, spec)
+        regimes = fit_regimes(bundle, spec)
     except FitError as exc:
         raise type(exc)(f"replicate {label}: {exc}") from exc
     x_obs_grid = worldgen.observe_features(world, grid, f"{label}/test")
@@ -457,6 +457,14 @@ class CeilingEstimate:
     n: int
 
 
+def _var_se_sq(values: np.ndarray) -> float:
+    n = values.shape[0]
+    dev_sq = (values - values.mean()) ** 2
+    m4 = float(np.mean(dev_sq**2))
+    s2 = float(np.var(values, ddof=1))
+    return max(m4 - s2**2, 0.0) / n
+
+
 def estimate_ceiling(world: World, n: int, base_label: str = "ceiling") -> CeilingEstimate:
     """Estimate the noise floor and the matching R^2 ceiling from draws.
 
@@ -472,10 +480,9 @@ def estimate_ceiling(world: World, n: int, base_label: str = "ceiling") -> Ceili
     var_y = float(np.var(y, ddof=1))
     if var_y == 0.0:
         raise InvalidSpecError("estimate_ceiling: Var(y_true) is zero; ceiling_r2 undefined")
+    se_sigma = math.sqrt(_var_se_sq(eps))
     eps_dev_sq = (eps - eps.mean()) ** 2
     y_dev_sq = (y - y.mean()) ** 2
-    m4 = float(np.mean(eps_dev_sq**2))
-    se_sigma = math.sqrt(max(m4 - sigma_sq**2, 0.0) / n)
     # Delta method for r2 = 1 - sigma_sq / var_y via per-row influences.
     influence = -eps_dev_sq / var_y + sigma_sq * y_dev_sq / var_y**2
     se_r2 = float(np.std(influence, ddof=1) / math.sqrt(n))
@@ -517,14 +524,6 @@ class RepresentativenessReport:
     coverage: float
     n: int
     n_selected: int
-
-
-def _var_se_sq(values: np.ndarray) -> float:
-    n = values.shape[0]
-    dev_sq = (values - values.mean()) ** 2
-    m4 = float(np.mean(dev_sq**2))
-    s2 = float(np.var(values, ddof=1))
-    return max(m4 - s2**2, 0.0) / n
 
 
 def representativeness_probe(

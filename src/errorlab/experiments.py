@@ -23,6 +23,7 @@ from .parallel import ordered_map
 from .worldgen import FeatureNoiseSpec, TargetNoiseSpec, World
 
 PANEL_VARIANTS = ("baseline", "reconstructed_target", "reconstructed_features")
+_ATTAINMENT_SLACK = 0.10  # a gallery curve attains its ceiling within this fraction
 
 
 @dataclass(frozen=True)
@@ -92,7 +93,7 @@ def level_world(world: World, level: AxisLevel) -> World:
     fy, fx = level.fidelity
     d = world.input_dim
     if any(j >= d for j in level.features):
-        raise InvalidSpecError(f"axis level references feature index >= input_dim {d}")
+        raise InvalidSpecError(f"axis level {list(level.features)}: feature index >= input_dim {d}")
     tn = world.target_noise
     target = dataclasses.replace(
         tn, mean=tn.mean * fy, variance=tn.variance * fy * fy, step=tn.step * fy
@@ -101,7 +102,7 @@ def level_world(world: World, level: AxisLevel) -> World:
     visible = set(level.features)
     omit = tuple(fn.omit[j] or (j not in visible) for j in range(d))
     if all(omit):
-        raise InvalidSpecError("axis level leaves no observed features")
+        raise InvalidSpecError(f"axis level {list(level.features)} leaves no observed features")
     feature = FeatureNoiseSpec(
         means=tuple(m * fx for m in fn.means),
         cov=tuple(tuple(v * fx * fx for v in row) for row in fn.cov),
@@ -131,7 +132,6 @@ class LearningCurve:
     points: list[LearningCurvePoint]
     replicate_mse: np.ndarray  # levels x replicates
     var_y_test: float
-    base_label: str
 
     @property
     def terminal(self) -> LearningCurvePoint:
@@ -144,7 +144,7 @@ def _replicate_scores(w_level, n_train, spec, label, grid, x_obs_test, y_test, e
     before the level's next replicate draws its own."""
     bundle = worldgen.sample(w_level, n_train, label)
     try:
-        regimes = fit_regimes(w_level, bundle, spec)
+        regimes = fit_regimes(bundle, spec)
     except FitError as exc:
         raise type(exc)(f"cell {label}: {exc}") from exc
     preds = predict(regimes.oo, x_obs_test)
@@ -236,7 +236,6 @@ def run_learning_curve(
         points=points,
         replicate_mse=values[:, :, 0].copy(),
         var_y_test=var_y,
-        base_label=base_label,
     )
 
 
@@ -388,9 +387,9 @@ class GalleryResult:
     high_noise: GalleryScenarioResult
 
 
-def _attainment_level(curve: LearningCurve, ceiling_mse: float, slack: float = 0.10) -> Optional[int]:
+def _attainment_level(curve: LearningCurve, ceiling_mse: float) -> Optional[int]:
     for point in curve.points:
-        if point.mean_mse <= (1.0 + slack) * ceiling_mse:
+        if point.mean_mse <= (1.0 + _ATTAINMENT_SLACK) * ceiling_mse:
             return point.level_index
     return None
 

@@ -18,7 +18,6 @@ from .errors import DimensionError, FitError, InvalidSpecError, SingularSystemEr
 from .seeding import rng_for
 from .worldgen import SampleBundle, World, spec_from_config, spec_to_config
 
-MODEL_FAMILIES = ("ridge", "knn", "mlp", "oracle")
 REGIMES = ("OO", "TO", "TT", "ORACLE")
 ACTIVATIONS = ("tanh", "relu", "identity")
 
@@ -49,7 +48,7 @@ class ModelSpec:
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
 
     def validate(self) -> "ModelSpec":
-        if self.family not in MODEL_FAMILIES:
+        if self.family not in _FAMILIES:
             raise InvalidSpecError(f"model.family: unknown family {self.family!r}")
         if self.lam < 0:
             raise InvalidSpecError("model.lam: ridge penalty must be nonnegative")
@@ -81,12 +80,11 @@ class FittedModel:
 
 @dataclass(frozen=True)
 class RegimeModels:
-    """Fitted predictors for the three information regimes plus the oracle."""
+    """Fitted predictors for the three information regimes."""
 
     oo: FittedModel
     to: FittedModel
     tt: FittedModel
-    oracle: FittedModel
 
 
 def canonical_row_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -431,9 +429,19 @@ def check_gradients(
 # ---------------------------------------------------------------------------
 # uniform contract
 
+# The trainable families, each as (fit, predict).  The oracle is not one of
+# them: it is the world's f_star, wrapped by ``oracle_model``.
+_FAMILIES = {
+    "ridge": (_fit_ridge, _predict_ridge),
+    "knn": (_fit_knn, _predict_knn),
+    "mlp": (_fit_mlp, _predict_mlp),
+}
+
 
 def oracle_model(world: World) -> FittedModel:
-    """Wrap the world's true function as a fitted predictor."""
+    """Wrap the world's true function as a fitted predictor.  Its spec names
+    the family "oracle", which ``ModelSpec.validate`` rejects, so it is built
+    unvalidated."""
     return FittedModel(
         spec=ModelSpec(family="oracle"),
         regime="ORACLE",
@@ -447,8 +455,7 @@ def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray, regime: str = "OO") -> Fi
     spec.validate()
     if regime not in REGIMES:
         raise InvalidSpecError(f"unknown training regime {regime!r}")
-    if spec.family == "oracle":
-        raise InvalidSpecError("oracle models wrap a World; use oracle_model(world)")
+    fit_family, _ = _FAMILIES[spec.family]
     try:
         x, y = _check_training_arrays(x, y)
         if x.shape[0] < 1:
@@ -456,12 +463,7 @@ def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray, regime: str = "OO") -> Fi
         # Every family trains on the canonical row order.
         order = canonical_row_order(x, y)
         x, y = x[order], y[order]
-        if spec.family == "ridge":
-            params, diagnostics = _fit_ridge(spec, x, y)
-        elif spec.family == "knn":
-            params, diagnostics = _fit_knn(spec, x, y)
-        else:
-            params, diagnostics = _fit_mlp(spec, x, y)
+        params, diagnostics = fit_family(spec, x, y)
     except (FitError, DimensionError) as exc:
         raise type(exc)(f"regime {regime}: {exc}") from exc
     return FittedModel(
@@ -477,14 +479,10 @@ def predict(model: FittedModel, x: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"model expects {model.input_dim} feature columns, got {x.shape[1]}"
         )
-    family = model.spec.family
-    if family == "ridge":
-        return _predict_ridge(model, x)
-    if family == "knn":
-        return _predict_knn(model, x)
-    if family == "mlp":
-        return _predict_mlp(model, x)
-    return model.params["world"].f_star.values(x)
+    if model.spec.family == "oracle":
+        return model.params["world"].f_star.values(x)
+    _, predict_family = _FAMILIES[model.spec.family]
+    return predict_family(model, x)
 
 
 # regime -> the bundle fields it trains on, as (features, labels).
@@ -506,15 +504,13 @@ def regime_view(bundle: SampleBundle, regime: str) -> tuple[np.ndarray, np.ndarr
     return getattr(bundle, x_name)[rows], getattr(bundle, y_name)[rows]
 
 
-def fit_regimes(world: World, bundle: SampleBundle, spec: ModelSpec) -> RegimeModels:
+def fit_regimes(bundle: SampleBundle, spec: ModelSpec) -> RegimeModels:
     """Fit the spec under each information regime on identical row indices."""
     fitted = {
         regime: fit(spec, *regime_view(bundle, regime), regime=regime)
         for regime in _REGIME_FIELDS
     }
-    return RegimeModels(
-        oo=fitted["OO"], to=fitted["TO"], tt=fitted["TT"], oracle=oracle_model(world)
-    )
+    return RegimeModels(oo=fitted["OO"], to=fitted["TO"], tt=fitted["TT"])
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +544,7 @@ def model_from_json(text: str) -> FittedModel:
         raise InvalidSpecError(
             f"unsupported model schema_version {doc.get('schema_version')!r}"
         )
-    spec = spec_from_config(ModelSpec, doc["spec"], "spec")
+    spec = spec_from_config(ModelSpec, doc["spec"], "spec").validate()
     raw = doc["params"]
     if spec.family == "mlp":
         params = {

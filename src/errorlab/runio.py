@@ -62,7 +62,7 @@ def _format_column(column, lo: int, hi: int) -> list[str]:
     return [_format_cell(v) for v in column[lo:hi]]
 
 
-def render_csv(header: list[str], columns, schema_version: int = OUTPUT_SCHEMA_VERSION) -> str:
+def render_csv(header: list[str], columns) -> str:
     """CSV text from one sequence per column (every column the same length).
 
     Rows are rendered in blocks of ``CSV_BLOCK_ROWS``: each column of a block
@@ -76,7 +76,7 @@ def render_csv(header: list[str], columns, schema_version: int = OUTPUT_SCHEMA_V
     n = len(columns[0]) if columns else 0
     if any(len(column) != n for column in columns):
         raise ValueError("render_csv: columns differ in length")
-    parts = [f"# schema_version={schema_version}", ",".join(header)]
+    parts = [f"# schema_version={OUTPUT_SCHEMA_VERSION}", ",".join(header)]
     for lo in range(0, n, CSV_BLOCK_ROWS):
         hi = min(lo + CSV_BLOCK_ROWS, n)
         cells = [_format_column(column, lo, hi) for column in columns]
@@ -87,9 +87,9 @@ def render_csv(header: list[str], columns, schema_version: int = OUTPUT_SCHEMA_V
     return "\n".join(parts)
 
 
-def render_json(payload, schema_version: int = OUTPUT_SCHEMA_VERSION) -> str:
+def render_json(payload) -> str:
     doc = dict(to_builtin(payload))
-    doc.setdefault("schema_version", schema_version)
+    doc.setdefault("schema_version", OUTPUT_SCHEMA_VERSION)
     try:
         return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
@@ -106,7 +106,8 @@ class RunManifest:
 
     ``files`` maps every emitted output to its checksum; regenerating with
     the same config and seed reproduces those checksums exactly (only the
-    wall-clock timings differ between reruns).
+    wall-clock timings differ between reruns).  ``render_json`` sorts its
+    keys; the writer passes ``seed_labels`` sorted.
     """
 
     command: str
@@ -116,17 +117,6 @@ class RunManifest:
     seed_labels: list[str] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
     schema_version: int = OUTPUT_SCHEMA_VERSION
-
-    def to_payload(self) -> dict:
-        return {
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "artifact_version": self.artifact_version,
-            "files": dict(sorted(self.files.items())),
-            "seed_labels": sorted(self.seed_labels),
-            "timings": self.timings,
-            "schema_version": self.schema_version,
-        }
 
 
 def write_outputs(out_dir: Path, payloads: dict[str, str]) -> dict[str, str]:

@@ -488,6 +488,15 @@ class SampleBundle:
         return float(np.mean(self.selected))
 
 
+def as_mapping(value, path: str) -> dict:
+    """A dict copy of the section ``value``; None (absent) gives {}."""
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{path}: expected a mapping")
+    return dict(value)
+
+
 def reject_unknown(rest: Mapping, path: str) -> None:
     """Raise naming the first key left over once a section is parsed."""
     if rest:
@@ -522,7 +531,7 @@ def spec_from_config(cls, cfg: Mapping, path: str, **given):
     of the ``given`` fields, are rejected: their caller reads them.  A
     value of the wrong type raises :class:`ConfigError` naming its key.
     """
-    rest = dict(cfg)
+    rest = as_mapping(cfg, path)
     values = dict(given)
     for f in fields(cls):
         if f.name in given:
@@ -566,7 +575,7 @@ def feature_noise_from_config(cfg: Mapping, input_dim: int, path: str) -> Featur
     """Build a feature-noise spec from a mapping; absent fields are those of
     ``FeatureNoiseSpec.none``.  ``cov`` accepts a full matrix, a
     per-feature variance vector, or a scalar shared variance."""
-    cfg = dict(cfg)
+    cfg = as_mapping(cfg, path)
     none = FeatureNoiseSpec.none(input_dim)
     cov = cfg.pop("cov", None)
     if cov is None:
@@ -591,12 +600,7 @@ def build_world(config: Mapping, path: str = "world") -> World:
     cfg = dict(config)
 
     def section(name: str) -> dict:
-        value = cfg.pop(name, None)
-        if value is None:
-            return {}
-        if not isinstance(value, Mapping):
-            raise InvalidSpecError(f"{path}.{name}: expected a mapping")
-        return dict(value)
+        return as_mapping(cfg.pop(name, None), f"{path}.{name}")
 
     x_cfg = section("x")
     if "dim" not in x_cfg:

@@ -92,7 +92,7 @@ def test_acceptance_1_telescoping_suite():
         train = el.sample(world, 140, f"acc1/w{w_idx}/train")
         heldout = el.sample(world, rows_per_fit, f"acc1/w{w_idx}/eval")
         for spec in specs:
-            regimes = fit_regimes(world, train, spec)
+            regimes = fit_regimes(train, spec)
             table = decompose_bundle(world, regimes, heldout)
             point_dev = np.abs(table.pointwise_sum() - table.y_true)
             assert np.all(point_dev <= 1e-9 * np.maximum(1.0, np.abs(table.y_true)))
@@ -146,7 +146,7 @@ def _isolation_components(world, replicates):
     mean_abs = np.empty((replicates, 3))
     for r in range(replicates):
         bundle = el.sample(world, 300, f"acc4/rep{r}")
-        regimes = fit_regimes(world, bundle, RIDGE0)
+        regimes = fit_regimes(bundle, RIDGE0)
         heldout = el.sample(world, 256, f"acc4/rep{r}/eval")
         table = decompose_bundle(world, regimes, heldout)
         parts = (table.model_approx_gain, table.meas_gain_y, table.meas_gain_x)

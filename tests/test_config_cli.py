@@ -335,6 +335,52 @@ def test_empty_curve_test_pack_exits_two(tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
+def _panel_target_variance(doc, value):
+    doc["panels"]["variants"][1]["target_noise"]["variance"] = value
+
+
+def _curve_level_features(doc, level, features):
+    doc["curve"]["axis"]["levels"][level]["features"] = features
+
+
+def _gallery_level_features(doc, features):
+    doc["gallery"]["axis"]["levels"][-1]["features"] = features
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: doc["model"].update(family="oracle"), "model.family"),
+        (lambda doc: _panel_target_variance(doc, -1.0), "panels.variants[1]: target_noise.variance"),
+        # standard.yaml's world has 3 features, its gallery worlds 2.
+        (
+            lambda doc: _curve_level_features(doc, -1, [0, 1, 2, 7]),
+            "curve.axis: axis level [0, 1, 2, 7]: feature index >= input_dim 3",
+        ),
+        (
+            lambda doc: _gallery_level_features(doc, [0, 1, 2]),
+            "gallery.axis: axis level [0, 1, 2]: feature index >= input_dim 2",
+        ),
+        # standard.yaml's world omits feature 2.
+        (
+            lambda doc: _curve_level_features(doc, 0, [2]),
+            "curve.axis: axis level [2] leaves no observed features",
+        ),
+    ],
+    ids=["oracle-family", "negative-panel-variance", "curve-feature-7", "gallery-feature-2",
+         "curve-level-all-omitted"],
+)
+def test_degenerate_scenario_exits_two_before_any_output(tmp_path, capsys, edit, message):
+    doc = yaml.safe_load(STANDARD.read_text(encoding="utf-8"))
+    edit(doc)
+    config = _write(tmp_path, yaml.safe_dump(doc))
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "s")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not (tmp_path / "s").exists()
+
+
 def test_replicates_override_below_two_exits_two(tmp_path, capsys):
     config = _write(tmp_path, REFERENCE)
     argv = ["biasvar", "--config", str(config), "--out", str(tmp_path / "b"), "--replicates", "1"]

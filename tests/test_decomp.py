@@ -22,7 +22,7 @@ from conftest import make_world
 
 def _fit_and_decompose(world, spec, n_train=300, n_eval=400, label="dec"):
     train = el.sample(world, n_train, f"{label}/train")
-    regimes = fit_regimes(world, train, spec)
+    regimes = fit_regimes(train, spec)
     heldout = el.sample(world, n_eval, f"{label}/eval")
     return regimes, heldout, decompose_bundle(world, regimes, heldout)
 
@@ -320,7 +320,7 @@ def test_degenerate_variance_rejected():
 def test_residual_plugin_estimator_is_separate_and_biased_up():
     world = make_world(target_noise={}, feature_noise={})
     train = el.sample(world, 500, "plugin/train")
-    regimes = fit_regimes(world, train, ModelSpec(family="ridge", lam=0.0))
+    regimes = fit_regimes(train, ModelSpec(family="ridge", lam=0.0))
     heldout = el.sample(world, 50_000, "plugin/eval")
     plugin = estimate_aleatoric_from_residuals(
         regimes.tt, heldout.x_true, heldout.y_true

@@ -213,7 +213,7 @@ def test_oracle_matches_true_function_bitwise(noisy_world):
 
 def test_regimes_coincide_without_corruption(noiseless_world):
     bundle = el.sample(noiseless_world, 200, "reg-eq")
-    regimes = fit_regimes(noiseless_world, bundle, ModelSpec(family="ridge", lam=0.0))
+    regimes = fit_regimes(bundle, ModelSpec(family="ridge", lam=0.0))
     grid = worldgen.draw_inputs(noiseless_world, 100, "reg-grid")
     oo = predict(regimes.oo, grid)
     to = predict(regimes.to, grid)
@@ -235,7 +235,7 @@ def test_regime_mse_ordering_under_feature_noise():
     mse = {"OO": [], "TO": [], "TT": []}
     for r in range(200):
         bundle = el.sample(world, 200, f"ord/rep{r}")
-        regimes = fit_regimes(world, bundle, spec)
+        regimes = fit_regimes(bundle, spec)
         x_obs = worldgen.observe_features(world, grid, f"ord/rep{r}/test")
         mse["OO"].append(np.mean((predict(regimes.oo, x_obs) - y_grid) ** 2))
         mse["TO"].append(np.mean((predict(regimes.to, grid) - y_grid) ** 2))
@@ -264,7 +264,7 @@ def test_fit_errors_are_labeled_by_regime():
     # the OO design is rank deficient while TO/TT stay fine.
     bundle = el.sample(world, 100, "regime-err")
     with pytest.raises(SingularSystemError, match="regime OO"):
-        fit_regimes(world, bundle, ModelSpec(family="ridge", lam=0.0))
+        fit_regimes(bundle, ModelSpec(family="ridge", lam=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +292,16 @@ def test_model_json_roundtrip_preserves_predictions(spec):
     grid = rng.standard_normal((15, 2))
     assert np.array_equal(predict(model, grid), predict(restored, grid))
     assert restored.regime == "TT"
+
+
+@pytest.mark.parametrize("family", ["oracle", "lasso"])
+def test_model_json_naming_no_trainable_family_is_rejected_on_load(family):
+    rng = rng_for(12, "json/family")
+    model = fit(ModelSpec(family="ridge"), rng.standard_normal((20, 2)), rng.standard_normal(20))
+    doc = json.loads(models.model_to_json(model))
+    doc["spec"]["family"] = family
+    with pytest.raises(InvalidSpecError, match="model.family: unknown family"):
+        models.model_from_json(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------

@@ -260,8 +260,10 @@ def _world(draw, dim: int) -> dict:
             "coarsen": [draw(st.sampled_from([0.0, 1e-300, 0.5, 0.1 + 0.2])) for _ in range(dim)],
         },
     )
-    if all(feature_noise.get("omit", [False])):
-        feature_noise["omit"] = [False] + [True] * (dim - 1)
+    if "omit" in feature_noise:
+        # Every drawn axis level shows feature 0 (see ``_axis``), and a level
+        # that leaves no feature observed is rejected at parse time.
+        feature_noise["omit"][0] = False
     if cov_form == "scalar":
         feature_noise["cov"] = draw(_real(0.0, 10.0))
     elif cov_form == "vector":
