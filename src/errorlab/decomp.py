@@ -452,7 +452,6 @@ class CeilingEstimate:
     sigma_eps_sq: float
     ceiling_mse: float
     ceiling_r2: float
-    se_sigma_eps_sq: float
     se_ceiling_r2: float
     n: int
 
@@ -480,7 +479,6 @@ def estimate_ceiling(world: World, n: int, base_label: str = "ceiling") -> Ceili
     var_y = float(np.var(y, ddof=1))
     if var_y == 0.0:
         raise InvalidSpecError("estimate_ceiling: Var(y_true) is zero; ceiling_r2 undefined")
-    se_sigma = math.sqrt(_var_se_sq(eps))
     eps_dev_sq = (eps - eps.mean()) ** 2
     y_dev_sq = (y - y.mean()) ** 2
     # Delta method for r2 = 1 - sigma_sq / var_y via per-row influences.
@@ -490,7 +488,6 @@ def estimate_ceiling(world: World, n: int, base_label: str = "ceiling") -> Ceili
         sigma_eps_sq=sigma_sq,
         ceiling_mse=sigma_sq,
         ceiling_r2=1.0 - sigma_sq / var_y,
-        se_sigma_eps_sq=se_sigma,
         se_ceiling_r2=se_r2,
         n=n,
     )

@@ -4,6 +4,12 @@ Three trainable families (ridge, knn, mlp) plus an oracle wrapper around a
 world's true function.  Fitting canonicalizes the training-row order
 (lexicographic by features, then label) so fits are bit-for-bit invariant
 to input row permutation; the knn tie rule refers to this canonical order.
+
+The canonical order is computed from the first feature column alone when
+that column has no ties (no two equal values, -0.0 and 0.0 counting as
+equal, and no NaN): the sorted order is then unique and equals the full
+lexicographic order.  Otherwise it falls back to ``np.lexsort`` over every
+feature column and the label.
 """
 
 from __future__ import annotations
@@ -88,7 +94,17 @@ class RegimeModels:
 
 
 def canonical_row_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sort order by features (first column primary) then label."""
+    """Sort order by features (first column primary) then label.
+
+    A first column without ties orders the rows on its own; only a tie
+    (equal neighbours once sorted) or a NaN, which sorts last and compares
+    unequal to everything, needs the full ``np.lexsort``."""
+    if x.size:  # at least one row and one column
+        column = x[:, 0]
+        order = np.argsort(column)
+        first = column[order]
+        if not np.isnan(first[-1]) and not (first[1:] == first[:-1]).any():
+            return order
     keys = (y,) + tuple(x[:, j] for j in range(x.shape[1] - 1, -1, -1))
     return np.lexsort(keys)
 

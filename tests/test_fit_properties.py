@@ -1,13 +1,23 @@
 """Property tests of the fitting contract over random data and worlds: a
-fit is a function of the set of training rows, not of their order, and the
-decomposition of every fit telescopes."""
+fit is a function of the set of training rows, not of their order, the
+canonical row order equals the full ``np.lexsort`` whichever path computes
+it, and the decomposition of every fit telescopes."""
 
 import numpy as np
 import pytest
 
 import errorlab as el
+from errorlab import models
 from errorlab.decomp import check_telescoping, decompose_bundle
-from errorlab.models import ModelSpec, fit, fit_regimes, model_to_json, predict
+from errorlab.models import (
+    ModelSpec,
+    canonical_row_order,
+    fit,
+    fit_regimes,
+    model_to_json,
+    predict,
+)
+from errorlab.worldgen import FeatureNoiseSpec
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -25,16 +35,22 @@ SPECS = {
     family=st.sampled_from(sorted(SPECS)),
     n=st.integers(min_value=8, max_value=40),
     d=st.integers(min_value=1, max_value=4),
-    tied=st.booleans(),
+    tied=st.sampled_from(["none", "all", "first"]),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_fit_is_bitwise_invariant_under_row_permutation(family, n, d, tied, seed):
     rng = np.random.default_rng(seed)
-    if tied:
+    if tied == "all":
         # Few distinct values, so rows share features (and sometimes labels)
         # and the canonical order has to break ties.
         x = rng.integers(-1, 2, (n, d)).astype(float)
         y = rng.integers(0, 3, n).astype(float)
+    elif tied == "first":
+        # Ties in the first column only: the later columns (or, with one
+        # column, the label) break them.
+        x = rng.standard_normal((n, d))
+        x[:, 0] = rng.integers(-1, 2, n)
+        y = rng.standard_normal(n)
     else:
         x = rng.standard_normal((n, d))
         y = rng.standard_normal(n)
@@ -47,6 +63,88 @@ def test_fit_is_bitwise_invariant_under_row_permutation(family, n, d, tied, seed
     # the training diagnostics (for mlp, every epoch's loss).
     assert model_to_json(direct) == model_to_json(shuffled)
     assert np.array_equal(predict(direct, grid), predict(shuffled, grid))
+
+
+def _lexsort_reference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.lexsort((y,) + tuple(x[:, j] for j in range(x.shape[1] - 1, -1, -1)))
+
+
+_ORDER_CASES = (
+    "continuous",
+    "first_tied",
+    "all_tied",
+    "signed_zero",
+    "one_nan",
+    "many_nan",
+    "inf",
+    "coarsened",
+)
+
+
+def _order_case(case: str, n: int, d: int, rng: np.random.Generator):
+    x = rng.standard_normal((n, d))
+    y = rng.standard_normal(n)
+
+    def rows(k: int) -> np.ndarray:
+        return rng.choice(n, size=min(k, n), replace=False)
+
+    if case == "first_tied":
+        x[:, 0] = rng.integers(0, max(1, n // 3), n)
+    elif case == "all_tied":
+        x = rng.integers(-1, 2, (n, d)).astype(float)
+        y = rng.integers(0, 3, n).astype(float)
+    elif case == "signed_zero":
+        picked = rows(4)
+        x[picked, 0] = [-0.0, 0.0, -0.0, 0.0][: picked.size]
+    elif case == "one_nan":
+        x[rows(1), 0] = np.nan
+    elif case == "many_nan":
+        x[rows(5), 0] = np.nan
+        x[rows(3), d - 1] = np.nan
+    elif case == "inf":
+        picked = rows(int(rng.integers(1, 5)))
+        x[picked, 0] = rng.choice([-np.inf, np.inf], picked.size)
+    elif case == "coarsened":
+        noise = FeatureNoiseSpec(
+            means=(0.0,) * d,
+            cov=np.eye(d) * 0.1,
+            omit=(False,) * d,
+            coarsen=(float(rng.choice([0.05, 0.5, 2.0])),) + (0.0,) * (d - 1),
+        )
+        x = noise.observe(x, noise.draw_delta(rng, n))
+    return x, y
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    case=st.sampled_from(_ORDER_CASES),
+    n=st.one_of(st.integers(1, 12), st.integers(1, 3000)),
+    d=st.integers(1, 4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_canonical_row_order_equals_lexsort(case, n, d, seed):
+    x, y = _order_case(case, n, d, np.random.default_rng(seed))
+    assert np.array_equal(canonical_row_order(x, y), _lexsort_reference(x, y))
+
+
+def test_canonical_row_order_uses_lexsort_only_on_a_first_column_tie(monkeypatch):
+    calls = []
+    lexsort = np.lexsort
+
+    def counting_lexsort(keys):
+        calls.append(len(keys))
+        return lexsort(keys)
+
+    monkeypatch.setattr(models.np, "lexsort", counting_lexsort)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((2500, 3))
+    y = rng.standard_normal(2500)
+    spec = SPECS["ridge"]
+    fit(spec, x, y)
+    assert calls == []
+    x[7, 0] = x[1900, 0]
+    fit(spec, x, y)
+    assert calls == [4]
 
 
 def _coefficients(draw, family: str, dim: int) -> list:
