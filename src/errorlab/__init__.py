@@ -12,15 +12,11 @@ from .config import Scenario, parse_config, scenario_to_yaml
 from .decomp import (
     BiasVarianceReport,
     CeilingEstimate,
-    ErrorDecomposition,
-    PointwiseDecomposition,
     RepresentativenessReport,
     bias_variance_monte_carlo,
     check_telescoping,
     component_covariances,
     decompose_bundle,
-    decompose_error,
-    decompose_pointwise,
     estimate_aleatoric_from_residuals,
     estimate_ceiling,
     representativeness_probe,
@@ -45,7 +41,6 @@ from .models import (
     fit_regimes,
     model_from_json,
     model_to_json,
-    oracle_model,
     predict,
 )
 from .worldgen import (
@@ -57,9 +52,7 @@ from .worldgen import (
     TrueFunctionSpec,
     World,
     XDistributionSpec,
-    apply_selection,
     build_world,
-    eval_true_function,
     sample,
     verify_bundle,
 )

@@ -161,7 +161,6 @@ def _cmd_biasvar(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
     payload = dataclasses.asdict(report)
     del payload["replicate_mse"]
     payload.update(
-        replicates=payload.pop("replicate_count"),
         regime=cfg.regime,
         n_train=cfg.n_train,
         identity_z=report.identity_z,
@@ -185,9 +184,7 @@ def _cmd_biasvar(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
             base_label="components",
             workers=run_config.workers,
         )
-        comp_payload = dataclasses.asdict(comp)
-        comp_payload["replicates"] = comp_payload.pop("replicate_count")
-        files["components.json"] = render_json(comp_payload)
+        files["components.json"] = render_json(dataclasses.asdict(comp))
     return files
 
 

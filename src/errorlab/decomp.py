@@ -12,8 +12,7 @@ its components are exact negations of the corresponding gains.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,48 +35,14 @@ REL_TOL = 1e-9
 ABS_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PointwiseDecomposition:
-    """Five components whose sum reproduces y_true."""
-
-    model_approx_gain: float
-    meas_gain_y: float
-    meas_gain_x: float
-    current_prediction: float
-    aleatoric: float
-
-    @property
-    def total(self) -> float:
-        return (
-            self.model_approx_gain
-            + self.meas_gain_y
-            + self.meas_gain_x
-            + self.current_prediction
-            + self.aleatoric
-        )
-
-
-@dataclass(frozen=True)
-class ErrorDecomposition:
-    """Four components whose sum reproduces y_pred - y_true.
+@dataclass
+class DecompositionTable:
+    """The pointwise and error decompositions of many rows, one array per
+    component; a single row is a one-row table.
 
     ``aleatoric_term`` stores f_star(x_true) - y_true, i.e. the negated
     noise draw; that sign is forced by the chain collapsing exactly.
     """
-
-    err_x: float
-    err_y: float
-    delta_f: float
-    aleatoric_term: float
-
-    @property
-    def total(self) -> float:
-        return self.err_x + self.err_y + self.delta_f + self.aleatoric_term
-
-
-@dataclass
-class DecompositionTable:
-    """Vectorized decompositions for many rows at once."""
 
     model_approx_gain: np.ndarray
     meas_gain_y: np.ndarray
@@ -147,46 +112,6 @@ def decompose_bundle(
     )
 
 
-def _decompose_one(cls, world, regimes, x_true, x_observed, y_true, epsilon):
-    """Decompose one row into the dataclass ``cls``, whose fields name the
-    table columns it keeps."""
-    table = decompose_rows(
-        world,
-        regimes,
-        np.asarray(x_true, dtype=float).reshape(1, -1),
-        np.asarray(x_observed, dtype=float).reshape(1, -1),
-        np.asarray([y_true], dtype=float),
-        np.asarray([epsilon], dtype=float),
-    )
-    return cls(**{f.name: float(getattr(table, f.name)[0]) for f in fields(cls)})
-
-
-def decompose_pointwise(
-    world: World,
-    regimes: RegimeModels,
-    x_true: Sequence[float],
-    x_observed: Sequence[float],
-    y_true: float,
-    epsilon: float,
-) -> PointwiseDecomposition:
-    """Decompose one generated row into the five gain components."""
-    return _decompose_one(
-        PointwiseDecomposition, world, regimes, x_true, x_observed, y_true, epsilon
-    )
-
-
-def decompose_error(
-    world: World,
-    regimes: RegimeModels,
-    x_true: Sequence[float],
-    x_observed: Sequence[float],
-    y_true: float,
-    epsilon: float,
-) -> ErrorDecomposition:
-    """Decompose one row's prediction error into its four components."""
-    return _decompose_one(ErrorDecomposition, world, regimes, x_true, x_observed, y_true, epsilon)
-
-
 def check_telescoping(table: DecompositionTable) -> None:
     """Raise :class:`InvariantError` unless both component sums collapse to
     within ``ABS_TOL + REL_TOL * |target|``.
@@ -245,7 +170,7 @@ class BiasVarianceReport:
     variance: float
     aleatoric_variance: float
     identity_gap: float
-    replicate_count: int
+    replicates: int
     se_mse: float
     se_bias: float
     se_variance: float
@@ -360,7 +285,7 @@ def bias_variance_monte_carlo(
         point_ep_sum += epistemic
         point_ep_sq += epistemic**2
 
-    aleatoric = world.aleatoric_variance_on(grid)
+    aleatoric = world.aleatoric.variance_on(grid)
     (mse, bias, variance, gap), (se_mse, se_bias, se_var, se_gap) = _jackknife(
         rep_sums, m, aleatoric
     )
@@ -372,7 +297,7 @@ def bias_variance_monte_carlo(
         variance=float(variance),
         aleatoric_variance=float(aleatoric),
         identity_gap=float(gap),
-        replicate_count=n_replicates,
+        replicates=n_replicates,
         se_mse=float(se_mse),
         se_bias=float(se_bias),
         se_variance=float(se_var),
@@ -394,7 +319,7 @@ class ComponentCovarianceReport:
     component_names: tuple[str, ...]
     means: np.ndarray
     covariance: np.ndarray
-    replicate_count: int
+    replicates: int
 
 
 def _component_cell(args) -> np.ndarray:
@@ -437,7 +362,7 @@ def component_covariances(
         component_names=("err_x", "err_y", "delta_f", "aleatoric_term"),
         means=samples.mean(axis=0),
         covariance=np.cov(samples, rowvar=False, ddof=1),
-        replicate_count=n_replicates,
+        replicates=n_replicates,
     )
 
 

@@ -202,6 +202,8 @@ def run_learning_curve(
     eps_test = worldgen.draw_aleatoric(world, grid, test_label)
     y_test = world.f_star.values(grid) + eps_test
     var_y = float(np.var(y_test, ddof=1))
+    if var_y == 0.0:
+        raise InvalidSpecError("run_learning_curve: Var(y_test) is zero; performance undefined")
 
     labels = [
         [f"{base_label}/L{li}/rep{r:04d}" for r in range(replicates)] for li in range(n_levels)

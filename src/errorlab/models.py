@@ -1,9 +1,10 @@
 """From-scratch regression models with a uniform fit/predict contract.
 
-Three trainable families (ridge, knn, mlp) plus an oracle wrapper around a
-world's true function.  Fitting canonicalizes the training-row order
-(lexicographic by features, then label) so fits are bit-for-bit invariant
-to input row permutation; the knn tie rule refers to this canonical order.
+Three trainable families (ridge, knn, mlp); the oracle is no model but the
+world's true function, ``world.f_star``.  Fitting canonicalizes the
+training-row order (lexicographic by features, then label) so fits are
+bit-for-bit invariant to input row permutation; the knn tie rule refers to
+this canonical order.
 
 The canonical order is computed from the first feature column alone when
 that column has no ties (no two equal values, -0.0 and 0.0 counting as
@@ -22,9 +23,17 @@ import numpy as np
 
 from .errors import DimensionError, FitError, InvalidSpecError, SingularSystemError
 from .seeding import rng_for
-from .worldgen import SampleBundle, World, spec_from_config, spec_to_config
+from .worldgen import SampleBundle, spec_from_config, spec_to_config
 
+# The regimes a bias-variance study reads: the three training regimes and
+# ORACLE, which fits nothing and predicts with ``world.f_star``.
 REGIMES = ("OO", "TO", "TT", "ORACLE")
+# training regime -> the bundle fields it trains on, as (features, labels).
+_REGIME_FIELDS = {
+    "OO": ("x_observed", "y_observed"),
+    "TO": ("x_true", "y_observed"),
+    "TT": ("x_true", "y_true"),
+}
 ACTIVATIONS = ("tanh", "relu", "identity")
 
 MODEL_JSON_VERSION = 1
@@ -445,8 +454,7 @@ def check_gradients(
 # ---------------------------------------------------------------------------
 # uniform contract
 
-# The trainable families, each as (fit, predict).  The oracle is not one of
-# them: it is the world's f_star, wrapped by ``oracle_model``.
+# The trainable families, each as (fit, predict).
 _FAMILIES = {
     "ridge": (_fit_ridge, _predict_ridge),
     "knn": (_fit_knn, _predict_knn),
@@ -454,22 +462,9 @@ _FAMILIES = {
 }
 
 
-def oracle_model(world: World) -> FittedModel:
-    """Wrap the world's true function as a fitted predictor.  Its spec names
-    the family "oracle", which ``ModelSpec.validate`` rejects, so it is built
-    unvalidated."""
-    return FittedModel(
-        spec=ModelSpec(family="oracle"),
-        regime="ORACLE",
-        input_dim=world.input_dim,
-        params={"world": world},
-        diagnostics={"final_loss": 0.0, "iterations": 0},
-    )
-
-
 def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray, regime: str = "OO") -> FittedModel:
     spec.validate()
-    if regime not in REGIMES:
+    if regime not in _REGIME_FIELDS:
         raise InvalidSpecError(f"unknown training regime {regime!r}")
     fit_family, _ = _FAMILIES[spec.family]
     try:
@@ -495,18 +490,8 @@ def predict(model: FittedModel, x: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"model expects {model.input_dim} feature columns, got {x.shape[1]}"
         )
-    if model.spec.family == "oracle":
-        return model.params["world"].f_star.values(x)
     _, predict_family = _FAMILIES[model.spec.family]
     return predict_family(model, x)
-
-
-# regime -> the bundle fields it trains on, as (features, labels).
-_REGIME_FIELDS = {
-    "OO": ("x_observed", "y_observed"),
-    "TO": ("x_true", "y_observed"),
-    "TT": ("x_true", "y_true"),
-}
 
 
 def regime_view(bundle: SampleBundle, regime: str) -> tuple[np.ndarray, np.ndarray]:
@@ -540,8 +525,6 @@ def model_to_json(model: FittedModel) -> str:
     from .runio import to_builtin
 
     spec = model.spec
-    if spec.family == "oracle":
-        raise InvalidSpecError("oracle models serialize with their World, not standalone")
     doc = {
         "schema_version": MODEL_JSON_VERSION,
         "family": spec.family,
@@ -561,6 +544,9 @@ def model_from_json(text: str) -> FittedModel:
             f"unsupported model schema_version {doc.get('schema_version')!r}"
         )
     spec = spec_from_config(ModelSpec, doc["spec"], "spec").validate()
+    regime = doc.get("regime")
+    if not isinstance(regime, str) or regime not in _REGIME_FIELDS:
+        raise InvalidSpecError(f"unknown training regime {regime!r}")
     raw = doc["params"]
     if spec.family == "mlp":
         params = {
@@ -577,7 +563,7 @@ def model_from_json(text: str) -> FittedModel:
         }
     return FittedModel(
         spec=spec,
-        regime=doc["regime"],
+        regime=regime,
         input_dim=doc["input_dim"],
         params=params,
         diagnostics=doc["diagnostics"],

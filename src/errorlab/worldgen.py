@@ -455,9 +455,6 @@ class World:
             raise InvalidSpecError("master_seed: must fit in an unsigned 64-bit integer")
         return self
 
-    def aleatoric_variance_on(self, x_true: np.ndarray) -> float:
-        return self.aleatoric.variance_on(np.asarray(x_true, dtype=float))
-
 
 @dataclass
 class SampleBundle:
@@ -476,7 +473,6 @@ class SampleBundle:
     selected: np.ndarray
     delta_y: np.ndarray
     delta_x: np.ndarray
-    master_seed: int
     label: str
 
     @property
@@ -670,12 +666,6 @@ def world_to_config(world: World) -> dict:
     }
 
 
-def eval_true_function(world: World, x: Sequence[float]) -> float:
-    """Noise-free value of the world's true function at one point."""
-    point = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(world.f_star.values(point)[0])
-
-
 def draw_inputs(world: World, n: int, substream_label: str) -> np.ndarray:
     """Draw n rows from the input distribution only (no noise channels)."""
     rng = rng_for(world.master_seed, substream_label, "x")
@@ -723,24 +713,11 @@ def sample(world: World, n: int, substream_label: str) -> SampleBundle:
         selected=selected,
         delta_y=y_observed - y_true,
         delta_x=delta_x,
-        master_seed=seed,
         label=substream_label,
     )
     if world.selection.rule != "none" and not bundle.selected.any():
         raise EmptySelectionError(f"selection kept zero of {n} rows")
     return bundle
-
-
-def apply_selection(
-    bundle: SampleBundle, spec: SelectionSpec, substream_label: str
-) -> SampleBundle:
-    """Return a copy of the bundle with ``selected`` set by the given rule."""
-    spec.validate()
-    rng = rng_for(bundle.master_seed, substream_label, "sel")
-    selected = spec.select(rng, bundle.x_true, bundle.epsilon, bundle.y_true)
-    if not selected.any():
-        raise EmptySelectionError(f"selection kept zero of {bundle.n} rows")
-    return dataclasses.replace(bundle, selected=selected)
 
 
 def verify_bundle(world: World, bundle: SampleBundle) -> None:

@@ -21,7 +21,7 @@ from errorlab.experiments import (
     monotone_under_ci,
     run_panel_scenarios,
 )
-from errorlab.models import ModelSpec, check_gradients, fit, fit_regimes, oracle_model, predict
+from errorlab.models import ModelSpec, check_gradients, fit, fit_regimes
 from errorlab.seeding import rng_for
 from errorlab.worldgen import TargetNoiseSpec
 
@@ -112,8 +112,7 @@ def test_acceptance_2_oracle_floor():
     started = time.perf_counter()
     world = make_world(aleatoric={"variance": 0.5}, target_noise={}, feature_noise={})
     heldout = el.sample(world, 100_000, "acc2/heldout")
-    oracle = oracle_model(world)
-    mse = float(np.mean((predict(oracle, heldout.x_true) - heldout.y_true) ** 2))
+    mse = float(np.mean((world.f_star.values(heldout.x_true) - heldout.y_true) ** 2))
     assert abs(mse - 0.5) / 0.5 < 0.05
     _report("2 oracle floor", time.perf_counter() - started, 30, f"mse={mse:.4f}")
 

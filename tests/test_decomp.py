@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -57,24 +58,21 @@ def test_component_sum_reproduces_y_true(noisy_world):
 def test_scalar_ops_match_batch(noisy_world):
     regimes, heldout, table = _fit_and_decompose(noisy_world, ModelSpec(family="ridge"))
     i = 17
-    point = el.decompose_pointwise(
+    row = decomp.decompose_rows(
         noisy_world,
         regimes,
-        heldout.x_true[i],
-        heldout.x_observed[i],
-        heldout.y_true[i],
-        heldout.epsilon[i],
+        heldout.x_true[i : i + 1],
+        heldout.x_observed[i : i + 1],
+        heldout.y_true[i : i + 1],
+        heldout.epsilon[i : i + 1],
     )
-    assert point.total == pytest.approx(heldout.y_true[i], rel=1e-9)
-    err = el.decompose_error(
-        noisy_world,
-        regimes,
-        heldout.x_true[i],
-        heldout.x_observed[i],
-        heldout.y_true[i],
-        heldout.epsilon[i],
+    assert row.n == 1
+    assert row.pointwise_sum()[0] == pytest.approx(heldout.y_true[i], rel=1e-9)
+    assert row.error_sum()[0] == pytest.approx(
+        row.current_prediction[0] - heldout.y_true[i], rel=1e-9
     )
-    assert err.total == pytest.approx(point.current_prediction - heldout.y_true[i], rel=1e-9)
+    for f in dataclasses.fields(row):
+        assert getattr(row, f.name)[0] == pytest.approx(getattr(table, f.name)[i], rel=1e-9)
 
 
 def test_error_components_negate_gains_exactly(noisy_world):
@@ -155,7 +153,7 @@ def test_ols_unbiased_and_identity_holds_on_linear_gaussian_world():
     )
     assert abs(report.bias_z) < 3.0
     assert abs(report.identity_z) < 3.0
-    assert report.replicate_count == 400
+    assert report.replicates == 400
     # Within-point variance plus across-grid bias dispersion is the total.
     assert report.variance == pytest.approx(
         report.variance_within + report.bias_dispersion, rel=1e-9
@@ -224,7 +222,7 @@ def test_component_covariances_report():
     assert report.covariance.shape == (4, 4)
     np.testing.assert_allclose(report.covariance, report.covariance.T, atol=1e-15)
     # Fresh noise is independent of the epistemic channels: |corr z| < 3.
-    n = report.replicate_count
+    n = report.replicates
     for i in range(3):
         corr = report.covariance[i, 3] / math.sqrt(
             report.covariance[i, i] * report.covariance[3, 3]

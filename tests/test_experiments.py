@@ -144,6 +144,17 @@ def test_curve_fit_failure_names_the_cell():
         run_learning_curve(world, RIDGE, axis, 2, test_points=100)
 
 
+def test_curve_on_a_constant_outcome_is_rejected():
+    # Var(y_test) is zero, so performance = 1 - mse / Var(y_test) is undefined.
+    world = make_world(
+        f_star={"family": "linear", "coefficients": [0.0, 0.0, 0.0]},
+        aleatoric={"variance": 0.0},
+    )
+    axis = _axis([AxisLevel(60, FEATS, (1.0, 1.0))])
+    with pytest.raises(InvalidSpecError, match="Var\\(y_test\\) is zero"):
+        run_learning_curve(world, RIDGE, axis, 2, test_points=100)
+
+
 def test_curve_workers_do_not_change_results():
     world = make_world()
     axis = _axis([AxisLevel(60, FEATS, (1.0, 1.0)), AxisLevel(150, FEATS, (0.5, 0.5))])

@@ -1,14 +1,24 @@
 """Property tests of the fitting contract over random data and worlds: a
 fit is a function of the set of training rows, not of their order, the
 canonical row order equals the full ``np.lexsort`` whichever path computes
-it, and the decomposition of every fit telescopes."""
+it, the decomposition of every fit telescopes, and no study result or
+seed ledger depends on the worker count."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 import errorlab as el
-from errorlab import models
-from errorlab.decomp import check_telescoping, decompose_bundle
+from errorlab import models, parallel, seeding, worldgen
+from errorlab.decomp import (
+    bias_variance_monte_carlo,
+    check_telescoping,
+    component_covariances,
+    decompose_bundle,
+)
+from errorlab.errors import ErrorLabError
+from errorlab.experiments import AxisLevel, InformationAxis, run_learning_curve
 from errorlab.models import (
     ModelSpec,
     canonical_row_order,
@@ -217,3 +227,67 @@ def test_decomposition_telescopes_on_random_worlds(world, spec):
     train = el.sample(world, 60, "property/train")
     heldout = el.sample(world, 40, "property/eval")
     check_telescoping(decompose_bundle(world, fit_regimes(train, spec), heldout))
+
+
+def _leaves(value) -> list:
+    """Every field of a study result as an array, nested results flattened
+    in field order."""
+    if dataclasses.is_dataclass(value):
+        return [leaf for f in dataclasses.fields(value) for leaf in _leaves(getattr(value, f.name))]
+    if isinstance(value, list):
+        return [leaf for item in value for leaf in _leaves(item)]
+    return [np.asarray(value)]
+
+
+def _study_runs(world, spec, regime, workers):
+    """Each parallel study on ``world`` at ``workers``, as (result, ledger)."""
+    every = tuple(range(world.input_dim))
+    axis = InformationAxis(
+        levels=(AxisLevel(40, every, (1.0, 1.0)), AxisLevel(60, every, (0.5, 0.0)))
+    )
+    grid = worldgen.draw_inputs(world, 16, "workers/grid")
+    studies = (
+        lambda: run_learning_curve(
+            world, spec, axis, 2, test_points=64, comp_points=16, workers=workers
+        ),
+        lambda: bias_variance_monte_carlo(world, spec, regime, 40, 3, grid, workers=workers),
+        lambda: component_covariances(world, spec, 40, 3, grid, workers=workers),
+    )
+    runs = []
+    for study in studies:
+        with seeding.recording() as labels:
+            try:
+                result = study()
+            except ErrorLabError as exc:  # must be the same error at any count
+                result = f"{type(exc).__name__}: {exc}"
+        runs.append((result, labels))
+    return runs
+
+
+def test_worker_count_never_changes_a_study(monkeypatch):
+    # Two usable CPUs whatever the host has, and one spawn pool shared by
+    # every example, so the parallel path runs and starts only once.
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    completed = set()  # the studies that returned a result in some example
+    with parallel.command_pool(2) as pool:
+
+        @settings(max_examples=5, deadline=None, derandomize=True, database=None)
+        @given(
+            world=_worlds(),
+            spec=_TELESCOPING_SPECS,
+            regime=st.sampled_from(models.REGIMES),
+        )
+        def check(world, spec, regime):
+            serial = _study_runs(world, spec, regime, workers=1)
+            pooled = _study_runs(world, spec, regime, workers=2)
+            for study, ((one, one_labels), (two, two_labels)) in enumerate(zip(serial, pooled)):
+                if not isinstance(one, str):
+                    completed.add(study)
+                one, two = _leaves(one), _leaves(two)
+                assert len(one) == len(two)
+                assert all(np.array_equal(a, b) for a, b in zip(one, two))
+                assert one_labels and one_labels == two_labels
+
+        check()
+        assert pool.processes == 2  # the pool started: the maps ran in it
+    assert completed == {0, 1, 2}

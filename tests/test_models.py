@@ -205,10 +205,11 @@ def test_predict_dimension_mismatch():
 
 
 def test_oracle_matches_true_function_bitwise(noisy_world):
-    oracle = models.oracle_model(noisy_world)
+    # The oracle is world.f_star: evaluated on a batch, each row has the
+    # bits it has when evaluated alone.
     x = worldgen.draw_inputs(noisy_world, 200, "oracle-probe")
-    expected = np.array([el.eval_true_function(noisy_world, row) for row in x])
-    assert np.array_equal(predict(oracle, x), expected)
+    expected = np.array([noisy_world.f_star.values(row[None, :])[0] for row in x])
+    assert np.array_equal(noisy_world.f_star.values(x), expected)
 
 
 def test_regimes_coincide_without_corruption(noiseless_world):
@@ -249,8 +250,7 @@ def test_regime_mse_ordering_under_feature_noise():
 def test_oracle_regime_mse_matches_noise_floor():
     world = make_world(target_noise={}, feature_noise={})
     bundle = el.sample(world, 100_000, "oracle-floor")
-    oracle = models.oracle_model(world)
-    mse = np.mean((predict(oracle, bundle.x_true) - bundle.y_true) ** 2)
+    mse = np.mean((world.f_star.values(bundle.x_true) - bundle.y_true) ** 2)
     assert abs(mse - 0.25) / 0.25 < 0.05
 
 
@@ -301,6 +301,24 @@ def test_model_json_naming_no_trainable_family_is_rejected_on_load(family):
     doc = json.loads(models.model_to_json(model))
     doc["spec"]["family"] = family
     with pytest.raises(InvalidSpecError, match="model.family: unknown family"):
+        models.model_from_json(json.dumps(doc))
+
+
+def test_fit_rejects_the_oracle_regime():
+    # ORACLE fits nothing (it is world.f_star), so no fit may carry its tag.
+    rng = rng_for(12, "fit/oracle")
+    x, y = rng.standard_normal((20, 2)), rng.standard_normal(20)
+    with pytest.raises(InvalidSpecError, match="unknown training regime 'ORACLE'"):
+        fit(ModelSpec(), x, y, regime="ORACLE")
+
+
+@pytest.mark.parametrize("regime", ["ORACLE", "XX", None, ["OO"]])
+def test_model_json_naming_no_training_regime_is_rejected_on_load(regime):
+    rng = rng_for(12, "json/regime")
+    model = fit(ModelSpec(family="ridge"), rng.standard_normal((20, 2)), rng.standard_normal(20))
+    doc = json.loads(models.model_to_json(model))
+    doc["regime"] = regime
+    with pytest.raises(InvalidSpecError, match="unknown training regime"):
         models.model_from_json(json.dumps(doc))
 
 

@@ -103,11 +103,11 @@ def test_heteroskedastic_link_scales_variance():
     bundle = el.sample(world, 200_000, "het")
     expected = 0.5 * np.mean(world.aleatoric.multiplier(bundle.x_true))
     assert abs(np.mean(bundle.epsilon**2) - expected) / expected < 0.03
-    assert world.aleatoric_variance_on(bundle.x_true) == pytest.approx(expected)
+    assert world.aleatoric.variance_on(bundle.x_true) == pytest.approx(expected)
 
 
 # ---------------------------------------------------------------------------
-# eval_true_function
+# f_star on one point (a one-row matrix)
 
 
 def test_linear_value_by_hand():
@@ -115,7 +115,7 @@ def test_linear_value_by_hand():
         x={"kind": "gaussian", "dim": 2},
         f_star={"family": "linear", "coefficients": [2.0, -1.0]},
     )
-    assert el.eval_true_function(world, [1.0, 1.0]) == pytest.approx(1.0)
+    assert world.f_star.values([[1.0, 1.0]])[0] == pytest.approx(1.0)
 
 
 def test_polynomial_value_by_hand():
@@ -124,7 +124,7 @@ def test_polynomial_value_by_hand():
         f_star={"family": "polynomial", "coefficients": [1.0, 2.0, 3.0, 4.0, 5.0]},
     )
     # 1 + 2*x0 + 3*x1 + 4*x0^2 + 5*x1^2 at (1, 2)
-    assert el.eval_true_function(world, [1.0, 2.0]) == pytest.approx(33.0)
+    assert world.f_star.values([[1.0, 2.0]])[0] == pytest.approx(33.0)
 
 
 def test_step_threshold_takes_right_branch():
@@ -132,9 +132,9 @@ def test_step_threshold_takes_right_branch():
         x={"kind": "gaussian", "dim": 1},
         f_star={"family": "step", "coefficients": [0.0, -1.0, 1.0]},
     )
-    assert el.eval_true_function(world, [0.0]) == 1.0  # value just above the threshold
-    assert el.eval_true_function(world, [-1e-12]) == -1.0
-    assert el.eval_true_function(world, [0.5]) == 1.0
+    assert world.f_star.values([[0.0]])[0] == 1.0  # value just above the threshold
+    assert world.f_star.values([[-1e-12]])[0] == -1.0
+    assert world.f_star.values([[0.5]])[0] == 1.0
 
 
 def test_friedman_probe_point_matches_direct_formula():
@@ -149,7 +149,7 @@ def test_friedman_probe_point_matches_direct_formula():
         + 10.0 * 0.8
         + 5.0 * 1.0
     )
-    assert el.eval_true_function(world, probe) == pytest.approx(expected, rel=1e-12)
+    assert world.f_star.values([probe])[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_interaction_terms_add_products():
@@ -161,13 +161,13 @@ def test_interaction_terms_add_products():
             "interactions": [{"pair": [0, 1], "weight": 0.5}],
         },
     )
-    assert el.eval_true_function(world, [2.0, 3.0]) == pytest.approx(5.0 + 0.5 * 6.0)
+    assert world.f_star.values([[2.0, 3.0]])[0] == pytest.approx(5.0 + 0.5 * 6.0)
 
 
 def test_eval_dimension_mismatch():
     world = make_world()
     with pytest.raises(el.errors.DimensionError):
-        el.eval_true_function(world, [1.0, 2.0])
+        world.f_star.values([[1.0, 2.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +287,9 @@ def test_noise_channels_use_independent_substreams(world_factory):
 
 
 def test_selection_none_keeps_everything(noisy_world):
+    assert noisy_world.selection.rule == "none"
     bundle = el.sample(noisy_world, 1000, "sel-none")
-    out = el.apply_selection(bundle, el.SelectionSpec(rule="none"), "sel-none")
-    assert out.selected.all()
+    assert bundle.selected.all()
 
 
 def test_threshold_selection_on_noise_shifts_mean():
@@ -311,13 +311,11 @@ def test_probabilistic_selection_independent_of_noise():
 
 
 def test_empty_selection_raises():
-    bundle = el.sample(make_world(), 50, "sel-empty")
-    spec = el.SelectionSpec(rule="threshold", score="epsilon", coverage=0.5)
-    out = el.apply_selection(bundle, spec, "resel")
-    assert out.selected.sum() == 25
-    hopeless = el.SelectionSpec(rule="probabilistic", coverage=1e-12)
-    with pytest.raises(EmptySelectionError):
-        el.apply_selection(bundle, hopeless, "resel2")
+    half = make_world(selection={"rule": "threshold", "score": "epsilon", "coverage": 0.5})
+    assert el.sample(half, 50, "sel-empty").selected.sum() == 25
+    hopeless = make_world(selection={"rule": "probabilistic", "coverage": 1e-12})
+    with pytest.raises(EmptySelectionError, match="kept zero of 50 rows"):
+        el.sample(hopeless, 50, "sel-empty")
 
 
 # ---------------------------------------------------------------------------
