@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -45,19 +44,8 @@ EXIT_NUMERICAL = 3
 EXIT_INVARIANT = 4
 
 
-@dataclass
-class RunConfig:
-    command: str
-    config_path: Path
-    out_dir: Path
-    seed: Optional[int] = None
-    workers: int = 1
-    replicates: Optional[int] = None
-
-
-def _apply_overrides(scenario: Scenario, run_config: RunConfig) -> Scenario:
-    if run_config.seed is not None:
-        seed = run_config.seed
+def _apply_overrides(scenario: Scenario, seed: Optional[int], replicates: Optional[int]):
+    if seed is not None:
         scenario.seed = seed
         scenario.world = dataclasses.replace(scenario.world, master_seed=seed).validate()
         if scenario.gallery is not None:
@@ -67,15 +55,12 @@ def _apply_overrides(scenario: Scenario, run_config: RunConfig) -> Scenario:
             scenario.gallery.high_world = dataclasses.replace(
                 scenario.gallery.high_world, master_seed=seed
             ).validate()
-    if run_config.replicates is not None:
-        reps = run_config.replicates
-        if reps < 2:
-            raise ConfigError(f"--replicates: must be >= 2, got {reps}")
-        scenario.biasvar.replicates = reps
-        if scenario.curve is not None:
-            scenario.curve.replicates = reps
-        if scenario.gallery is not None:
-            scenario.gallery.replicates = reps
+    if replicates is not None:
+        if replicates < 2:
+            raise ConfigError(f"--replicates: must be >= 2, got {replicates}")
+        for section in (scenario.biasvar, scenario.curve, scenario.gallery):
+            if section is not None:
+                section.replicates = replicates
     return scenario
 
 
@@ -94,7 +79,7 @@ def _curve_columns(curves) -> list[list]:
     ]
 
 
-def _cmd_simulate(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
+def _cmd_simulate(scenario: Scenario, workers: int) -> dict[str, str]:
     cfg = scenario.simulate
     bundle = worldgen.sample(scenario.world, cfg.n, cfg.label)
     header, columns = worldgen.bundle_columns(bundle)
@@ -113,7 +98,7 @@ def _cmd_simulate(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
     }
 
 
-def _cmd_decompose(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
+def _cmd_decompose(scenario: Scenario, workers: int) -> dict[str, str]:
     cfg = scenario.decompose
     world = scenario.world
     train = worldgen.sample(world, cfg.train_n, "decompose/train")
@@ -144,7 +129,7 @@ def _cmd_decompose(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
     }
 
 
-def _cmd_biasvar(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
+def _cmd_biasvar(scenario: Scenario, workers: int) -> dict[str, str]:
     cfg = scenario.biasvar
     world = scenario.world
     grid = worldgen.draw_inputs(world, cfg.test_points, "biasvar/test_grid")
@@ -156,7 +141,7 @@ def _cmd_biasvar(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
         cfg.replicates,
         grid,
         base_label="biasvar",
-        workers=run_config.workers,
+        workers=workers,
     )
     payload = dataclasses.asdict(report)
     del payload["replicate_mse"]
@@ -182,7 +167,7 @@ def _cmd_biasvar(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
             cfg.components_replicates,
             grid,
             base_label="components",
-            workers=run_config.workers,
+            workers=workers,
         )
         files["components.json"] = render_json(dataclasses.asdict(comp))
     return files
@@ -195,7 +180,7 @@ def _required(scenario: Scenario, name: str):
     return section
 
 
-def _cmd_curve(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
+def _cmd_curve(scenario: Scenario, workers: int) -> dict[str, str]:
     cfg = _required(scenario, "curve")
     curve = run_learning_curve(
         scenario.world,
@@ -205,7 +190,7 @@ def _cmd_curve(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
         test_points=cfg.test_points,
         comp_points=cfg.comp_points,
         base_label="curve",
-        workers=run_config.workers,
+        workers=workers,
     )
     payload = {
         "replicates": cfg.replicates,
@@ -219,7 +204,7 @@ def _cmd_curve(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
     }
 
 
-def _cmd_panels(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
+def _cmd_panels(scenario: Scenario, workers: int) -> dict[str, str]:
     cfg = _required(scenario, "curve")
     result = run_panel_scenarios(
         scenario.world,
@@ -230,11 +215,11 @@ def _cmd_panels(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
         test_points=cfg.test_points,
         comp_points=cfg.comp_points,
         base_label="panels",
-        workers=run_config.workers,
+        workers=workers,
     )
     curves = [
-        (f"panel{idx}", panel.variant, curve)
-        for idx, (panel, curve) in enumerate(zip(result.scenarios, result.curves))
+        (f"panel{idx}", comparison.variant, curve)
+        for idx, (comparison, curve) in enumerate(zip(result.comparisons, result.curves))
     ]
     comparisons = [dataclasses.asdict(c) for c in result.comparisons]
     return {
@@ -243,7 +228,7 @@ def _cmd_panels(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
     }
 
 
-def _cmd_gallery(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
+def _cmd_gallery(scenario: Scenario, workers: int) -> dict[str, str]:
     cfg = _required(scenario, "gallery")
     result = regime_gallery(
         cfg.low_world,
@@ -255,7 +240,7 @@ def _cmd_gallery(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
         test_points=cfg.test_points,
         ceiling_n=cfg.ceiling_n,
         base_label="gallery",
-        workers=run_config.workers,
+        workers=workers,
     )
     sides = (result.low_noise, result.high_noise)
     payload = {}
@@ -275,7 +260,7 @@ def _cmd_gallery(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
     }
 
 
-def _cmd_probe(scenario: Scenario, run_config: RunConfig) -> dict[str, str]:
+def _cmd_probe(scenario: Scenario, workers: int) -> dict[str, str]:
     report = representativeness_probe(scenario.world, scenario.probe.n, base_label="probe")
     ceiling = estimate_ceiling(scenario.world, scenario.probe.n, base_label="probe/ceiling")
     payload = {**dataclasses.asdict(report), "ceiling_r2": ceiling.ceiling_r2}
@@ -295,28 +280,28 @@ _HANDLERS = {
 COMMANDS = tuple(_HANDLERS)
 
 
-def run(run_config: RunConfig) -> RunManifest:
-    """Execute one command; validates fully before any output is written."""
+def run(command: str, config, out, seed=None, workers: int = 1, replicates=None) -> RunManifest:
+    """Execute one command on the scenario file ``config``, writing into the
+    directory ``out``; validates fully before any output is written.  The
+    parameters are the command-line options (see ``build_parser``)."""
     started = time.perf_counter()
-    scenario = parse_config(run_config.config_path)
-    scenario = _apply_overrides(scenario, run_config)
+    scenario = parse_config(config)
+    scenario = _apply_overrides(scenario, seed, replicates)
     normalized = scenario_to_yaml(scenario)
-    config_hash = sha256_text(
-        normalized + f"|command={run_config.command}|replicates={run_config.replicates}"
-    )
+    config_hash = sha256_text(normalized + f"|command={command}|replicates={replicates}")
 
-    handler = _HANDLERS[run_config.command]
+    handler = _HANDLERS[command]
     compute_started = time.perf_counter()
-    with command_pool(run_config.workers) as pool, seeding.recording() as seed_labels:
-        payloads = handler(scenario, run_config)
+    with command_pool(workers) as pool, seeding.recording() as seed_labels:
+        payloads = handler(scenario, workers)
     compute_seconds = time.perf_counter() - compute_started
 
-    out_dir = Path(run_config.out_dir)
+    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     payloads = {"scenario.normalized.yaml": normalized, **payloads}
     checksums = write_outputs(out_dir, payloads)
     manifest = RunManifest(
-        command=run_config.command,
+        command=command,
         config_hash=config_hash,
         artifact_version=__version__,
         files=checksums,
@@ -349,16 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    run_config = RunConfig(
-        command=args.command,
-        config_path=Path(args.config),
-        out_dir=Path(args.out),
-        seed=args.seed,
-        workers=args.workers,
-        replicates=args.replicates,
-    )
     try:
-        manifest = run(run_config)
+        manifest = run(**vars(args))
     except (ConfigError, InvalidSpecError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -371,7 +348,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ErrorLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    print(f"{run_config.command}: wrote {len(manifest.files)} files to {run_config.out_dir}")
+    print(f"{args.command}: wrote {len(manifest.files)} files to {args.out}")
     return EXIT_OK
 
 

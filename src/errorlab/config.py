@@ -100,9 +100,18 @@ class Scenario:
     gallery: Optional[GalleryConfig]
 
 
-# Smallest accepted value of an integer section field; every other integer
-# field is a size and must be positive.
-_INT_MINIMUM = {"replicates": 2, "components_replicates": 0}
+# Smallest accepted value of an integer section field, by its path (a variance
+# needs two values, the probe four rows); any other integer field is a size.
+_INT_MINIMUM = {
+    "biasvar.replicates": 2,
+    "biasvar.components_replicates": 0,
+    "probe.n": 4,
+    "curve.replicates": 2,
+    "curve.test_points": 2,
+    "gallery.replicates": 2,
+    "gallery.test_points": 2,
+    "gallery.ceiling_n": 2,
+}
 
 
 def _section(cls, cfg, path: str, **given):
@@ -111,7 +120,7 @@ def _section(cls, cfg, path: str, **given):
     section = spec_from_config(cls, cfg, path, **given)
     for f in fields(cls):
         value = getattr(section, f.name)
-        minimum = _INT_MINIMUM.get(f.name, 1)
+        minimum = _INT_MINIMUM.get(f"{path}.{f.name}", 1)
         if isinstance(f.default, int) and value < minimum:
             raise ConfigError(f"{path}.{f.name}: must be >= {minimum}, got {value}")
     return section
@@ -136,14 +145,10 @@ def _axis_from_config(cfg, path: str, worlds: Sequence[World]) -> InformationAxi
     if not levels_cfg:
         raise ConfigError(f"{path}.levels: required field is missing")
     reject_unknown(cfg, path)
-    levels = []
-    for i, level in enumerate(levels_cfg):
-        level_path = f"{path}.levels[{i}]"
-        level = as_mapping(level, level_path)
-        fidelity = level.get("fidelity")
-        if "fidelity" in level and (not isinstance(fidelity, (list, tuple)) or len(fidelity) != 2):
-            raise ConfigError(f"{level_path}.fidelity: expected [target, feature] factors")
-        levels.append(spec_from_config(AxisLevel, level, level_path))
+    levels = [
+        spec_from_config(AxisLevel, level, f"{path}.levels[{i}]")
+        for i, level in enumerate(levels_cfg)
+    ]
     try:
         axis = InformationAxis(levels=tuple(levels))
         for world in worlds:
@@ -181,6 +186,8 @@ def _panels_from_config(cfg, world: World, axis: InformationAxis) -> list[PanelS
         except InvalidSpecError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         scenarios.append(scenario)
+    if not any(s.variant == "baseline" for s in scenarios):
+        raise ConfigError("panels.variants: needs a baseline variant")
     return scenarios
 
 

@@ -271,7 +271,6 @@ def bias_variance_monte_carlo(
     results = ordered_map(_biasvar_cell, tasks, workers=workers)
 
     rep_sums = np.empty((n_replicates, 4))
-    replicate_mse = np.empty(n_replicates)
     point_ep_sum = np.zeros(m)
     point_ep_sq = np.zeros(m)
     for r, (error, epistemic) in enumerate(results):
@@ -281,7 +280,6 @@ def bias_variance_monte_carlo(
             epistemic.sum(),
             np.sum(epistemic**2),
         )
-        replicate_mse[r] = float(np.mean(error**2))
         point_ep_sum += epistemic
         point_ep_sq += epistemic**2
 
@@ -304,7 +302,7 @@ def bias_variance_monte_carlo(
         se_identity_gap=float(se_gap),
         variance_within=float(np.mean(point_var)),
         bias_dispersion=float(np.var(point_mean)),
-        replicate_mse=replicate_mse,
+        replicate_mse=rep_sums[:, 1] / m,
     )
 
 
@@ -374,11 +372,9 @@ def component_covariances(
 class CeilingEstimate:
     """Best attainable performance once every epistemic channel is clean."""
 
-    sigma_eps_sq: float
     ceiling_mse: float
     ceiling_r2: float
     se_ceiling_r2: float
-    n: int
 
 
 def _var_se_sq(values: np.ndarray) -> float:
@@ -410,11 +406,7 @@ def estimate_ceiling(world: World, n: int, base_label: str = "ceiling") -> Ceili
     influence = -eps_dev_sq / var_y + sigma_sq * y_dev_sq / var_y**2
     se_r2 = float(np.std(influence, ddof=1) / math.sqrt(n))
     return CeilingEstimate(
-        sigma_eps_sq=sigma_sq,
-        ceiling_mse=sigma_sq,
-        ceiling_r2=1.0 - sigma_sq / var_y,
-        se_ceiling_r2=se_r2,
-        n=n,
+        ceiling_mse=sigma_sq, ceiling_r2=1.0 - sigma_sq / var_y, se_ceiling_r2=se_r2
     )
 
 

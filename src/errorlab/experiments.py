@@ -20,7 +20,7 @@ from .decomp import CeilingEstimate, decompose_rows, estimate_ceiling
 from .errors import FitError, InvalidSpecError
 from .models import ModelSpec, fit_regimes, predict
 from .parallel import ordered_map
-from .worldgen import FeatureNoiseSpec, TargetNoiseSpec, World
+from .worldgen import FeatureNoiseSpec, TargetNoiseSpec, World, coerce_fields
 
 PANEL_VARIANTS = ("baseline", "reconstructed_target", "reconstructed_features")
 _ATTAINMENT_SLACK = 0.10  # a gallery curve attains its ceiling within this fraction
@@ -37,11 +37,7 @@ class AxisLevel:
     fidelity: tuple[float, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_train", int(self.n_train))
-        object.__setattr__(self, "features", tuple(int(j) for j in self.features))
-        object.__setattr__(
-            self, "fidelity", (float(self.fidelity[0]), float(self.fidelity[1]))
-        )
+        coerce_fields(self, n_train=int, features=(int,), fidelity=(float, float))
 
 
 @dataclass(frozen=True)
@@ -194,16 +190,16 @@ def run_learning_curve(
     world and shared by all levels and replicates, and each level's
     observed view of the grid is built once.
     """
-    if replicates < 1:
-        raise InvalidSpecError("run_learning_curve needs replicates >= 1")
+    if replicates < 2:
+        raise InvalidSpecError("run_learning_curve needs replicates >= 2")
     n_levels = len(axis.levels)
     test_label = f"{base_label}/test"
     grid = worldgen.draw_inputs(world, test_points, test_label)
     eps_test = worldgen.draw_aleatoric(world, grid, test_label)
     y_test = world.f_star.values(grid) + eps_test
     var_y = float(np.var(y_test, ddof=1))
-    if var_y == 0.0:
-        raise InvalidSpecError("run_learning_curve: Var(y_test) is zero; performance undefined")
+    if not var_y > 0.0:
+        raise InvalidSpecError(f"run_learning_curve: Var(y_test) is zero or not a number ({var_y})")
 
     labels = [
         [f"{base_label}/L{li}/rep{r:04d}" for r in range(replicates)] for li in range(n_levels)
@@ -218,7 +214,7 @@ def run_learning_curve(
     for li, level in enumerate(axis.levels):
         mse = values[li, :, 0]
         mean_mse = float(mse.mean())
-        ci = 0.0 if replicates < 2 else float(1.96 * mse.std(ddof=1) / np.sqrt(replicates))
+        ci = float(1.96 * mse.std(ddof=1) / np.sqrt(replicates))
         points.append(
             LearningCurvePoint(
                 level_index=li,
@@ -306,7 +302,6 @@ class TerminalComparison:
 
 @dataclass
 class PanelResult:
-    scenarios: list[PanelScenario]
     curves: list[LearningCurve]
     comparisons: list[TerminalComparison]
 
@@ -350,11 +345,7 @@ def run_panel_scenarios(
     for s, curve in zip(scenario_list, curves):
         diff = base_terminal - curve.replicate_mse[-1]
         mean_diff = float(diff.mean())
-        se_diff = (
-            0.0
-            if replicates < 2
-            else float(diff.std(ddof=1) / np.sqrt(replicates))
-        )
+        se_diff = float(diff.std(ddof=1) / np.sqrt(replicates))
         strictly_below = mean_diff > 1.96 * se_diff and (
             curve.terminal.mean_mse < curves[base_idx].terminal.mean_mse
         )
@@ -368,7 +359,7 @@ def run_panel_scenarios(
                 strictly_below_baseline=strictly_below,
             )
         )
-    return PanelResult(scenarios=scenario_list, curves=curves, comparisons=comparisons)
+    return PanelResult(curves=curves, comparisons=comparisons)
 
 
 # ---------------------------------------------------------------------------

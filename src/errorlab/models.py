@@ -23,18 +23,17 @@ import numpy as np
 
 from .errors import DimensionError, FitError, InvalidSpecError, SingularSystemError
 from .seeding import rng_for
-from .worldgen import SampleBundle, spec_from_config, spec_to_config
+from .worldgen import SampleBundle, coerce, coerce_fields, spec_from_config, spec_to_config
 
-# The regimes a bias-variance study reads: the three training regimes and
-# ORACLE, which fits nothing and predicts with ``world.f_star``.
-REGIMES = ("OO", "TO", "TT", "ORACLE")
 # training regime -> the bundle fields it trains on, as (features, labels).
 _REGIME_FIELDS = {
     "OO": ("x_observed", "y_observed"),
     "TO": ("x_true", "y_observed"),
     "TT": ("x_true", "y_true"),
 }
-ACTIVATIONS = ("tanh", "relu", "identity")
+# The regimes a bias-variance study reads: the three training regimes and
+# ORACLE, which fits nothing and predicts with ``world.f_star``.
+REGIMES = (*_REGIME_FIELDS, "ORACLE")
 
 MODEL_JSON_VERSION = 1
 
@@ -60,7 +59,7 @@ class ModelSpec:
     init_seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
+        coerce_fields(self, widths=(int,))
 
     def validate(self) -> "ModelSpec":
         if self.family not in _FAMILIES:
@@ -71,7 +70,7 @@ class ModelSpec:
             raise InvalidSpecError("model.k: knn needs k >= 1")
         if any(w < 1 for w in self.widths):
             raise InvalidSpecError("model.widths: layer widths must be positive")
-        if self.activation not in ACTIVATIONS:
+        if self.activation not in _ACT:
             raise InvalidSpecError(f"model.activation: unknown activation {self.activation!r}")
         if self.epochs < 1:
             raise InvalidSpecError("model.epochs: must be >= 1")
@@ -412,7 +411,6 @@ def _predict_mlp(model: FittedModel, x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class GradientCheckReport:
     max_relative_deviation: float
-    step: float
     n_parameters: int
 
 
@@ -446,9 +444,7 @@ def check_gradients(
         fd = (up - down) / (2.0 * step)
         denom = max(abs(fd), abs(flat_analytic[i]), 1e-8)
         max_rel = max(max_rel, abs(fd - flat_analytic[i]) / denom)
-    return GradientCheckReport(
-        max_relative_deviation=max_rel, step=step, n_parameters=int(flat.size)
-    )
+    return GradientCheckReport(max_relative_deviation=max_rel, n_parameters=int(flat.size))
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +557,35 @@ def model_from_json(text: str) -> FittedModel:
             key: np.asarray(value, dtype=float) if isinstance(value, list) else value
             for key, value in raw.items()
         }
+    input_dim = coerce(int, doc["input_dim"], "input_dim")
+    _check_param_shapes(spec, input_dim, params)
     return FittedModel(
         spec=spec,
         regime=regime,
-        input_dim=doc["input_dim"],
+        input_dim=input_dim,
         params=params,
         diagnostics=doc["diagnostics"],
     )
+
+
+def _check_param_shapes(spec: ModelSpec, input_dim: int, params: dict) -> None:
+    """Raise :class:`InvalidSpecError` naming the first array parameter whose
+    shape does not fit ``input_dim``; for the mlp, the layer chain from
+    ``input_dim`` through the hidden sizes its biases give (not checked
+    against ``spec.widths``, which ``predict`` does not read) down to 1."""
+    d = input_dim
+    if spec.family == "mlp":
+        layers = params["layers"]
+        sizes = [d, *(np.size(b) for _, b in layers[:-1]), 1]
+        pairs = enumerate(zip(sizes, sizes[1:]))
+        expected = {f"layers[{i}]": ((a, b), (b,)) for i, (a, b) in pairs}
+        shapes = {f"layers[{i}]": (np.shape(w), np.shape(b)) for i, (w, b) in enumerate(layers)}
+    else:
+        n = np.size(params.get("train_y"))
+        knn = {"train_x_std": (n, d), "train_y": (n,), "mean": (d,), "sd": (d,)}
+        expected = {"coef": (d,)} if spec.family == "ridge" else knn
+        shapes = {key: np.shape(params.get(key)) for key in expected}
+    for key in {**expected, **shapes}:
+        want, got = expected.get(key), shapes.get(key)
+        if got != want:
+            raise InvalidSpecError(f"params.{key}: expected shape {want}, got {got}")

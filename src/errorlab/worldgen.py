@@ -43,19 +43,10 @@ HET_LINKS = {
 }
 
 
-def _float_tuple(values: Sequence[float]) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
-
-
-def _matrix_tuple(values) -> tuple[tuple[float, ...], ...]:
-    return tuple(tuple(float(v) for v in row) for row in values)
-
-
 def psd_factor(cov: np.ndarray, name: str = "cov") -> np.ndarray:
-    """Factor L with cov = L @ L.T, rejecting asymmetric or non-PSD input."""
+    """Factor L with cov = L @ L.T, rejecting asymmetric or non-PSD input.
+    The caller has checked that ``cov`` is square (``_check_square``)."""
     cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise InvalidSpecError(f"{name}: expected a square matrix, got shape {cov.shape}")
     if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12):
         raise InvalidSpecError(f"{name}: matrix is not symmetric")
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -65,6 +56,12 @@ def psd_factor(cov: np.ndarray, name: str = "cov") -> np.ndarray:
             f"{name}: not positive semidefinite (min eigenvalue {float(eigvals[0]):.3e})"
         )
     return eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
+
+
+def _check_square(cov, dim: int, name: str) -> None:
+    """Raise unless the nested tuple ``cov`` is ``dim`` rows of ``dim``."""
+    if len(cov) != dim or any(len(row) != dim for row in cov):
+        raise InvalidSpecError(f"{name}: expected a {dim} x {dim} matrix, got {cov!r}")
 
 
 @dataclass(frozen=True)
@@ -91,12 +88,7 @@ class TrueFunctionSpec:
     interactions: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", _float_tuple(self.coefficients))
-        object.__setattr__(
-            self,
-            "interactions",
-            tuple((int(i), int(j), float(w)) for i, j, w in self.interactions),
-        )
+        coerce_fields(self, coefficients=(float,), interactions=((int, int, float),))
 
     def validate(self) -> "TrueFunctionSpec":
         if self.family not in FUNCTION_FAMILIES:
@@ -286,10 +278,7 @@ class FeatureNoiseSpec:
     coarsen: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "means", _float_tuple(self.means))
-        object.__setattr__(self, "cov", _matrix_tuple(self.cov))
-        object.__setattr__(self, "omit", tuple(bool(v) for v in self.omit))
-        object.__setattr__(self, "coarsen", _float_tuple(self.coarsen))
+        coerce_fields(self, means=(float,), cov=((float,),), omit=(bool,), coarsen=(float,))
 
     @staticmethod
     def none(input_dim: int) -> "FeatureNoiseSpec":
@@ -314,6 +303,7 @@ class FeatureNoiseSpec:
             )
         if any(s < 0 for s in self.coarsen):
             raise InvalidSpecError("feature_noise.coarsen: steps must be nonnegative")
+        _check_square(self.cov, input_dim, "feature_noise.cov")
         self.factor  # raises on an asymmetric or non-PSD cov
         return self
 
@@ -393,7 +383,7 @@ class XDistributionSpec:
 
     def __post_init__(self) -> None:
         if self.cov is not None:
-            object.__setattr__(self, "cov", _matrix_tuple(self.cov))
+            coerce_fields(self, cov=((float,),))
 
     def validate(self, input_dim: int) -> "XDistributionSpec":
         if self.kind not in X_KINDS:
@@ -403,11 +393,7 @@ class XDistributionSpec:
         if self.kind == "correlated":
             if self.cov is None:
                 raise InvalidSpecError("x.cov: correlated gaussian needs a covariance matrix")
-            cov = np.asarray(self.cov)
-            if cov.shape != (input_dim, input_dim):
-                raise InvalidSpecError(
-                    f"x.cov: expected shape ({input_dim}, {input_dim}), got {cov.shape}"
-                )
+            _check_square(self.cov, input_dim, "x.cov")
             self.factor  # raises on an asymmetric or non-PSD cov
         return self
 
@@ -501,31 +487,58 @@ def reject_unknown(rest: Mapping, path: str) -> None:
 
 
 def coerce(kind, value, path: str):
-    """``kind(value)``, raising :class:`ConfigError` naming ``path`` when the
-    value cannot be read as that type.  A string or mapping is not read as
-    a list (``tuple("16")`` would split it into characters), nor a float
-    with a fractional part as an int (``int(2.5)`` would truncate it)."""
-    name = "list" if kind is tuple else kind.__name__
-    wrong = ConfigError(f"{path}: expected {name}, got {value!r}")
-    if kind is tuple and isinstance(value, (str, bytes, Mapping)):
-        raise wrong
+    """``value`` read as ``kind``, raising :class:`ConfigError` naming
+    ``path`` when it cannot be.
+
+    A tuple of kinds reads a list (not a string: ``tuple("16")`` would
+    split it into characters) into a tuple, item by item, an item's error
+    naming ``path[i]``: one kind reads a list of any length, several kinds
+    exactly one item per kind.  A float with a fractional part is not read
+    as an int (``int(2.5)`` would truncate it).  A bool is read only as a
+    bool, and only a bool is read as one."""
+
+    def wrong() -> ConfigError:
+        if isinstance(kind, tuple):
+            name = "list" if len(kind) == 1 else f"list of {len(kind)}"
+        else:
+            name = kind.__name__
+        return ConfigError(f"{path}: expected {name}, got {value!r}")
+
+    if isinstance(kind, tuple):
+        if not isinstance(value, (list, tuple, np.ndarray)) or len(kind) not in (1, len(value)):
+            raise wrong()
+        kinds = kind * len(value) if len(kind) == 1 else kind
+        return tuple(  # an item already of its kind is kept, its path never built
+            v if type(v) is k else coerce(k, v, f"{path}[{i}]")
+            for i, (k, v) in enumerate(zip(kinds, value))
+        )
+    if (kind is bool) != isinstance(value, (bool, np.bool_)):
+        raise wrong()
     if kind is int and isinstance(value, float) and not value.is_integer():
-        raise wrong
+        raise wrong()
     try:
         return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise wrong from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise wrong() from exc
+
+
+def coerce_fields(spec, **kinds) -> None:
+    """Read each named field of the frozen dataclass ``spec`` through
+    ``coerce``; an error names the field (``spec_from_config`` adds the section)."""
+    for name, kind in kinds.items():
+        object.__setattr__(spec, name, coerce(kind, getattr(spec, name), name))
 
 
 def spec_from_config(cls, cfg: Mapping, path: str, **given):
     """An instance of the dataclass ``cls`` from the mapping ``cfg``.
 
     Each field not in ``given`` reads its key, coerced to the type of the
-    field's default; an absent key keeps the default.  A field whose
-    default is None, or that has none, takes the value as it is, and a
-    field with no default is required.  Keys naming no field, and the keys
-    of the ``given`` fields, are rejected: their caller reads them.  A
-    value of the wrong type raises :class:`ConfigError` naming its key.
+    field's default when that is a scalar; an absent key keeps the
+    default.  Any other field takes the value as it is, for the class's
+    own converter (``__post_init__``) to read, and a field with no default
+    is required.  Keys naming no field, and the keys of the ``given``
+    fields, are rejected: their caller reads them.  A value of the wrong
+    type raises :class:`ConfigError` naming its key.
     """
     rest = as_mapping(cfg, path)
     values = dict(given)
@@ -534,7 +547,7 @@ def spec_from_config(cls, cfg: Mapping, path: str, **given):
             continue
         if f.name in rest:
             value = rest.pop(f.name)
-            if f.default is not MISSING and f.default is not None:
+            if isinstance(f.default, (bool, int, float, str)):
                 value = coerce(type(f.default), value, f"{path}.{f.name}")
             values[f.name] = value
         elif f.default is MISSING:
@@ -542,9 +555,8 @@ def spec_from_config(cls, cfg: Mapping, path: str, **given):
     reject_unknown(rest, path)
     try:
         return cls(**values)
-    except (TypeError, ValueError) as exc:
-        # A field's own conversion in __post_init__ (its items, say) failed.
-        raise ConfigError(f"{path}: a value has the wrong type: {exc}") from exc
+    except ConfigError as exc:  # raised by coerce_fields, naming the field
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
 def _plain(value):
@@ -578,12 +590,9 @@ def feature_noise_from_config(cfg: Mapping, input_dim: int, path: str) -> Featur
         cov = none.cov
     elif np.isscalar(cov):
         cov = coerce(float, cov, f"{path}.cov") * np.eye(input_dim)
-    else:
-        try:
-            cov_arr = np.asarray(cov, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}.cov: expected numbers, got {cov!r}") from exc
-        cov = np.diag(cov_arr) if cov_arr.ndim == 1 else cov_arr
+    elif all(np.isscalar(v) for v in cov):
+        cov = np.diag(coerce((float,), cov, f"{path}.cov"))
+    # Otherwise a matrix, which the spec's converter reads.
     defaults = spec_to_config(none, skip=("cov",))
     return spec_from_config(FeatureNoiseSpec, {**defaults, **cfg}, path, cov=cov)
 
@@ -606,14 +615,15 @@ def build_world(config: Mapping, path: str = "world") -> World:
     f_cfg = section("f_star")
     interactions = []
     for i, item in enumerate(f_cfg.pop("interactions", None) or []):
+        item_path = f"{path}.f_star.interactions[{i}]"
         try:
-            (a, b), weight = item["pair"], item["weight"]
-            interactions.append((int(a), int(b), float(weight)))
-        except (KeyError, TypeError, ValueError) as exc:
+            pair, weight = item["pair"], item["weight"]
+        except (KeyError, TypeError) as exc:
             raise ConfigError(
-                f"{path}.f_star.interactions[{i}]: expected {{pair: [i, j], weight: w}}, "
-                f"got {item!r}"
+                f"{item_path}: expected {{pair: [i, j], weight: w}}, got {item!r}"
             ) from exc
+        pair = coerce((int, int), pair, f"{item_path}.pair")
+        interactions.append((*pair, coerce(float, weight, f"{item_path}.weight")))
     f_star = spec_from_config(
         TrueFunctionSpec,
         f_cfg,

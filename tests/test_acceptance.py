@@ -12,7 +12,7 @@ import numpy as np
 
 import errorlab as el
 from errorlab import worldgen
-from errorlab.cli import RunConfig, run
+from errorlab.cli import run
 from errorlab.decomp import bias_variance_monte_carlo, decompose_bundle, representativeness_probe
 from errorlab.experiments import (
     AxisLevel,
@@ -377,14 +377,7 @@ def test_acceptance_8_worker_count_determinism(tmp_path):
         manifests[workers] = {}
         for command in commands:
             out = tmp_path / f"w{workers}" / command
-            manifests[workers][command] = run(
-                RunConfig(
-                    command=command,
-                    config_path=config,
-                    out_dir=out,
-                    workers=workers,
-                )
-            )
+            manifests[workers][command] = run(command, config, out, workers=workers)
     for command in commands:
         dir1 = tmp_path / "w1" / command
         dir8 = tmp_path / "w8" / command

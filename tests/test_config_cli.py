@@ -8,7 +8,7 @@ import yaml
 
 import errorlab as el
 from errorlab import cli, parallel, seeding
-from errorlab.cli import RunConfig, main, run
+from errorlab.cli import main, run
 from errorlab.config import normalize_scenario, parse_config, scenario_to_yaml
 from errorlab.errors import ConfigError, InvariantError
 
@@ -136,11 +136,42 @@ def _standard_with(tmp_path: Path, **sections) -> Path:
         ("gallery", "replicates", 0),
         ("gallery", "test_points", 0),
         ("gallery", "ceiling_n", -1),
+        # A variance needs two test points, the noise ceiling two draws.
+        ("curve", "test_points", 1),
+        ("gallery", "test_points", 1),
+        ("gallery", "ceiling_n", 1),
+        ("probe", "n", 3),
     ],
 )
 def test_degenerate_sizes_rejected_at_parse_time(tmp_path, section, field, value):
     config = _standard_with(tmp_path, **{section: {field: value}})
     with pytest.raises(ConfigError, match=f"{section}.{field}: must be"):
+        parse_config(config)
+
+
+_RAGGED = [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]
+_TWO_BY_TWO = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "world, message",
+    [
+        ({"feature_noise": {"cov": _TWO_BY_TWO}}, "feature_noise.cov: expected a 3 x 3"),
+        ({"feature_noise": {"cov": _RAGGED}}, "feature_noise.cov: expected a 3 x 3"),
+        ({"x": {"kind": "correlated", "dim": 3, "cov": _RAGGED}}, "x.cov: expected a 3 x 3"),
+    ],
+)
+def test_covariance_of_the_wrong_shape_exits_two(tmp_path, capsys, world, message):
+    config = _standard_with(tmp_path, world=world)
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_panels_without_a_baseline_rejected_at_parse_time(tmp_path):
+    variants = [{"variant": "reconstructed_target", "target_noise": {"variance": 0.5}}]
+    config = _standard_with(tmp_path, panels={"variants": variants})
+    with pytest.raises(ConfigError, match="panels.variants: needs a baseline"):
         parse_config(config)
 
 
@@ -150,10 +181,7 @@ def test_degenerate_sizes_rejected_at_parse_time(tmp_path, section, field, value
 
 def _run(tmp_path, command, text=REFERENCE, out="out", **kwargs):
     config = _write(tmp_path, text)
-    run_config = RunConfig(
-        command=command, config_path=config, out_dir=tmp_path / out, **kwargs
-    )
-    return run(run_config), tmp_path / out
+    return run(command, config, tmp_path / out, **kwargs), tmp_path / out
 
 
 def test_simulate_writes_samples_and_manifest(tmp_path):
@@ -513,6 +541,11 @@ def _with_interactions(items) -> dict:
     return {"world": {"f_star": f_star}}
 
 
+def _with_level(**fields) -> dict:
+    level = {"n_train": 50, "features": [0, 1], "fidelity": [1.0, 1.0], **fields}
+    return {"curve": {"axis": {"levels": [level]}}}
+
+
 @pytest.mark.parametrize(
     "sections, message",
     [
@@ -521,7 +554,7 @@ def _with_interactions(items) -> dict:
         ({"model": {"family": "mlp", "widths": "16"}}, "model.widths: expected list, got '16'"),
         ({"model": {"family": "mlp", "widths": {"a": 1}}}, "model.widths: expected list"),
         ({"simulate": {"n": 2.5}}, "simulate.n: expected int, got 2.5"),
-        ({"model": {"family": "mlp", "widths": ["a"]}}, "model: a value has the wrong type"),
+        ({"model": {"family": "mlp", "widths": ["a"]}}, "model.widths[0]: expected int, got 'a'"),
         ({"curve": {"comp_points": [1]}}, "curve.comp_points: expected int"),
         ({"world": {"x": {"kind": "gaussian", "dim": "three"}}}, "world.x.dim: expected int"),
         (
@@ -530,7 +563,7 @@ def _with_interactions(items) -> dict:
         ),
         (
             {"world": {"feature_noise": {"cov": [[0.4, "x"], [0.0, 0.4]]}}},
-            "world.feature_noise.cov: expected",
+            "world.feature_noise.cov[0][1]: expected float, got 'x'",
         ),
         (
             _with_interactions([{"pair": [0]}]),
@@ -538,6 +571,34 @@ def _with_interactions(items) -> dict:
         ),
         (_with_interactions([{"pair": [0, 1]}]), "world.f_star.interactions[0]"),
         (_with_interactions([{"pair": [0, 1], "weight": 1.0}, 7]), "world.f_star.interactions[1]"),
+        # Values that int(), float(), bool() or tuple() would read without a word.
+        ({"simulate": {"n": True}}, "simulate.n: expected int, got True"),
+        (_with_level(n_train=50.7), "curve.axis.levels[0].n_train: expected int, got 50.7"),
+        (_with_level(features="01"), "curve.axis.levels[0].features: expected list, got '01'"),
+        (
+            _with_level(fidelity=[True, True]),
+            "curve.axis.levels[0].fidelity[0]: expected float, got True",
+        ),
+        (
+            {"model": {"family": "mlp", "widths": [16.5]}},
+            "model.widths[0]: expected int, got 16.5",
+        ),
+        (
+            {"world": {"feature_noise": {"omit": ["no", False, False]}}},
+            "world.feature_noise.omit[0]: expected bool, got 'no'",
+        ),
+        (
+            {"world": {"f_star": {"coefficients": "123"}}},
+            "world.f_star.coefficients: expected list, got '123'",
+        ),
+        (
+            {"world": {"feature_noise": {"coarsen": "000"}}},
+            "world.feature_noise.coarsen: expected list, got '000'",
+        ),
+        (
+            _with_interactions([{"pair": [0, 1.5], "weight": 1}]),
+            "world.f_star.interactions[0].pair[1]: expected int, got 1.5",
+        ),
     ],
 )
 def test_wrong_typed_value_exits_two_naming_the_key(tmp_path, capsys, sections, message):
@@ -619,7 +680,7 @@ def test_serial_command_starts_no_pool(tmp_path, monkeypatch):
 
 
 def test_exit_code_four_on_invariant_breach(tmp_path, capsys, monkeypatch):
-    def broken(scenario, run_config):
+    def broken(scenario, workers):
         raise InvariantError("component sum failed to collapse")
 
     monkeypatch.setitem(cli._HANDLERS, "decompose", broken)

@@ -237,7 +237,7 @@ def test_component_covariances_report():
 def test_noiseless_world_has_r2_ceiling_one(noiseless_world):
     estimate = estimate_ceiling(noiseless_world, 20_000)
     assert estimate.ceiling_r2 == pytest.approx(1.0)
-    assert estimate.sigma_eps_sq == pytest.approx(0.0, abs=1e-12)
+    assert estimate.ceiling_mse == pytest.approx(0.0, abs=1e-12)
 
 
 def test_constant_function_world_has_r2_ceiling_zero():
@@ -263,7 +263,6 @@ def test_ceiling_matches_plugin_variance_ratio():
     )
     estimate = estimate_ceiling(world, 100_000)
     assert abs(estimate.ceiling_r2 - 0.75) < 0.02
-    assert estimate.ceiling_mse == estimate.sigma_eps_sq
     assert 0.0 <= estimate.ceiling_r2 <= 1.0
     assert estimate.se_ceiling_r2 > 0.0
 
@@ -289,8 +288,8 @@ def test_ceiling_draws_equal_the_full_sample(overrides):
     assert np.array_equal(eps, bundle.epsilon)
     assert np.array_equal(world.f_star.values(x_true) + eps, bundle.y_true)
     estimate = estimate_ceiling(world, 5000, base_label="ceil")
-    assert estimate.sigma_eps_sq == float(np.var(bundle.epsilon, ddof=1))
-    assert estimate.ceiling_r2 == 1.0 - estimate.sigma_eps_sq / float(np.var(bundle.y_true, ddof=1))
+    assert estimate.ceiling_mse == float(np.var(bundle.epsilon, ddof=1))
+    assert estimate.ceiling_r2 == 1.0 - estimate.ceiling_mse / float(np.var(bundle.y_true, ddof=1))
 
 
 def test_ceiling_ignores_the_selection_rule():

@@ -155,6 +155,21 @@ def test_curve_on_a_constant_outcome_is_rejected():
         run_learning_curve(world, RIDGE, axis, 2, test_points=100)
 
 
+def test_curve_with_an_undefined_variance_is_rejected():
+    # One test point has no sample variance: np.var(ddof=1) gives NaN with
+    # a RuntimeWarning, and a NaN variance must not pass as nonzero.
+    axis = _axis([AxisLevel(60, FEATS, (1.0, 1.0))])
+    with pytest.raises(InvalidSpecError, match="Var\\(y_test\\) is zero or not a number"):
+        with pytest.warns(RuntimeWarning):
+            run_learning_curve(make_world(), RIDGE, axis, 2, test_points=1)
+
+
+def test_curve_needs_two_replicates():
+    axis = _axis([AxisLevel(60, FEATS, (1.0, 1.0))])
+    with pytest.raises(InvalidSpecError, match="replicates >= 2"):
+        run_learning_curve(make_world(), RIDGE, axis, 1, test_points=100)
+
+
 def test_curve_workers_do_not_change_results():
     world = make_world()
     axis = _axis([AxisLevel(60, FEATS, (1.0, 1.0)), AxisLevel(150, FEATS, (0.5, 0.5))])

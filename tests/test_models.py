@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,37 @@ def test_model_json_roundtrip_preserves_predictions(spec):
     grid = rng.standard_normal((15, 2))
     assert np.array_equal(predict(model, grid), predict(restored, grid))
     assert restored.regime == "TT"
+
+
+MLP_SMALL = ModelSpec(family="mlp", widths=(5,), epochs=2)
+
+
+@pytest.mark.parametrize(
+    "spec, edit, key",
+    [
+        (ModelSpec(family="ridge"), lambda doc: doc.update(input_dim=5), "params.coef"),
+        (ModelSpec(family="ridge"), lambda doc: doc["params"]["coef"].pop(), "params.coef"),
+        (ModelSpec(family="knn", k=4), lambda doc: doc["params"]["sd"].pop(), "params.sd"),
+        (
+            ModelSpec(family="knn", k=4),
+            lambda doc: doc["params"]["train_y"].pop(),
+            "params.train_x_std",
+        ),
+        (MLP_SMALL, lambda doc: doc.update(input_dim=3), "params.layers[0]"),
+        (MLP_SMALL, lambda doc: doc["params"]["layers"][1][0].pop(), "params.layers[1]"),
+        (MLP_SMALL, lambda doc: doc["params"]["layers"].pop(), "params.layers[0]"),
+    ],
+    ids=["ridge-dim", "ridge-coef", "knn-sd", "knn-rows", "mlp-dim", "mlp-chain", "mlp-depth"],
+)
+def test_model_json_whose_shapes_do_not_fit_is_rejected_on_load(spec, edit, key):
+    # A document whose arrays do not fit its input_dim and widths would load
+    # and fail only in predict, with a bare numpy error.
+    rng = rng_for(12, "json/shapes")
+    model = fit(spec, rng.standard_normal((40, 2)), rng.standard_normal(40))
+    doc = json.loads(models.model_to_json(model))
+    edit(doc)
+    with pytest.raises(InvalidSpecError, match=re.escape(key)):
+        models.model_from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize("family", ["oracle", "lasso"])

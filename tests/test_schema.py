@@ -4,6 +4,7 @@ parse -> normalize -> parse round trip over random scenarios."""
 
 import hashlib
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from errorlab.config import (
     scenario_from_mapping,
     scenario_to_yaml,
 )
+from errorlab.errors import ConfigError
 from errorlab.worldgen import world_to_config
 
 pytest.importorskip("hypothesis")
@@ -346,7 +348,7 @@ def _scenarios(draw) -> dict:
                 "components_replicates": draw(st.sampled_from([0, 2, 50])),
             },
         ),
-        "probe": _some_keys(draw, _sizes(draw, ["n"])),
+        "probe": _some_keys(draw, _sizes(draw, ["n"], 4)),
     }
     if draw(st.booleans()):
         scenario["curve"] = {
@@ -388,3 +390,43 @@ def test_normalized_scenario_round_trips(raw):
         )
         assert yaml.dump(normalize_scenario(scenario), Dumper=dumper, sort_keys=True) == text
         assert scenario_from_mapping(yaml.load(text, Loader=loader)) == scenario
+
+
+def _list_items(node, path: str = ""):
+    """(path, list, index) of every scalar list item in a raw scenario."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _list_items(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            if isinstance(value, (dict, list)):
+                yield from _list_items(value, f"{path}[{i}]")
+            else:
+                yield f"{path}[{i}]", node, i
+
+
+def _wrong_kind(value):
+    """Values of another kind than ``value``: a number for a bool, and a
+    string, a bool or (for an int) a fractional float for a number."""
+    if isinstance(value, bool):
+        return st.sampled_from([0, 1, 1.5, "no"])
+    if isinstance(value, int):
+        return st.sampled_from([0.5, "x", True])
+    return st.sampled_from(["x", True, False])
+
+
+@settings(max_examples=75, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_a_list_item_of_the_wrong_kind_is_rejected_naming_its_path(data):
+    raw = data.draw(_scenarios())
+    # One field first, then one of its items, so that long lists (a
+    # covariance, the coefficients) do not crowd out short ones.
+    by_field = {}
+    for path, items, i in _list_items(raw):
+        by_field.setdefault(re.sub(r"\[\d+\]", "[]", path), []).append((path, items, i))
+    field = data.draw(st.sampled_from(sorted(by_field)))
+    path, items, i = data.draw(st.sampled_from(by_field[field]))
+    items[i] = data.draw(_wrong_kind(items[i]))
+    with pytest.raises(ConfigError) as excinfo:
+        scenario_from_mapping(raw)
+    assert str(excinfo.value).startswith(f"{path}: expected ")
