@@ -47,14 +47,11 @@ EXIT_INVARIANT = 4
 def _apply_overrides(scenario: Scenario, seed: Optional[int], replicates: Optional[int]):
     if seed is not None:
         scenario.seed = seed
-        scenario.world = dataclasses.replace(scenario.world, master_seed=seed).validate()
-        if scenario.gallery is not None:
-            scenario.gallery.low_world = dataclasses.replace(
-                scenario.gallery.low_world, master_seed=seed
-            ).validate()
-            scenario.gallery.high_world = dataclasses.replace(
-                scenario.gallery.high_world, master_seed=seed
-            ).validate()
+        scenario.world = dataclasses.replace(scenario.world, master_seed=seed)
+        gal = scenario.gallery
+        if gal is not None:
+            gal.low_world = dataclasses.replace(gal.low_world, master_seed=seed)
+            gal.high_world = dataclasses.replace(gal.high_world, master_seed=seed)
     if replicates is not None:
         if replicates < 2:
             raise ConfigError(f"--replicates: must be >= 2, got {replicates}")

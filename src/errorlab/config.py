@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 import yaml
 
 from .errors import ConfigError, InvalidSpecError
-from .experiments import AxisLevel, InformationAxis, PanelScenario, level_world
+from .experiments import AxisLevel, InformationAxis, PanelScenario, level_omit
 from .models import REGIMES, ModelSpec
 from .worldgen import (
     TargetNoiseSpec,
@@ -126,10 +126,6 @@ def _section(cls, cfg, path: str, **given):
     return section
 
 
-def _model(cfg, path: str) -> ModelSpec:
-    return spec_from_config(ModelSpec, cfg, path).validate()
-
-
 def _world(cfg, path: str, seed: int) -> World:
     world_cfg = as_mapping(cfg, path)
     if not world_cfg:
@@ -153,7 +149,7 @@ def _axis_from_config(cfg, path: str, worlds: Sequence[World]) -> InformationAxi
         axis = InformationAxis(levels=tuple(levels))
         for world in worlds:
             for level in axis.levels:
-                level_world(world, level)
+                level_omit(world, level)
     except InvalidSpecError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return axis
@@ -171,18 +167,20 @@ def _panels_from_config(cfg, world: World, axis: InformationAxis) -> list[PanelS
         path = f"panels.variants[{i}]"
         raw = as_mapping(raw, path)
         target = raw.pop("target_noise", None)
-        if target is not None:
-            target = spec_from_config(TargetNoiseSpec, target, f"{path}.target_noise")
         feature = raw.pop("feature_noise", None)
-        if feature is not None:
-            feature = feature_noise_from_config(feature, world.input_dim, f"{path}.feature_noise")
-        scenario = spec_from_config(
-            PanelScenario, raw, path, target_noise=target, feature_noise=feature
-        )
-        try:
-            variant_world = scenario.validate().apply(world)
+        try:  # a broken rule names the variant; a ConfigError names its own path
+            if target is not None:
+                target = spec_from_config(TargetNoiseSpec, target, f"{path}.target_noise")
+            if feature is not None:
+                feature = feature_noise_from_config(
+                    feature, world.input_dim, f"{path}.feature_noise"
+                )
+            scenario = spec_from_config(
+                PanelScenario, raw, path, target_noise=target, feature_noise=feature
+            )
+            variant_world = scenario.apply(world)
             for level in axis.levels:
-                level_world(variant_world, level)
+                level_omit(variant_world, level)
         except InvalidSpecError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         scenarios.append(scenario)
@@ -196,7 +194,7 @@ def _gallery_side(cfg, path: str, seed: int) -> tuple[World, ModelSpec]:
     if not side:
         raise ConfigError(f"{path}: required section is missing")
     world = _world(side.pop("world", None), f"{path}.world", seed)
-    model = _model(side.pop("model", None), f"{path}.model")
+    model = spec_from_config(ModelSpec, side.pop("model", None), f"{path}.model")
     reject_unknown(side, path)
     return world, model
 
@@ -214,7 +212,7 @@ def scenario_from_mapping(raw: Mapping) -> Scenario:
         raise ConfigError("seed: required field is missing")
     seed = coerce(int, cfg.pop("seed"), "seed")
     world = _world(cfg.pop("world", None), "world", seed)
-    model = _model(cfg.pop("model", None), "model")
+    model = spec_from_config(ModelSpec, cfg.pop("model", None), "model")
     simulate = _section(SimulateConfig, cfg.pop("simulate", None), "simulate")
     decompose = _section(DecomposeConfig, cfg.pop("decompose", None), "decompose")
     biasvar = _section(BiasVarConfig, cfg.pop("biasvar", None), "biasvar")

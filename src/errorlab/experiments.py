@@ -46,9 +46,6 @@ class InformationAxis:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "levels", tuple(self.levels))
-        self.validate()
-
-    def validate(self) -> "InformationAxis":
         if not self.levels:
             raise InvalidSpecError("axis.levels: must not be empty")
         for idx, level in enumerate(self.levels):
@@ -75,7 +72,20 @@ class InformationAxis:
                 raise InvalidSpecError(
                     f"axis.levels[{idx + 1}]: fidelity factors increase; levels must be nested"
                 )
-        return self
+
+
+def level_omit(world: World, level: AxisLevel) -> tuple[bool, ...]:
+    """The omission mask seen at ``level``: the world's own, plus every
+    feature outside the level's subset.  Raises when the subset names a
+    feature the world does not have or the mask leaves none observed."""
+    d = world.input_dim
+    if any(j >= d for j in level.features):
+        raise InvalidSpecError(f"axis level {list(level.features)}: feature index >= input_dim {d}")
+    visible = set(level.features)
+    omit = tuple(world.feature_noise.omit[j] or (j not in visible) for j in range(d))
+    if all(omit):
+        raise InvalidSpecError(f"axis level {list(level.features)} leaves no observed features")
+    return omit
 
 
 def level_world(world: World, level: AxisLevel) -> World:
@@ -87,22 +97,19 @@ def level_world(world: World, level: AxisLevel) -> World:
     master seed, is untouched, so draws stay paired across levels.
     """
     fy, fx = level.fidelity
-    d = world.input_dim
-    if any(j >= d for j in level.features):
-        raise InvalidSpecError(f"axis level {list(level.features)}: feature index >= input_dim {d}")
     tn = world.target_noise
-    target = dataclasses.replace(
-        tn, mean=tn.mean * fy, variance=tn.variance * fy * fy, step=tn.step * fy
-    )
+    if tn.distribution == "quantization" and tn.step * fy == 0.0:
+        # Fidelity 0, or a step that underflows to 0: the channel is off.
+        target = TargetNoiseSpec()
+    else:
+        target = dataclasses.replace(
+            tn, mean=tn.mean * fy, variance=tn.variance * fy * fy, step=tn.step * fy
+        )
     fn = world.feature_noise
-    visible = set(level.features)
-    omit = tuple(fn.omit[j] or (j not in visible) for j in range(d))
-    if all(omit):
-        raise InvalidSpecError(f"axis level {list(level.features)} leaves no observed features")
     feature = FeatureNoiseSpec(
         means=tuple(m * fx for m in fn.means),
         cov=tuple(tuple(v * fx * fx for v in row) for row in fn.cov),
-        omit=omit,
+        omit=level_omit(world, level),
         coarsen=tuple(s * fx for s in fn.coarsen),
     )
     return dataclasses.replace(world, target_noise=target, feature_noise=feature)
@@ -264,7 +271,7 @@ class PanelScenario:
     target_noise: Optional[TargetNoiseSpec] = None
     feature_noise: Optional[FeatureNoiseSpec] = None
 
-    def validate(self) -> "PanelScenario":
+    def __post_init__(self) -> None:
         if self.variant not in PANEL_VARIANTS:
             raise InvalidSpecError(f"panel variant: unknown {self.variant!r}")
         if self.variant == "baseline" and (self.target_noise or self.feature_noise):
@@ -279,13 +286,11 @@ class PanelScenario:
                 raise InvalidSpecError(
                     "reconstructed_features overrides feature_noise and nothing else"
                 )
-        return self
 
     def apply(self, world: World) -> World:
         if self.variant == "reconstructed_target":
-            return dataclasses.replace(world, target_noise=self.target_noise.validate())
+            return dataclasses.replace(world, target_noise=self.target_noise)
         if self.variant == "reconstructed_features":
-            self.feature_noise.validate(world.input_dim)
             return dataclasses.replace(world, feature_noise=self.feature_noise)
         return world
 
@@ -323,8 +328,7 @@ def run_panel_scenarios(
     differences isolate the declared override; in particular a duplicated
     baseline reproduces the baseline curve bit for bit.
     """
-    scenario_list = [s.validate() for s in scenarios]
-    if not any(s.variant == "baseline" for s in scenario_list):
+    if not any(s.variant == "baseline" for s in scenarios):
         raise InvalidSpecError("panel scenarios need at least one baseline")
     curves = [
         run_learning_curve(
@@ -337,12 +341,12 @@ def run_panel_scenarios(
             base_label=base_label,
             workers=workers,
         )
-        for s in scenario_list
+        for s in scenarios
     ]
-    base_idx = next(i for i, s in enumerate(scenario_list) if s.variant == "baseline")
+    base_idx = next(i for i, s in enumerate(scenarios) if s.variant == "baseline")
     base_terminal = curves[base_idx].replicate_mse[-1]
     comparisons = []
-    for s, curve in zip(scenario_list, curves):
+    for s, curve in zip(scenarios, curves):
         diff = base_terminal - curve.replicate_mse[-1]
         mean_diff = float(diff.mean())
         se_diff = float(diff.std(ddof=1) / np.sqrt(replicates))

@@ -60,8 +60,6 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         coerce_fields(self, widths=(int,))
-
-    def validate(self) -> "ModelSpec":
         if self.family not in _FAMILIES:
             raise InvalidSpecError(f"model.family: unknown family {self.family!r}")
         if self.lam < 0:
@@ -78,7 +76,6 @@ class ModelSpec:
             raise InvalidSpecError("model.batch_size: must be >= 1")
         if self.learning_rate <= 0:
             raise InvalidSpecError("model.learning_rate: must be positive")
-        return self
 
 
 @dataclass
@@ -421,7 +418,6 @@ def check_gradients(
 
     Runs at the spec's initial parameters on the full probe batch.
     """
-    spec.validate()
     if spec.family != "mlp":
         raise InvalidSpecError("check_gradients applies to the mlp family only")
     x, y = _check_training_arrays(x, y)
@@ -459,7 +455,6 @@ _FAMILIES = {
 
 
 def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray, regime: str = "OO") -> FittedModel:
-    spec.validate()
     if regime not in _REGIME_FIELDS:
         raise InvalidSpecError(f"unknown training regime {regime!r}")
     fit_family, _ = _FAMILIES[spec.family]
@@ -539,7 +534,7 @@ def model_from_json(text: str) -> FittedModel:
         raise InvalidSpecError(
             f"unsupported model schema_version {doc.get('schema_version')!r}"
         )
-    spec = spec_from_config(ModelSpec, doc["spec"], "spec").validate()
+    spec = spec_from_config(ModelSpec, doc["spec"], "spec")
     regime = doc.get("regime")
     if not isinstance(regime, str) or regime not in _REGIME_FIELDS:
         raise InvalidSpecError(f"unknown training regime {regime!r}")

@@ -89,8 +89,6 @@ class TrueFunctionSpec:
 
     def __post_init__(self) -> None:
         coerce_fields(self, coefficients=(float,), interactions=((int, int, float),))
-
-    def validate(self) -> "TrueFunctionSpec":
         if self.family not in FUNCTION_FAMILIES:
             raise InvalidSpecError(f"f_star.family: unknown family {self.family!r}")
         d = self.input_dim
@@ -127,7 +125,6 @@ class TrueFunctionSpec:
         for i, j, _ in self.interactions:
             if not (0 <= i < d and 0 <= j < d):
                 raise InvalidSpecError("f_star.interactions: index out of range")
-        return self
 
     def values(self, x: np.ndarray) -> np.ndarray:
         """Evaluate at an n x input_dim matrix; deterministic."""
@@ -187,7 +184,7 @@ class AleatoricSpec:
     mixture_separation: float = 0.7
     het_link: Optional[str] = None
 
-    def validate(self) -> "AleatoricSpec":
+    def __post_init__(self) -> None:
         if self.distribution not in ALEATORIC_DISTRIBUTIONS:
             raise InvalidSpecError(f"aleatoric.distribution: unknown {self.distribution!r}")
         if self.variance < 0:
@@ -198,7 +195,6 @@ class AleatoricSpec:
             raise InvalidSpecError("aleatoric.mixture_separation: must lie in [0, 1)")
         if self.het_link is not None and self.het_link not in HET_LINKS:
             raise InvalidSpecError(f"aleatoric.het_link: unknown link {self.het_link!r}")
-        return self
 
     def _unit_noise(self, rng: np.random.Generator, n: int) -> np.ndarray:
         # Mean 0, variance 1 in population for every distribution.
@@ -237,22 +233,17 @@ class TargetNoiseSpec:
     variance: float = 0.0
     step: float = 0.0
 
-    def validate(self) -> "TargetNoiseSpec":
+    def __post_init__(self) -> None:
         if self.distribution not in TARGET_DISTRIBUTIONS:
             raise InvalidSpecError(f"target_noise.distribution: unknown {self.distribution!r}")
         if self.variance < 0:
             raise InvalidSpecError("target_noise.variance: must be nonnegative")
         if self.distribution == "quantization" and self.step <= 0:
             raise InvalidSpecError("target_noise.step: quantization needs step > 0")
-        return self
 
     def corrupt(self, rng: np.random.Generator, y_true: np.ndarray) -> np.ndarray:
         n = y_true.shape[0]
         if self.distribution == "quantization":
-            # A zero step only arises from fidelity scaling; it disables the
-            # channel (validation requires step > 0 at build time).
-            if self.step == 0.0:
-                return y_true.copy()
             return self.step * np.round(y_true / self.step)
         if self.distribution == "gaussian":
             draw = self.mean + math.sqrt(self.variance) * rng.standard_normal(n)
@@ -279,6 +270,10 @@ class FeatureNoiseSpec:
 
     def __post_init__(self) -> None:
         coerce_fields(self, means=(float,), cov=((float,),), omit=(bool,), coarsen=(float,))
+        if all(self.omit):
+            raise InvalidSpecError("feature_noise.omit: at least one feature must stay observed")
+        if any(s < 0 for s in self.coarsen):
+            raise InvalidSpecError("feature_noise.coarsen: steps must be nonnegative")
 
     @staticmethod
     def none(input_dim: int) -> "FeatureNoiseSpec":
@@ -286,7 +281,8 @@ class FeatureNoiseSpec:
         cov = tuple(tuple(0.0 for _ in range(input_dim)) for _ in range(input_dim))
         return FeatureNoiseSpec(means=zero, cov=cov, omit=(False,) * input_dim, coarsen=zero)
 
-    def validate(self, input_dim: int) -> "FeatureNoiseSpec":
+    def validate(self, input_dim: int) -> None:
+        """The rules that need the world's input dimension."""
         if len(self.means) != input_dim:
             raise InvalidSpecError(
                 f"feature_noise.means: expected length {input_dim}, got {len(self.means)}"
@@ -295,17 +291,12 @@ class FeatureNoiseSpec:
             raise InvalidSpecError(
                 f"feature_noise.omit: expected length {input_dim}, got {len(self.omit)}"
             )
-        if all(self.omit):
-            raise InvalidSpecError("feature_noise.omit: at least one feature must stay observed")
         if len(self.coarsen) != input_dim:
             raise InvalidSpecError(
                 f"feature_noise.coarsen: expected length {input_dim}, got {len(self.coarsen)}"
             )
-        if any(s < 0 for s in self.coarsen):
-            raise InvalidSpecError("feature_noise.coarsen: steps must be nonnegative")
         _check_square(self.cov, input_dim, "feature_noise.cov")
         self.factor  # raises on an asymmetric or non-PSD cov
-        return self
 
     @cached_property
     def factor(self) -> np.ndarray:
@@ -338,14 +329,13 @@ class SelectionSpec:
     score: str = "epsilon"
     coverage: float = 1.0
 
-    def validate(self) -> "SelectionSpec":
+    def __post_init__(self) -> None:
         if self.rule not in SELECTION_RULES:
             raise InvalidSpecError(f"selection.rule: unknown rule {self.rule!r}")
         if self.score not in SCORE_TAGS:
             raise InvalidSpecError(f"selection.score: unknown score {self.score!r}")
         if not (0.0 < self.coverage <= 1.0):
             raise InvalidSpecError("selection.coverage: must lie in (0, 1]")
-        return self
 
     def _scores(self, x_true: np.ndarray, epsilon: np.ndarray, y_true: np.ndarray) -> np.ndarray:
         if self.score == "epsilon":
@@ -384,18 +374,18 @@ class XDistributionSpec:
     def __post_init__(self) -> None:
         if self.cov is not None:
             coerce_fields(self, cov=((float,),))
-
-    def validate(self, input_dim: int) -> "XDistributionSpec":
         if self.kind not in X_KINDS:
             raise InvalidSpecError(f"x.kind: unknown kind {self.kind!r}")
         if self.kind == "uniform" and not self.high > self.low:
             raise InvalidSpecError("x.high: uniform box needs high > low")
+        if self.kind == "correlated" and self.cov is None:
+            raise InvalidSpecError("x.cov: correlated gaussian needs a covariance matrix")
+
+    def validate(self, input_dim: int) -> None:
+        """The rules that need the world's input dimension."""
         if self.kind == "correlated":
-            if self.cov is None:
-                raise InvalidSpecError("x.cov: correlated gaussian needs a covariance matrix")
             _check_square(self.cov, input_dim, "x.cov")
             self.factor  # raises on an asymmetric or non-PSD cov
-        return self
 
     @cached_property
     def factor(self) -> np.ndarray:
@@ -430,16 +420,13 @@ class World:
     def observed_dim(self) -> int:
         return len(self.feature_noise.observed_indices())
 
-    def validate(self) -> "World":
-        self.f_star.validate()
+    def __post_init__(self) -> None:
+        # Each section checked its own rules when it was built; these need
+        # the input dimension, which only the world knows.
         self.x_dist.validate(self.input_dim)
-        self.aleatoric.validate()
-        self.target_noise.validate()
         self.feature_noise.validate(self.input_dim)
-        self.selection.validate()
         if not (0 <= self.master_seed < 2**64):
             raise InvalidSpecError("master_seed: must fit in an unsigned 64-bit integer")
-        return self
 
 
 @dataclass
@@ -483,7 +470,7 @@ def reject_unknown(rest: Mapping, path: str) -> None:
     """Raise naming the first key left over once a section is parsed."""
     if rest:
         key = sorted(map(str, rest))[0]
-        raise InvalidSpecError(f"{path}.{key}: unknown field" if path else f"{key}: unknown field")
+        raise ConfigError(f"{path}.{key}: unknown field" if path else f"{key}: unknown field")
 
 
 def coerce(kind, value, path: str):
@@ -494,8 +481,9 @@ def coerce(kind, value, path: str):
     split it into characters) into a tuple, item by item, an item's error
     naming ``path[i]``: one kind reads a list of any length, several kinds
     exactly one item per kind.  A float with a fractional part is not read
-    as an int (``int(2.5)`` would truncate it).  A bool is read only as a
-    bool, and only a bool is read as one."""
+    as an int (``int(2.5)`` would truncate it), nor NaN or an infinity as a
+    float.  A bool is read only as a bool, and only a bool is read as one;
+    only a str is read as a str."""
 
     def wrong() -> ConfigError:
         if isinstance(kind, tuple):
@@ -508,18 +496,25 @@ def coerce(kind, value, path: str):
         if not isinstance(value, (list, tuple, np.ndarray)) or len(kind) not in (1, len(value)):
             raise wrong()
         kinds = kind * len(value) if len(kind) == 1 else kind
-        return tuple(  # an item already of its kind is kept, its path never built
-            v if type(v) is k else coerce(k, v, f"{path}[{i}]")
+        return tuple(  # an item already of its kind (and finite) is kept, its path never built
+            v
+            if type(v) is k and (k is not float or math.isfinite(v))
+            else coerce(k, v, f"{path}[{i}]")
             for i, (k, v) in enumerate(zip(kinds, value))
         )
     if (kind is bool) != isinstance(value, (bool, np.bool_)):
         raise wrong()
+    if kind is str and not isinstance(value, str):
+        raise wrong()
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise wrong()
     try:
-        return kind(value)
+        out = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise wrong() from exc
+    if kind is float and not math.isfinite(out):
+        raise ConfigError(f"{path}: expected a finite float, got {value!r}")
+    return out
 
 
 def coerce_fields(spec, **kinds) -> None:
@@ -538,7 +533,8 @@ def spec_from_config(cls, cfg: Mapping, path: str, **given):
     own converter (``__post_init__``) to read, and a field with no default
     is required.  Keys naming no field, and the keys of the ``given``
     fields, are rejected: their caller reads them.  A value of the wrong
-    type raises :class:`ConfigError` naming its key.
+    type raises :class:`ConfigError` naming its key; a rule the built
+    instance breaks, the class's own :class:`InvalidSpecError`.
     """
     rest = as_mapping(cfg, path)
     values = dict(given)
@@ -551,7 +547,7 @@ def spec_from_config(cls, cfg: Mapping, path: str, **given):
                 value = coerce(type(f.default), value, f"{path}.{f.name}")
             values[f.name] = value
         elif f.default is MISSING:
-            raise InvalidSpecError(f"{path}.{f.name}: required field is missing")
+            raise ConfigError(f"{path}.{f.name}: required field is missing")
     reject_unknown(rest, path)
     try:
         return cls(**values)
@@ -598,10 +594,10 @@ def feature_noise_from_config(cfg: Mapping, input_dim: int, path: str) -> Featur
 
 
 def build_world(config: Mapping, path: str = "world") -> World:
-    """Build and validate a World from a nested mapping (the scenario
-    ``world`` section plus a ``seed`` key).  Raises
-    :class:`InvalidSpecError` naming the first violated field, ``path``
-    being the section's own name."""
+    """Build a World from a nested mapping (the scenario ``world`` section
+    plus a ``seed`` key).  Raises :class:`InvalidSpecError` or
+    :class:`ConfigError` naming the first violated field, ``path`` being the
+    section's own name."""
     cfg = dict(config)
 
     def section(name: str) -> dict:
@@ -616,12 +612,11 @@ def build_world(config: Mapping, path: str = "world") -> World:
     interactions = []
     for i, item in enumerate(f_cfg.pop("interactions", None) or []):
         item_path = f"{path}.f_star.interactions[{i}]"
-        try:
-            pair, weight = item["pair"], item["weight"]
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(
-                f"{item_path}: expected {{pair: [i, j], weight: w}}, got {item!r}"
-            ) from exc
+        rest = dict(item) if isinstance(item, Mapping) else {}
+        if not {"pair", "weight"} <= rest.keys():
+            raise ConfigError(f"{item_path}: expected {{pair: [i, j], weight: w}}, got {item!r}")
+        pair, weight = rest.pop("pair"), rest.pop("weight")
+        reject_unknown(rest, item_path)
         pair = coerce((int, int), pair, f"{item_path}.pair")
         interactions.append((*pair, coerce(float, weight, f"{item_path}.weight")))
     f_star = spec_from_config(
@@ -646,7 +641,7 @@ def build_world(config: Mapping, path: str = "world") -> World:
     master_seed = coerce(int, cfg.pop("seed"), f"{path}.seed")
     reject_unknown(cfg, path)
 
-    world = World(
+    return World(
         f_star=f_star,
         x_dist=x_dist,
         aleatoric=aleatoric,
@@ -655,7 +650,6 @@ def build_world(config: Mapping, path: str = "world") -> World:
         selection=selection,
         master_seed=master_seed,
     )
-    return world.validate()
 
 
 def world_to_config(world: World) -> dict:

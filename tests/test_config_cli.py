@@ -599,6 +599,24 @@ def _with_level(**fields) -> dict:
             _with_interactions([{"pair": [0, 1.5], "weight": 1}]),
             "world.f_star.interactions[0].pair[1]: expected int, got 1.5",
         ),
+        # Non-finite numbers, which would run and fail late or not at all.
+        (
+            {"world": {"f_star": {"coefficients": [float("nan"), -2.0, 0.7]}}},
+            "world.f_star.coefficients[0]: expected a finite float, got nan",
+        ),
+        (
+            {"world": {"aleatoric": {"variance": float("inf")}}},
+            "world.aleatoric.variance: expected a finite float, got inf",
+        ),
+        (
+            {"world": {"x": {"kind": "uniform", "dim": 3, "high": float("inf")}}},
+            "world.x.high: expected a finite float, got inf",
+        ),
+        (
+            _with_interactions([{"pair": [0, 1], "weight": 1.0, "wieght": 5}]),
+            "world.f_star.interactions[0].wieght: unknown field",
+        ),
+        ({"simulate": {"label": 5}}, "simulate.label: expected str, got 5"),
     ],
 )
 def test_wrong_typed_value_exits_two_naming_the_key(tmp_path, capsys, sections, message):
@@ -609,6 +627,11 @@ def test_wrong_typed_value_exits_two_naming_the_key(tmp_path, capsys, sections, 
     assert err.startswith("config error: ")
     assert message in err
     assert not (tmp_path / "t").exists()
+
+
+def test_a_number_spelled_as_a_string_is_read(tmp_path):
+    scenario = parse_config(_standard_with(tmp_path, simulate={"n": "1000", "label": "5"}))
+    assert (scenario.simulate.n, scenario.simulate.label) == (1000, "5")
 
 
 class _CountingPool:

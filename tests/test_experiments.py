@@ -75,6 +75,16 @@ def test_level_world_zero_fidelity_disables_channels():
     assert np.array_equal(bundle.x_observed, bundle.x_true)
 
 
+def test_level_world_quantization_step_underflowing_to_zero_disables_the_channel():
+    # step * fy is 0.0 at a fidelity above 0; no quantization spec can have
+    # a zero step, so the level's target channel is off, as at fidelity 0.
+    world = make_world(target_noise={"distribution": "quantization", "step": 1e-200})
+    clean = level_world(world, AxisLevel(100, FEATS, (1e-200, 1.0)))
+    assert clean.target_noise == TargetNoiseSpec()
+    bundle = el.sample(clean, 200, "underflow")
+    assert np.array_equal(bundle.y_observed, bundle.y_true)
+
+
 # ---------------------------------------------------------------------------
 # learning curves
 
@@ -306,15 +316,15 @@ def _panel_axis():
 
 def test_panel_variant_validation():
     with pytest.raises(InvalidSpecError):
-        PanelScenario("baseline", target_noise=TargetNoiseSpec(variance=1.0)).validate()
+        PanelScenario("baseline", target_noise=TargetNoiseSpec(variance=1.0))
     with pytest.raises(InvalidSpecError):
-        PanelScenario("reconstructed_target").validate()
+        PanelScenario("reconstructed_target")
     with pytest.raises(InvalidSpecError):
         PanelScenario(
             "reconstructed_target",
             target_noise=TargetNoiseSpec(variance=1.0),
             feature_noise=FeatureNoiseSpec.none(3),
-        ).validate()
+        )
 
 
 def test_duplicated_baseline_curves_are_bit_identical():

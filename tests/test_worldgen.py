@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 import errorlab as el
 from errorlab import worldgen
 from errorlab.errors import EmptySelectionError, InvalidSpecError
+from errorlab.models import ModelSpec
+from errorlab.worldgen import AleatoricSpec, SelectionSpec, TargetNoiseSpec
 
 from conftest import make_world
 
@@ -34,6 +37,53 @@ def test_non_psd_feature_cov_rejected():
             f_star={"family": "linear", "coefficients": [1.0, 1.0]},
             feature_noise={"cov": cov},
         )
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda w: dataclasses.replace(w, aleatoric=AleatoricSpec(variance=-1.0)),
+            "aleatoric.variance",
+        ),
+        (
+            lambda w: dataclasses.replace(w, target_noise=TargetNoiseSpec(variance=-1.0)),
+            "target_noise.variance",
+        ),
+        (
+            lambda w: dataclasses.replace(
+                w, selection=SelectionSpec(rule="threshold", coverage=2.0)
+            ),
+            "selection.coverage",
+        ),
+        (lambda w: dataclasses.replace(w, selection=SelectionSpec(rule="bogus")), "selection.rule"),
+        (lambda w: dataclasses.replace(w, master_seed=-1), "master_seed"),
+        (
+            lambda w: dataclasses.replace(
+                w, f_star=dataclasses.replace(w.f_star, coefficients=(1.0, -1.0, 2.0))
+            ),
+            "f_star.coefficients: linear family needs 2 coefficients, got 3",
+        ),
+        (lambda w: ModelSpec(k=0), "model.k"),
+    ],
+    ids=[
+        "aleatoric-variance",
+        "target-variance",
+        "threshold-coverage",
+        "unknown-rule",
+        "negative-seed",
+        "extra-coefficient",
+        "knn-k",
+    ],
+)
+def test_a_broken_rule_raises_when_the_spec_is_built(build, message):
+    # No caller has to remember a check: dataclasses.replace builds anew.
+    world = make_world(
+        x={"kind": "gaussian", "dim": 2},
+        f_star={"family": "linear", "coefficients": [1.0, -1.0]},
+    )
+    with pytest.raises(InvalidSpecError, match=message):
+        build(world)
 
 
 def test_non_psd_x_cov_rejected_on_every_validation():
