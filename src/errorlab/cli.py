@@ -44,23 +44,6 @@ EXIT_NUMERICAL = 3
 EXIT_INVARIANT = 4
 
 
-def _apply_overrides(scenario: Scenario, seed: Optional[int], replicates: Optional[int]):
-    if seed is not None:
-        scenario.seed = seed
-        scenario.world = dataclasses.replace(scenario.world, master_seed=seed)
-        gal = scenario.gallery
-        if gal is not None:
-            gal.low_world = dataclasses.replace(gal.low_world, master_seed=seed)
-            gal.high_world = dataclasses.replace(gal.high_world, master_seed=seed)
-    if replicates is not None:
-        if replicates < 2:
-            raise ConfigError(f"--replicates: must be >= 2, got {replicates}")
-        for section in (scenario.biasvar, scenario.curve, scenario.gallery):
-            if section is not None:
-                section.replicates = replicates
-    return scenario
-
-
 _POINT_FIELDS = [f.name for f in dataclasses.fields(LearningCurvePoint)]
 _CURVE_HEADER = ["scenario", "variant", *_POINT_FIELDS]
 
@@ -205,7 +188,7 @@ def _cmd_panels(scenario: Scenario, workers: int) -> dict[str, str]:
     cfg = _required(scenario, "curve")
     result = run_panel_scenarios(
         scenario.world,
-        _required(scenario, "panels"),
+        _required(scenario, "panels").variants,
         cfg.axis,
         scenario.model,
         cfg.replicates,
@@ -228,10 +211,10 @@ def _cmd_panels(scenario: Scenario, workers: int) -> dict[str, str]:
 def _cmd_gallery(scenario: Scenario, workers: int) -> dict[str, str]:
     cfg = _required(scenario, "gallery")
     result = regime_gallery(
-        cfg.low_world,
-        cfg.low_model,
-        cfg.high_world,
-        cfg.high_model,
+        cfg.low.world,
+        cfg.low.model,
+        cfg.high.world,
+        cfg.high.model,
         cfg.axis,
         cfg.replicates,
         test_points=cfg.test_points,
@@ -243,9 +226,7 @@ def _cmd_gallery(scenario: Scenario, workers: int) -> dict[str, str]:
     payload = {}
     for side in sides:
         payload[side.name] = {
-            "ceiling_mse": side.ceiling.ceiling_mse,
-            "ceiling_r2": side.ceiling.ceiling_r2,
-            "se_ceiling_r2": side.ceiling.se_ceiling_r2,
+            **dataclasses.asdict(side.ceiling),
             "attainment_level": side.attainment_level,
             "monotone_under_ci": monotone_under_ci(side.curve.points),
         }
@@ -282,8 +263,7 @@ def run(command: str, config, out, seed=None, workers: int = 1, replicates=None)
     directory ``out``; validates fully before any output is written.  The
     parameters are the command-line options (see ``build_parser``)."""
     started = time.perf_counter()
-    scenario = parse_config(config)
-    scenario = _apply_overrides(scenario, seed, replicates)
+    scenario = parse_config(config, seed, replicates)
     normalized = scenario_to_yaml(scenario)
     config_hash = sha256_text(normalized + f"|command={command}|replicates={replicates}")
 

@@ -27,7 +27,6 @@ from .worldgen import (
     reject_unknown,
     spec_from_config,
     spec_to_config,
-    world_to_config,
 )
 
 SCENARIO_SCHEMA_VERSION = 1
@@ -40,19 +39,19 @@ else:
     SafeLoader, SafeDumper = yaml.SafeLoader, yaml.SafeDumper
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulateConfig:
     n: int = 1000
     label: str = "simulate"
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecomposeConfig:
     train_n: int = 400
     n: int = 1000
 
 
-@dataclass
+@dataclass(frozen=True)
 class BiasVarConfig:
     regime: str = "TT"
     n_train: int = 200
@@ -61,12 +60,12 @@ class BiasVarConfig:
     components_replicates: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProbeConfig:
     n: int = 20000
 
 
-@dataclass
+@dataclass(frozen=True)
 class CurveConfig:
     axis: InformationAxis
     replicates: int = 30
@@ -74,19 +73,28 @@ class CurveConfig:
     comp_points: int = 512
 
 
-@dataclass
+@dataclass(frozen=True)
+class GallerySide:
+    world: World
+    model: ModelSpec
+
+
+@dataclass(frozen=True)
 class GalleryConfig:
-    low_world: World
-    low_model: ModelSpec
-    high_world: World
-    high_model: ModelSpec
+    low: GallerySide
+    high: GallerySide
     axis: InformationAxis
     replicates: int = 20
     test_points: int = 10_000
     ceiling_n: int = 100_000
 
 
-@dataclass
+@dataclass(frozen=True)
+class PanelsConfig:
+    variants: tuple[PanelScenario, ...]
+
+
+@dataclass(frozen=True)
 class Scenario:
     seed: int
     world: World
@@ -96,7 +104,7 @@ class Scenario:
     biasvar: BiasVarConfig
     probe: ProbeConfig
     curve: Optional[CurveConfig]
-    panels: Optional[list[PanelScenario]]
+    panels: Optional[PanelsConfig]
     gallery: Optional[GalleryConfig]
 
 
@@ -114,23 +122,33 @@ _INT_MINIMUM = {
 }
 
 
-def _section(cls, cfg, path: str, **given):
+def _section(cls, cfg, path: str, replicates: Optional[int] = None, **given):
     """A command section, with its integer fields checked against
-    ``_INT_MINIMUM``."""
+    ``_INT_MINIMUM``; ``replicates`` (``--replicates``), when given,
+    replaces the file's value."""
+    cfg = as_mapping(cfg, path)
+    if replicates is not None:
+        cfg["replicates"] = replicates
     section = spec_from_config(cls, cfg, path, **given)
     for f in fields(cls):
         value = getattr(section, f.name)
         minimum = _INT_MINIMUM.get(f"{path}.{f.name}", 1)
         if isinstance(f.default, int) and value < minimum:
-            raise ConfigError(f"{path}.{f.name}: must be >= {minimum}, got {value}")
+            overridden = f.name == "replicates" and replicates is not None
+            name = "--replicates" if overridden else f"{path}.{f.name}"
+            raise ConfigError(f"{name}: must be >= {minimum}, got {value}")
     return section
 
 
-def _world(cfg, path: str, seed: int) -> World:
+def _world(cfg, path: str, seed: int, overridden: bool) -> World:
+    """The world at ``path``.  Its own ``seed`` key wins over the scenario's
+    ``seed``, unless that was overridden (``--seed``): then it is every
+    world's seed."""
     world_cfg = as_mapping(cfg, path)
     if not world_cfg:
         raise ConfigError(f"{path}: required section is missing")
-    world_cfg.setdefault("seed", seed)
+    if overridden or "seed" not in world_cfg:
+        world_cfg["seed"] = seed
     return build_world(world_cfg, path)
 
 
@@ -155,7 +173,7 @@ def _axis_from_config(cfg, path: str, worlds: Sequence[World]) -> InformationAxi
     return axis
 
 
-def _panels_from_config(cfg, world: World, axis: InformationAxis) -> list[PanelScenario]:
+def _panels_from_config(cfg, world: World, axis: InformationAxis) -> PanelsConfig:
     """The panel variants, each checked on its world along the curve axis."""
     cfg = as_mapping(cfg, "panels")
     variants_cfg = cfg.pop("variants", None)
@@ -186,21 +204,23 @@ def _panels_from_config(cfg, world: World, axis: InformationAxis) -> list[PanelS
         scenarios.append(scenario)
     if not any(s.variant == "baseline" for s in scenarios):
         raise ConfigError("panels.variants: needs a baseline variant")
-    return scenarios
+    return PanelsConfig(variants=tuple(scenarios))
 
 
-def _gallery_side(cfg, path: str, seed: int) -> tuple[World, ModelSpec]:
+def _gallery_side(cfg, path: str, seed: int, overridden: bool) -> GallerySide:
     side = as_mapping(cfg, path)
     if not side:
         raise ConfigError(f"{path}: required section is missing")
-    world = _world(side.pop("world", None), f"{path}.world", seed)
+    world = _world(side.pop("world", None), f"{path}.world", seed, overridden)
     model = spec_from_config(ModelSpec, side.pop("model", None), f"{path}.model")
     reject_unknown(side, path)
-    return world, model
+    return GallerySide(world=world, model=model)
 
 
-def scenario_from_mapping(raw: Mapping) -> Scenario:
-    """Validate a parsed scenario mapping into typed objects."""
+def scenario_from_mapping(raw: Mapping, seed=None, replicates=None) -> Scenario:
+    """Validate a parsed scenario mapping into typed objects; ``seed`` and
+    ``replicates``, when given, override the file's (``--seed`` and
+    ``--replicates``)."""
     cfg = as_mapping(raw, "scenario")
     version = cfg.pop("schema_version", SCENARIO_SCHEMA_VERSION)
     if type(version) is not int or version != SCENARIO_SCHEMA_VERSION:
@@ -210,12 +230,14 @@ def scenario_from_mapping(raw: Mapping) -> Scenario:
         )
     if "seed" not in cfg:
         raise ConfigError("seed: required field is missing")
-    seed = coerce(int, cfg.pop("seed"), "seed")
-    world = _world(cfg.pop("world", None), "world", seed)
+    file_seed = coerce(int, cfg.pop("seed"), "seed")
+    overridden = seed is not None
+    seed = seed if overridden else file_seed
+    world = _world(cfg.pop("world", None), "world", seed, overridden)
     model = spec_from_config(ModelSpec, cfg.pop("model", None), "model")
     simulate = _section(SimulateConfig, cfg.pop("simulate", None), "simulate")
     decompose = _section(DecomposeConfig, cfg.pop("decompose", None), "decompose")
-    biasvar = _section(BiasVarConfig, cfg.pop("biasvar", None), "biasvar")
+    biasvar = _section(BiasVarConfig, cfg.pop("biasvar", None), "biasvar", replicates)
     if biasvar.regime not in REGIMES:
         raise ConfigError(f"biasvar.regime: unknown regime {biasvar.regime!r}")
     if biasvar.components_replicates == 1:
@@ -227,7 +249,7 @@ def scenario_from_mapping(raw: Mapping) -> Scenario:
     if cur_cfg is not None:
         cur_cfg = as_mapping(cur_cfg, "curve")
         axis = _axis_from_config(cur_cfg.pop("axis", None), "curve.axis", [world])
-        curve = _section(CurveConfig, cur_cfg, "curve", axis=axis)
+        curve = _section(CurveConfig, cur_cfg, "curve", replicates, axis=axis)
 
     panels = None
     panels_cfg = cfg.pop("panels", None)
@@ -240,18 +262,11 @@ def scenario_from_mapping(raw: Mapping) -> Scenario:
     gal_cfg = cfg.pop("gallery", None)
     if gal_cfg is not None:
         gal_cfg = as_mapping(gal_cfg, "gallery")
-        low_world, low_model = _gallery_side(gal_cfg.pop("low", None), "gallery.low", seed)
-        high_world, high_model = _gallery_side(gal_cfg.pop("high", None), "gallery.high", seed)
-        axis = _axis_from_config(gal_cfg.pop("axis", None), "gallery.axis", [low_world, high_world])
+        low = _gallery_side(gal_cfg.pop("low", None), "gallery.low", seed, overridden)
+        high = _gallery_side(gal_cfg.pop("high", None), "gallery.high", seed, overridden)
+        axis = _axis_from_config(gal_cfg.pop("axis", None), "gallery.axis", [low.world, high.world])
         gallery = _section(
-            GalleryConfig,
-            gal_cfg,
-            "gallery",
-            low_world=low_world,
-            low_model=low_model,
-            high_world=high_world,
-            high_model=high_model,
-            axis=axis,
+            GalleryConfig, gal_cfg, "gallery", replicates, low=low, high=high, axis=axis
         )
     reject_unknown(cfg, "")
 
@@ -269,8 +284,9 @@ def scenario_from_mapping(raw: Mapping) -> Scenario:
     )
 
 
-def parse_config(path) -> Scenario:
-    """Parse and validate a scenario file; no computation happens here."""
+def parse_config(path, seed=None, replicates=None) -> Scenario:
+    """Parse and validate a scenario file, with the overrides of
+    ``scenario_from_mapping``; no computation happens here."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"scenario file not found: {path}")
@@ -281,7 +297,7 @@ def parse_config(path) -> Scenario:
     if raw is None:
         raise ConfigError("scenario file is empty")
     try:
-        return scenario_from_mapping(raw)
+        return scenario_from_mapping(raw, seed, replicates)
     except InvalidSpecError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -289,31 +305,10 @@ def parse_config(path) -> Scenario:
 # ---------------------------------------------------------------------------
 # normalization
 
-_GALLERY_SIDES = ("low_world", "low_model", "high_world", "high_model")
-
-
 def normalize_scenario(scenario: Scenario) -> dict:
     """Canonical mapping with defaults materialized; reparsing it yields
     objects equal to the originals."""
-    out = spec_to_config(scenario, skip=("world", "panels", "gallery"))
-    out["schema_version"] = SCENARIO_SCHEMA_VERSION
-    out["world"] = world_to_config(scenario.world)
-    if scenario.panels is not None:
-        out["panels"] = {"variants": [spec_to_config(panel) for panel in scenario.panels]}
-    gal = scenario.gallery
-    if gal is not None:
-        out["gallery"] = {
-            **spec_to_config(gal, skip=_GALLERY_SIDES),
-            "low": {
-                "world": world_to_config(gal.low_world),
-                "model": spec_to_config(gal.low_model),
-            },
-            "high": {
-                "world": world_to_config(gal.high_world),
-                "model": spec_to_config(gal.high_model),
-            },
-        }
-    return out
+    return {**spec_to_config(scenario), "schema_version": SCENARIO_SCHEMA_VERSION}
 
 
 def scenario_to_yaml(scenario: Scenario) -> str:

@@ -62,8 +62,8 @@ class ModelSpec:
         coerce_fields(self, widths=(int,))
         if self.family not in _FAMILIES:
             raise InvalidSpecError(f"model.family: unknown family {self.family!r}")
-        if self.lam < 0:
-            raise InvalidSpecError("model.lam: ridge penalty must be nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise InvalidSpecError("model.lam: ridge penalty must be finite and nonnegative")
         if self.k < 1:
             raise InvalidSpecError("model.k: knn needs k >= 1")
         if any(w < 1 for w in self.widths):
@@ -74,8 +74,8 @@ class ModelSpec:
             raise InvalidSpecError("model.epochs: must be >= 1")
         if self.batch_size < 1:
             raise InvalidSpecError("model.batch_size: must be >= 1")
-        if self.learning_rate <= 0:
-            raise InvalidSpecError("model.learning_rate: must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise InvalidSpecError("model.learning_rate: must be finite and positive")
 
 
 @dataclass

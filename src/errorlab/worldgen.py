@@ -187,10 +187,12 @@ class AleatoricSpec:
     def __post_init__(self) -> None:
         if self.distribution not in ALEATORIC_DISTRIBUTIONS:
             raise InvalidSpecError(f"aleatoric.distribution: unknown {self.distribution!r}")
-        if self.variance < 0:
-            raise InvalidSpecError("aleatoric.variance: must be nonnegative")
-        if self.distribution == "student_t" and self.df <= 2:
-            raise InvalidSpecError("aleatoric.df: student_t needs df > 2 for finite variance")
+        if not math.isfinite(self.mean):
+            raise InvalidSpecError("aleatoric.mean: must be finite")
+        if not 0 <= self.variance < math.inf:
+            raise InvalidSpecError("aleatoric.variance: must be finite and nonnegative")
+        if self.distribution == "student_t" and not 2 < self.df < math.inf:
+            raise InvalidSpecError("aleatoric.df: student_t needs a finite df > 2")
         if not (0.0 <= self.mixture_separation < 1.0):
             raise InvalidSpecError("aleatoric.mixture_separation: must lie in [0, 1)")
         if self.het_link is not None and self.het_link not in HET_LINKS:
@@ -236,10 +238,12 @@ class TargetNoiseSpec:
     def __post_init__(self) -> None:
         if self.distribution not in TARGET_DISTRIBUTIONS:
             raise InvalidSpecError(f"target_noise.distribution: unknown {self.distribution!r}")
-        if self.variance < 0:
-            raise InvalidSpecError("target_noise.variance: must be nonnegative")
-        if self.distribution == "quantization" and self.step <= 0:
-            raise InvalidSpecError("target_noise.step: quantization needs step > 0")
+        if not math.isfinite(self.mean):
+            raise InvalidSpecError("target_noise.mean: must be finite")
+        if not 0 <= self.variance < math.inf:
+            raise InvalidSpecError("target_noise.variance: must be finite and nonnegative")
+        if self.distribution == "quantization" and not 0 < self.step < math.inf:
+            raise InvalidSpecError("target_noise.step: quantization needs a finite step > 0")
 
     def corrupt(self, rng: np.random.Generator, y_true: np.ndarray) -> np.ndarray:
         n = y_true.shape[0]
@@ -376,8 +380,10 @@ class XDistributionSpec:
             coerce_fields(self, cov=((float,),))
         if self.kind not in X_KINDS:
             raise InvalidSpecError(f"x.kind: unknown kind {self.kind!r}")
-        if self.kind == "uniform" and not self.high > self.low:
-            raise InvalidSpecError("x.high: uniform box needs high > low")
+        if self.kind == "uniform" and not math.isfinite(self.low):
+            raise InvalidSpecError("x.low: must be finite")
+        if self.kind == "uniform" and not self.low < self.high < math.inf:
+            raise InvalidSpecError("x.high: uniform box needs a finite high > low")
         if self.kind == "correlated" and self.cov is None:
             raise InvalidSpecError("x.cov: correlated gaussian needs a covariance matrix")
 
@@ -556,6 +562,8 @@ def spec_from_config(cls, cfg: Mapping, path: str, **given):
 
 
 def _plain(value):
+    if isinstance(value, World):
+        return world_to_config(value)
     if dataclasses.is_dataclass(value):
         return spec_to_config(value)
     if isinstance(value, (tuple, list)):
@@ -565,8 +573,9 @@ def _plain(value):
 
 def spec_to_config(spec, skip: Sequence[str] = ()) -> dict:
     """The mapping ``spec_from_config`` reads back into ``spec``: tuples
-    become lists and nested dataclasses mappings.  Fields whose value is
-    None are left out, as are the fields named in ``skip``."""
+    become lists, a nested World its ``world_to_config`` mapping and any
+    other nested dataclass its own mapping.  Fields whose value is None are
+    left out, as are the fields named in ``skip``."""
     out = {}
     for f in fields(spec):
         value = getattr(spec, f.name)
@@ -727,6 +736,11 @@ def sample(world: World, n: int, substream_label: str) -> SampleBundle:
 def verify_bundle(world: World, bundle: SampleBundle) -> None:
     """Assert the generative identities by recomputation; raises
     :class:`InvariantError` on any mismatch."""
+    expected_dim = world.observed_dim
+    if bundle.x_observed.shape[1] != expected_dim:
+        raise InvariantError(
+            f"x_observed has {bundle.x_observed.shape[1]} columns, expected {expected_dim}"
+        )
     recomputed = world.f_star.values(bundle.x_true) + bundle.epsilon
     if not np.array_equal(recomputed, bundle.y_true):
         raise InvariantError("y_true != f_star(x_true) + epsilon")
@@ -735,11 +749,6 @@ def verify_bundle(world: World, bundle: SampleBundle) -> None:
     observed = world.feature_noise.observe(bundle.x_true, bundle.delta_x)
     if not np.array_equal(observed, bundle.x_observed):
         raise InvariantError("x_observed does not match stored feature-noise draw")
-    expected_dim = world.observed_dim
-    if bundle.x_observed.shape[1] != expected_dim:
-        raise InvariantError(
-            f"x_observed has {bundle.x_observed.shape[1]} columns, expected {expected_dim}"
-        )
     regenerated = sample(world, bundle.n, bundle.label)
     for field in ("x_true", "x_observed", "y_true", "y_observed", "epsilon", "selected"):
         if not np.array_equal(getattr(regenerated, field), getattr(bundle, field)):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -266,6 +267,33 @@ def test_seed_override_changes_outputs_replicates_override_respected(tmp_path):
     assert p1["replicates"] == 40 and p2["replicates"] == 40
     assert p1["empirical_mse"] != p2["empirical_mse"]
     assert m1.config_hash != m2.config_hash
+
+
+def test_seed_override_reaches_every_world_and_the_scenario_is_frozen(tmp_path):
+    mapping = yaml.safe_load(STANDARD.read_text(encoding="utf-8"))
+    mapping["world"]["seed"] = 31
+    mapping["gallery"]["high"]["world"]["seed"] = 32
+    config = _write(tmp_path, yaml.safe_dump(mapping))
+
+    def normalized(out: str, **overrides) -> dict:
+        run("simulate", config, tmp_path / out, **overrides)
+        return yaml.safe_load((tmp_path / out / "scenario.normalized.yaml").read_text())
+
+    def seeds(echo: dict) -> list:
+        gallery = echo["gallery"]
+        worlds = (echo["world"], gallery["low"]["world"], gallery["high"]["world"])
+        return [echo["seed"], *(world["seed"] for world in worlds)]
+
+    # A world's own seed wins over the scenario's; --seed wins over both.
+    assert seeds(normalized("own")) == [20240902, 31, 20240902, 32]
+    echo = normalized("over", seed=700, replicates=3)
+    assert seeds(echo) == [700] * 4
+    assert [echo[name]["replicates"] for name in ("biasvar", "curve", "gallery")] == [3] * 3
+
+    scenario = parse_config(config, seed=700, replicates=3)
+    assert scenario.curve.replicates == 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scenario.curve.replicates = 5
 
 
 def test_workers_do_not_change_bytes(tmp_path):

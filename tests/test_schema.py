@@ -115,17 +115,19 @@ def test_normalized_section_keys_are_the_dataclass_fields():
     assert set(out["curve"]["axis"]) == _keys(scenario.curve.axis)
     for level, spec in zip(out["curve"]["axis"]["levels"], scenario.curve.axis.levels):
         assert set(level) == _keys(spec)
-    for variant, panel in zip(out["panels"]["variants"], scenario.panels):
+    assert set(out["panels"]) == _keys(scenario.panels)
+    for variant, panel in zip(out["panels"]["variants"], scenario.panels.variants):
         assert set(variant) == _keys(panel)
         for name in ("target_noise", "feature_noise"):
             if name in variant:
                 assert set(variant[name]) == _keys(getattr(panel, name))
     gallery = scenario.gallery
-    sides = {"low_world", "low_model", "high_world", "high_model"}
-    assert set(out["gallery"]) == (_keys(gallery) - sides) | {"low", "high"}
-    for side in ("low", "high"):
-        _assert_world_keys(out["gallery"][side]["world"], getattr(gallery, f"{side}_world"))
-        assert set(out["gallery"][side]["model"]) == _keys(getattr(gallery, f"{side}_model"))
+    assert set(out["gallery"]) == _keys(gallery)
+    for name in ("low", "high"):
+        side = getattr(gallery, name)
+        assert set(out["gallery"][name]) == _keys(side)
+        _assert_world_keys(out["gallery"][name]["world"], side.world)
+        assert set(out["gallery"][name]["model"]) == _keys(side.model)
 
 
 def test_optional_world_fields_appear_when_set():

@@ -6,7 +6,7 @@ import pytest
 
 import errorlab as el
 from errorlab import worldgen
-from errorlab.errors import EmptySelectionError, InvalidSpecError
+from errorlab.errors import EmptySelectionError, InvalidSpecError, InvariantError
 from errorlab.models import ModelSpec
 from errorlab.worldgen import AleatoricSpec, SelectionSpec, TargetNoiseSpec
 
@@ -65,6 +65,19 @@ def test_non_psd_feature_cov_rejected():
             "f_star.coefficients: linear family needs 2 coefficients, got 3",
         ),
         (lambda w: ModelSpec(k=0), "model.k"),
+        # A non-finite value breaks every rule it meets, not only parsing.
+        (lambda w: AleatoricSpec(mean=math.nan), "aleatoric.mean"),
+        (lambda w: AleatoricSpec(variance=math.nan), "aleatoric.variance"),
+        (lambda w: AleatoricSpec(variance=math.inf), "aleatoric.variance"),
+        (lambda w: AleatoricSpec(distribution="student_t", df=math.nan), "aleatoric.df"),
+        (lambda w: TargetNoiseSpec(mean=math.inf), "target_noise.mean"),
+        (lambda w: TargetNoiseSpec(variance=math.nan), "target_noise.variance"),
+        (lambda w: TargetNoiseSpec(distribution="quantization", step=math.nan), "target_noise.step"),
+        (lambda w: TargetNoiseSpec(distribution="quantization", step=math.inf), "target_noise.step"),
+        (lambda w: ModelSpec(lam=math.nan), "model.lam"),
+        (lambda w: ModelSpec(lam=math.inf), "model.lam"),
+        (lambda w: ModelSpec(learning_rate=math.nan), "model.learning_rate"),
+        (lambda w: worldgen.XDistributionSpec(kind="uniform", low=-math.inf), "x.low"),
     ],
     ids=[
         "aleatoric-variance",
@@ -74,6 +87,18 @@ def test_non_psd_feature_cov_rejected():
         "negative-seed",
         "extra-coefficient",
         "knn-k",
+        "aleatoric-mean-nan",
+        "aleatoric-variance-nan",
+        "aleatoric-variance-inf",
+        "student-t-df-nan",
+        "target-mean-inf",
+        "target-variance-nan",
+        "quantization-step-nan",
+        "quantization-step-inf",
+        "ridge-lam-nan",
+        "ridge-lam-inf",
+        "learning-rate-nan",
+        "uniform-low-inf",
     ],
 )
 def test_a_broken_rule_raises_when_the_spec_is_built(build, message):
@@ -301,6 +326,46 @@ def test_generative_identity_exact(noisy_world):
     assert np.array_equal(recomputed, bundle.y_true)
     assert np.array_equal(bundle.y_observed - bundle.y_true, bundle.delta_y)
     el.verify_bundle(noisy_world, bundle)
+
+
+def _changed(values: np.ndarray) -> np.ndarray:
+    out = values.copy()
+    out.flat[0] = not out.flat[0] if out.dtype == bool else out.flat[0] + 1.0
+    return out
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda b: {"x_true": _changed(b.x_true)}, r"y_true != f_star\(x_true\) \+ epsilon"),
+        (lambda b: {"x_observed": _changed(b.x_observed)}, "x_observed does not match"),
+        (lambda b: {"y_true": _changed(b.y_true)}, r"y_true != f_star\(x_true\) \+ epsilon"),
+        (lambda b: {"y_observed": _changed(b.y_observed)}, "stored delta_y"),
+        (lambda b: {"epsilon": _changed(b.epsilon)}, r"y_true != f_star\(x_true\) \+ epsilon"),
+        (lambda b: {"selected": _changed(b.selected)}, "field selected is not reproducible"),
+        (lambda b: {"delta_y": _changed(b.delta_y)}, "stored delta_y"),
+        (lambda b: {"delta_x": _changed(b.delta_x)}, "x_observed does not match"),
+        (
+            lambda b: {"x_observed": np.column_stack([b.x_observed, b.x_observed[:, 0]])},
+            "x_observed has 4 columns, expected 3",
+        ),
+    ],
+    ids=[
+        "x_true",
+        "x_observed",
+        "y_true",
+        "y_observed",
+        "epsilon",
+        "selected",
+        "delta_y",
+        "delta_x",
+        "extra-column",
+    ],
+)
+def test_verify_bundle_catches_each_corruption(noisy_world, corrupt, message):
+    bundle = el.sample(noisy_world, 50, "verify")
+    with pytest.raises(InvariantError, match=message):
+        el.verify_bundle(noisy_world, dataclasses.replace(bundle, **corrupt(bundle)))
 
 
 def test_sampling_deterministic_per_label(noisy_world):
