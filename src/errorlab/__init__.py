@@ -17,16 +17,19 @@ from .decomp import (
     check_telescoping,
     component_covariances,
     decompose_bundle,
-    estimate_aleatoric_from_residuals,
     estimate_ceiling,
     representativeness_probe,
 )
 from .experiments import (
     AxisLevel,
+    CurveConfig,
+    GalleryConfig,
+    GallerySide,
     InformationAxis,
     LearningCurve,
     LearningCurvePoint,
     PanelScenario,
+    PanelsConfig,
     monotone_under_ci,
     regime_gallery,
     run_learning_curve,

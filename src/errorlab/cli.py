@@ -163,14 +163,7 @@ def _required(scenario: Scenario, name: str):
 def _cmd_curve(scenario: Scenario, workers: int) -> dict[str, str]:
     cfg = _required(scenario, "curve")
     curve = run_learning_curve(
-        scenario.world,
-        scenario.model,
-        cfg.axis,
-        cfg.replicates,
-        test_points=cfg.test_points,
-        comp_points=cfg.comp_points,
-        base_label="curve",
-        workers=workers,
+        scenario.world, scenario.model, cfg, base_label="curve", workers=workers
     )
     payload = {
         "replicates": cfg.replicates,
@@ -185,17 +178,10 @@ def _cmd_curve(scenario: Scenario, workers: int) -> dict[str, str]:
 
 
 def _cmd_panels(scenario: Scenario, workers: int) -> dict[str, str]:
-    cfg = _required(scenario, "curve")
+    cfg = _required(scenario, "curve")  # named first when both sections are missing
+    panels = _required(scenario, "panels")
     result = run_panel_scenarios(
-        scenario.world,
-        _required(scenario, "panels").variants,
-        cfg.axis,
-        scenario.model,
-        cfg.replicates,
-        test_points=cfg.test_points,
-        comp_points=cfg.comp_points,
-        base_label="panels",
-        workers=workers,
+        scenario.world, panels, scenario.model, cfg, base_label="panels", workers=workers
     )
     curves = [
         (f"panel{idx}", comparison.variant, curve)
@@ -209,20 +195,7 @@ def _cmd_panels(scenario: Scenario, workers: int) -> dict[str, str]:
 
 
 def _cmd_gallery(scenario: Scenario, workers: int) -> dict[str, str]:
-    cfg = _required(scenario, "gallery")
-    result = regime_gallery(
-        cfg.low.world,
-        cfg.low.model,
-        cfg.high.world,
-        cfg.high.model,
-        cfg.axis,
-        cfg.replicates,
-        test_points=cfg.test_points,
-        ceiling_n=cfg.ceiling_n,
-        base_label="gallery",
-        workers=workers,
-    )
-    sides = (result.low_noise, result.high_noise)
+    sides = regime_gallery(_required(scenario, "gallery"), base_label="gallery", workers=workers)
     payload = {}
     for side in sides:
         payload[side.name] = {
@@ -263,6 +236,8 @@ def run(command: str, config, out, seed=None, workers: int = 1, replicates=None)
     directory ``out``; validates fully before any output is written.  The
     parameters are the command-line options (see ``build_parser``)."""
     started = time.perf_counter()
+    if workers < 1:
+        raise ConfigError(f"--workers: must be >= 1, got {workers}")
     scenario = parse_config(config, seed, replicates)
     normalized = scenario_to_yaml(scenario)
     config_hash = sha256_text(normalized + f"|command={command}|replicates={replicates}")

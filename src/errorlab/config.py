@@ -8,22 +8,32 @@ round-trip reparse yields identical objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import yaml
 
 from .errors import ConfigError, InvalidSpecError
-from .experiments import AxisLevel, InformationAxis, PanelScenario, level_omit
+from .experiments import (
+    AxisLevel,
+    CurveConfig,
+    GalleryConfig,
+    GallerySide,
+    InformationAxis,
+    PanelScenario,
+    PanelsConfig,
+)
 from .models import REGIMES, ModelSpec
 from .worldgen import (
     TargetNoiseSpec,
     World,
     as_mapping,
+    at_least,
     build_world,
     coerce,
     feature_noise_from_config,
+    naming,
     reject_unknown,
     spec_from_config,
     spec_to_config,
@@ -44,11 +54,17 @@ class SimulateConfig:
     n: int = 1000
     label: str = "simulate"
 
+    def __post_init__(self) -> None:
+        at_least(self, "simulate", n=1)
+
 
 @dataclass(frozen=True)
 class DecomposeConfig:
     train_n: int = 400
     n: int = 1000
+
+    def __post_init__(self) -> None:
+        at_least(self, "decompose", train_n=1, n=1)
 
 
 @dataclass(frozen=True)
@@ -59,39 +75,20 @@ class BiasVarConfig:
     test_points: int = 256
     components_replicates: int = 0
 
+    def __post_init__(self) -> None:
+        at_least(self, "biasvar", n_train=1, replicates=2, test_points=1, components_replicates=0)
+        if self.regime not in REGIMES:
+            raise InvalidSpecError(f"biasvar.regime: unknown regime {self.regime!r}")
+        if self.components_replicates == 1:
+            raise InvalidSpecError("biasvar.components_replicates: must be 0 (off) or >= 2, got 1")
+
 
 @dataclass(frozen=True)
 class ProbeConfig:
     n: int = 20000
 
-
-@dataclass(frozen=True)
-class CurveConfig:
-    axis: InformationAxis
-    replicates: int = 30
-    test_points: int = 10_000
-    comp_points: int = 512
-
-
-@dataclass(frozen=True)
-class GallerySide:
-    world: World
-    model: ModelSpec
-
-
-@dataclass(frozen=True)
-class GalleryConfig:
-    low: GallerySide
-    high: GallerySide
-    axis: InformationAxis
-    replicates: int = 20
-    test_points: int = 10_000
-    ceiling_n: int = 100_000
-
-
-@dataclass(frozen=True)
-class PanelsConfig:
-    variants: tuple[PanelScenario, ...]
+    def __post_init__(self) -> None:
+        at_least(self, "probe", n=4)  # the probe's variances need four rows
 
 
 @dataclass(frozen=True)
@@ -107,37 +104,27 @@ class Scenario:
     panels: Optional[PanelsConfig]
     gallery: Optional[GalleryConfig]
 
+    def __post_init__(self) -> None:
+        # Each section checked its own rules when it was built; these join two
+        # of them: the panel variants' worlds share the curve axis too.
+        if self.curve is not None:
+            with naming("curve.axis"):
+                self.curve.axis.check_world(self.world)
+        if self.panels is not None:
+            if self.curve is None:
+                raise InvalidSpecError("panels: requires a curve section (shared axis)")
+            for i, variant in enumerate(self.panels.variants):
+                with naming(f"panels.variants[{i}]"):
+                    self.curve.axis.check_world(variant.apply(self.world))
 
-# Smallest accepted value of an integer section field, by its path (a variance
-# needs two values, the probe four rows); any other integer field is a size.
-_INT_MINIMUM = {
-    "biasvar.replicates": 2,
-    "biasvar.components_replicates": 0,
-    "probe.n": 4,
-    "curve.replicates": 2,
-    "curve.test_points": 2,
-    "gallery.replicates": 2,
-    "gallery.test_points": 2,
-    "gallery.ceiling_n": 2,
-}
 
-
-def _section(cls, cfg, path: str, replicates: Optional[int] = None, **given):
-    """A command section, with its integer fields checked against
-    ``_INT_MINIMUM``; ``replicates`` (``--replicates``), when given,
-    replaces the file's value."""
+def _section(cls, cfg, path: str, replicates: Optional[int], **given):
+    """The command section at ``path``; ``replicates`` (``--replicates``),
+    when given, replaces the file's value."""
     cfg = as_mapping(cfg, path)
     if replicates is not None:
         cfg["replicates"] = replicates
-    section = spec_from_config(cls, cfg, path, **given)
-    for f in fields(cls):
-        value = getattr(section, f.name)
-        minimum = _INT_MINIMUM.get(f"{path}.{f.name}", 1)
-        if isinstance(f.default, int) and value < minimum:
-            overridden = f.name == "replicates" and replicates is not None
-            name = "--replicates" if overridden else f"{path}.{f.name}"
-            raise ConfigError(f"{name}: must be >= {minimum}, got {value}")
-    return section
+    return spec_from_config(cls, cfg, path, **given)
 
 
 def _world(cfg, path: str, seed: int, overridden: bool) -> World:
@@ -152,8 +139,8 @@ def _world(cfg, path: str, seed: int, overridden: bool) -> World:
     return build_world(world_cfg, path)
 
 
-def _axis_from_config(cfg, path: str, worlds: Sequence[World]) -> InformationAxis:
-    """The axis at ``path``, checked against each world it will run on."""
+def _axis_from_config(cfg, path: str) -> InformationAxis:
+    """The axis at ``path``."""
     cfg = as_mapping(cfg, path)
     levels_cfg = cfg.pop("levels", None)
     if not levels_cfg:
@@ -163,18 +150,13 @@ def _axis_from_config(cfg, path: str, worlds: Sequence[World]) -> InformationAxi
         spec_from_config(AxisLevel, level, f"{path}.levels[{i}]")
         for i, level in enumerate(levels_cfg)
     ]
-    try:
-        axis = InformationAxis(levels=tuple(levels))
-        for world in worlds:
-            for level in axis.levels:
-                level_omit(world, level)
-    except InvalidSpecError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return axis
+    with naming(path):
+        return InformationAxis(levels=tuple(levels))
 
 
-def _panels_from_config(cfg, world: World, axis: InformationAxis) -> PanelsConfig:
-    """The panel variants, each checked on its world along the curve axis."""
+def _panels_from_config(cfg, world: World) -> PanelsConfig:
+    """The panel variants; a variant's feature noise has ``world``'s
+    dimension."""
     cfg = as_mapping(cfg, "panels")
     variants_cfg = cfg.pop("variants", None)
     if not variants_cfg:
@@ -186,24 +168,19 @@ def _panels_from_config(cfg, world: World, axis: InformationAxis) -> PanelsConfi
         raw = as_mapping(raw, path)
         target = raw.pop("target_noise", None)
         feature = raw.pop("feature_noise", None)
-        try:  # a broken rule names the variant; a ConfigError names its own path
+        # A broken rule names the variant; a ConfigError names its own path.
+        with naming(path):
             if target is not None:
                 target = spec_from_config(TargetNoiseSpec, target, f"{path}.target_noise")
             if feature is not None:
                 feature = feature_noise_from_config(
                     feature, world.input_dim, f"{path}.feature_noise"
                 )
-            scenario = spec_from_config(
-                PanelScenario, raw, path, target_noise=target, feature_noise=feature
+            scenarios.append(
+                spec_from_config(
+                    PanelScenario, raw, path, target_noise=target, feature_noise=feature
+                )
             )
-            variant_world = scenario.apply(world)
-            for level in axis.levels:
-                level_omit(variant_world, level)
-        except InvalidSpecError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        scenarios.append(scenario)
-    if not any(s.variant == "baseline" for s in scenarios):
-        raise ConfigError("panels.variants: needs a baseline variant")
     return PanelsConfig(variants=tuple(scenarios))
 
 
@@ -218,9 +195,9 @@ def _gallery_side(cfg, path: str, seed: int, overridden: bool) -> GallerySide:
 
 
 def scenario_from_mapping(raw: Mapping, seed=None, replicates=None) -> Scenario:
-    """Validate a parsed scenario mapping into typed objects; ``seed`` and
-    ``replicates``, when given, override the file's (``--seed`` and
-    ``--replicates``)."""
+    """Read a parsed scenario mapping into typed objects, each checking its
+    own rules; ``seed`` and ``replicates``, when given, override the
+    file's (``--seed`` and ``--replicates``)."""
     cfg = as_mapping(raw, "scenario")
     version = cfg.pop("schema_version", SCENARIO_SCHEMA_VERSION)
     if type(version) is not int or version != SCENARIO_SCHEMA_VERSION:
@@ -235,28 +212,25 @@ def scenario_from_mapping(raw: Mapping, seed=None, replicates=None) -> Scenario:
     seed = seed if overridden else file_seed
     world = _world(cfg.pop("world", None), "world", seed, overridden)
     model = spec_from_config(ModelSpec, cfg.pop("model", None), "model")
-    simulate = _section(SimulateConfig, cfg.pop("simulate", None), "simulate")
-    decompose = _section(DecomposeConfig, cfg.pop("decompose", None), "decompose")
+    simulate = spec_from_config(SimulateConfig, cfg.pop("simulate", None), "simulate")
+    decompose = spec_from_config(DecomposeConfig, cfg.pop("decompose", None), "decompose")
+    # The sections' own rule would name the file's field, not the flag.
+    if replicates is not None and replicates < 2:
+        raise ConfigError(f"--replicates: must be >= 2, got {replicates}")
     biasvar = _section(BiasVarConfig, cfg.pop("biasvar", None), "biasvar", replicates)
-    if biasvar.regime not in REGIMES:
-        raise ConfigError(f"biasvar.regime: unknown regime {biasvar.regime!r}")
-    if biasvar.components_replicates == 1:
-        raise ConfigError("biasvar.components_replicates: must be 0 (off) or >= 2, got 1")
-    probe = _section(ProbeConfig, cfg.pop("probe", None), "probe")
+    probe = spec_from_config(ProbeConfig, cfg.pop("probe", None), "probe")
 
     curve = None
     cur_cfg = cfg.pop("curve", None)
     if cur_cfg is not None:
         cur_cfg = as_mapping(cur_cfg, "curve")
-        axis = _axis_from_config(cur_cfg.pop("axis", None), "curve.axis", [world])
+        axis = _axis_from_config(cur_cfg.pop("axis", None), "curve.axis")
         curve = _section(CurveConfig, cur_cfg, "curve", replicates, axis=axis)
 
     panels = None
     panels_cfg = cfg.pop("panels", None)
     if panels_cfg is not None:
-        if curve is None:
-            raise ConfigError("panels: requires a curve section (shared axis)")
-        panels = _panels_from_config(panels_cfg, world, curve.axis)
+        panels = _panels_from_config(panels_cfg, world)
 
     gallery = None
     gal_cfg = cfg.pop("gallery", None)
@@ -264,7 +238,7 @@ def scenario_from_mapping(raw: Mapping, seed=None, replicates=None) -> Scenario:
         gal_cfg = as_mapping(gal_cfg, "gallery")
         low = _gallery_side(gal_cfg.pop("low", None), "gallery.low", seed, overridden)
         high = _gallery_side(gal_cfg.pop("high", None), "gallery.high", seed, overridden)
-        axis = _axis_from_config(gal_cfg.pop("axis", None), "gallery.axis", [low.world, high.world])
+        axis = _axis_from_config(gal_cfg.pop("axis", None), "gallery.axis")
         gallery = _section(
             GalleryConfig, gal_cfg, "gallery", replicates, low=low, high=high, axis=axis
         )

@@ -20,7 +20,6 @@ from . import worldgen
 from .errors import FitError, InvalidSpecError, InvariantError
 from .models import (
     REGIMES,
-    FittedModel,
     ModelSpec,
     RegimeModels,
     fit,
@@ -408,17 +407,6 @@ def estimate_ceiling(world: World, n: int, base_label: str = "ceiling") -> Ceili
     return CeilingEstimate(
         ceiling_mse=sigma_sq, ceiling_r2=1.0 - sigma_sq / var_y, se_ceiling_r2=se_r2
     )
-
-
-def estimate_aleatoric_from_residuals(model: FittedModel, x: np.ndarray, y: np.ndarray) -> float:
-    """Plug-in noise-variance estimate from held-out residuals.
-
-    Upward biased by whatever epistemic error the model still carries;
-    exposed as an explicitly separate estimator, never silently substituted
-    for the oracle value.
-    """
-    residuals = np.asarray(y, dtype=float) - predict(model, np.asarray(x, dtype=float))
-    return float(np.var(residuals, ddof=1))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from .decomp import CeilingEstimate, decompose_rows, estimate_ceiling
 from .errors import FitError, InvalidSpecError
 from .models import ModelSpec, fit_regimes, predict
 from .parallel import ordered_map
-from .worldgen import FeatureNoiseSpec, TargetNoiseSpec, World, coerce_fields
+from .worldgen import FeatureNoiseSpec, TargetNoiseSpec, World, at_least, coerce_fields, naming
 
 PANEL_VARIANTS = ("baseline", "reconstructed_target", "reconstructed_features")
 _ATTAINMENT_SLACK = 0.10  # a gallery curve attains its ceiling within this fraction
@@ -72,6 +72,11 @@ class InformationAxis:
                 raise InvalidSpecError(
                     f"axis.levels[{idx + 1}]: fidelity factors increase; levels must be nested"
                 )
+
+    def check_world(self, world: World) -> None:
+        """Raise unless ``world`` can be seen at every level (``level_omit``)."""
+        for level in self.levels:
+            level_omit(world, level)
 
 
 def level_omit(world: World, level: AxisLevel) -> tuple[bool, ...]:
@@ -130,6 +135,21 @@ class LearningCurvePoint:
     performance: float
 
 
+@dataclass(frozen=True)
+class CurveConfig:
+    """A learning curve's axis, replicates per level, and held-out points
+    (all scored for mse, the first ``comp_points`` decomposed)."""
+
+    axis: InformationAxis
+    replicates: int = 30
+    test_points: int = 10_000
+    comp_points: int = 512
+
+    def __post_init__(self) -> None:
+        # A variance needs two replicates and two test points.
+        at_least(self, "curve", replicates=2, test_points=2, comp_points=1)
+
+
 @dataclass
 class LearningCurve:
     points: list[LearningCurvePoint]
@@ -183,25 +203,22 @@ def _curve_cell(args) -> list[tuple[float, float, float, float]]:
 def run_learning_curve(
     world: World,
     spec: ModelSpec,
-    axis: InformationAxis,
-    replicates: int,
-    test_points: int = 10_000,
-    comp_points: int = 512,
+    curve: CurveConfig,
     base_label: str = "curve",
     workers: int = 1,
 ) -> LearningCurve:
-    """Held-out MSE and mean absolute gain components per axis level.
+    """Held-out MSE and mean absolute gain components per level of
+    ``curve.axis``.
 
     Every level and replicate refits in the observable (OO) regime on its
     own substream; the held-out grid and its noise are drawn once per
     world and shared by all levels and replicates, and each level's
     observed view of the grid is built once.
     """
-    if replicates < 2:
-        raise InvalidSpecError("run_learning_curve needs replicates >= 2")
+    axis, replicates = curve.axis, curve.replicates
     n_levels = len(axis.levels)
     test_label = f"{base_label}/test"
-    grid = worldgen.draw_inputs(world, test_points, test_label)
+    grid = worldgen.draw_inputs(world, curve.test_points, test_label)
     eps_test = worldgen.draw_aleatoric(world, grid, test_label)
     y_test = world.f_star.values(grid) + eps_test
     var_y = float(np.var(y_test, ddof=1))
@@ -212,7 +229,7 @@ def run_learning_curve(
         [f"{base_label}/L{li}/rep{r:04d}" for r in range(replicates)] for li in range(n_levels)
     ]
     tasks = [
-        (world, level, spec, labels[li], base_label, comp_points, grid, eps_test, y_test)
+        (world, level, spec, labels[li], base_label, curve.comp_points, grid, eps_test, y_test)
         for li, level in enumerate(axis.levels)
     ]
     values = np.asarray(ordered_map(_curve_cell, tasks, workers=workers), dtype=float)
@@ -296,6 +313,17 @@ class PanelScenario:
 
 
 @dataclass(frozen=True)
+class PanelsConfig:
+    """The panel variants, one of them the baseline the rest are compared with."""
+
+    variants: tuple[PanelScenario, ...]
+
+    def __post_init__(self) -> None:
+        if not any(s.variant == "baseline" for s in self.variants):
+            raise InvalidSpecError("panels.variants: needs a baseline variant")
+
+
+@dataclass(frozen=True)
 class TerminalComparison:
     variant: str
     terminal_mean_mse: float
@@ -313,51 +341,38 @@ class PanelResult:
 
 def run_panel_scenarios(
     world: World,
-    scenarios: Sequence[PanelScenario],
-    axis: InformationAxis,
+    panels: PanelsConfig,
     spec: ModelSpec,
-    replicates: int,
-    test_points: int = 10_000,
-    comp_points: int = 512,
+    curve: CurveConfig,
     base_label: str = "panels",
     workers: int = 1,
 ) -> PanelResult:
     """Aligned variant curves with a paired terminal comparison.
 
-    All variants share the axis and every substream label, so per-replicate
-    differences isolate the declared override; in particular a duplicated
-    baseline reproduces the baseline curve bit for bit.
+    All variants share the curve and every substream label, so
+    per-replicate differences isolate the declared override; in particular
+    a duplicated baseline reproduces the baseline curve bit for bit.
     """
-    if not any(s.variant == "baseline" for s in scenarios):
-        raise InvalidSpecError("panel scenarios need at least one baseline")
+    scenarios = panels.variants
     curves = [
-        run_learning_curve(
-            s.apply(world),
-            spec,
-            axis,
-            replicates,
-            test_points=test_points,
-            comp_points=comp_points,
-            base_label=base_label,
-            workers=workers,
-        )
+        run_learning_curve(s.apply(world), spec, curve, base_label=base_label, workers=workers)
         for s in scenarios
     ]
     base_idx = next(i for i, s in enumerate(scenarios) if s.variant == "baseline")
     base_terminal = curves[base_idx].replicate_mse[-1]
     comparisons = []
-    for s, curve in zip(scenarios, curves):
-        diff = base_terminal - curve.replicate_mse[-1]
+    for s, result in zip(scenarios, curves):
+        diff = base_terminal - result.replicate_mse[-1]
         mean_diff = float(diff.mean())
-        se_diff = float(diff.std(ddof=1) / np.sqrt(replicates))
+        se_diff = float(diff.std(ddof=1) / np.sqrt(curve.replicates))
         strictly_below = mean_diff > 1.96 * se_diff and (
-            curve.terminal.mean_mse < curves[base_idx].terminal.mean_mse
+            result.terminal.mean_mse < curves[base_idx].terminal.mean_mse
         )
         comparisons.append(
             TerminalComparison(
                 variant=s.variant,
-                terminal_mean_mse=curve.terminal.mean_mse,
-                terminal_ci_half_width=curve.terminal.ci_half_width,
+                terminal_mean_mse=result.terminal.mean_mse,
+                terminal_ci_half_width=result.terminal.ci_half_width,
                 mean_diff_vs_baseline=mean_diff,
                 se_diff=se_diff,
                 strictly_below_baseline=strictly_below,
@@ -370,18 +385,36 @@ def run_panel_scenarios(
 # two-regime gallery
 
 
+@dataclass(frozen=True)
+class GallerySide:
+    world: World
+    model: ModelSpec
+
+
+@dataclass(frozen=True)
+class GalleryConfig:
+    """Two sides run along one axis; each noise ceiling draws ``ceiling_n`` rows."""
+
+    low: GallerySide
+    high: GallerySide
+    axis: InformationAxis
+    replicates: int = 20
+    test_points: int = 10_000
+    ceiling_n: int = 100_000
+
+    def __post_init__(self) -> None:
+        with naming("gallery.axis"):
+            self.axis.check_world(self.low.world)
+            self.axis.check_world(self.high.world)
+        at_least(self, "gallery", replicates=2, test_points=2, ceiling_n=2)
+
+
 @dataclass
 class GalleryScenarioResult:
     name: str
     curve: LearningCurve
     ceiling: CeilingEstimate
     attainment_level: Optional[int]
-
-
-@dataclass
-class GalleryResult:
-    low_noise: GalleryScenarioResult
-    high_noise: GalleryScenarioResult
 
 
 def _attainment_level(curve: LearningCurve, ceiling_mse: float) -> Optional[int]:
@@ -392,37 +425,23 @@ def _attainment_level(curve: LearningCurve, ceiling_mse: float) -> Optional[int]
 
 
 def regime_gallery(
-    low_world: World,
-    low_spec: ModelSpec,
-    high_world: World,
-    high_spec: ModelSpec,
-    axis: InformationAxis,
-    replicates: int,
-    test_points: int = 10_000,
-    ceiling_n: int = 100_000,
-    base_label: str = "gallery",
-    workers: int = 1,
-) -> GalleryResult:
+    gallery: GalleryConfig, base_label: str = "gallery", workers: int = 1
+) -> list[GalleryScenarioResult]:
     """Contrast a low-noise fast-attaining world with a high-noise slow one.
 
     Emits both decomposed curves, their estimated ceilings, and the first
-    axis level at which each curve comes within 10% of its ceiling MSE.
+    axis level at which each curve comes within 10% of its ceiling MSE:
+    the ``low_noise`` side first, then ``high_noise``.
     """
+    config = CurveConfig(gallery.axis, gallery.replicates, gallery.test_points)
     results = []
-    for name, world, spec in (
-        ("low_noise", low_world, low_spec),
-        ("high_noise", high_world, high_spec),
-    ):
+    for name, side in (("low_noise", gallery.low), ("high_noise", gallery.high)):
         curve = run_learning_curve(
-            world,
-            spec,
-            axis,
-            replicates,
-            test_points=test_points,
-            base_label=f"{base_label}/{name}",
-            workers=workers,
+            side.world, side.model, config, base_label=f"{base_label}/{name}", workers=workers
         )
-        ceiling = estimate_ceiling(world, ceiling_n, base_label=f"{base_label}/{name}/ceiling")
+        ceiling = estimate_ceiling(
+            side.world, gallery.ceiling_n, base_label=f"{base_label}/{name}/ceiling"
+        )
         results.append(
             GalleryScenarioResult(
                 name=name,
@@ -431,4 +450,4 @@ def regime_gallery(
                 attainment_level=_attainment_level(curve, ceiling.ceiling_mse),
             )
         )
-    return GalleryResult(low_noise=results[0], high_noise=results[1])
+    return results

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -528,6 +529,25 @@ def coerce_fields(spec, **kinds) -> None:
     ``coerce``; an error names the field (``spec_from_config`` adds the section)."""
     for name, kind in kinds.items():
         object.__setattr__(spec, name, coerce(kind, getattr(spec, name), name))
+
+
+def at_least(spec, path: str, **minimums) -> None:
+    """Raise naming ``path.field`` for the first named field of ``spec``
+    below its minimum."""
+    for name, minimum in minimums.items():
+        value = getattr(spec, name)
+        if value < minimum:
+            raise InvalidSpecError(f"{path}.{name}: must be >= {minimum}, got {value}")
+
+
+@contextmanager
+def naming(path: str) -> Iterator[None]:
+    """Prefix ``path`` to the message of an :class:`InvalidSpecError`
+    raised in the block."""
+    try:
+        yield
+    except InvalidSpecError as exc:
+        raise InvalidSpecError(f"{path}: {exc}") from exc
 
 
 def spec_from_config(cls, cfg: Mapping, path: str, **given):

@@ -16,8 +16,10 @@ from errorlab.cli import run
 from errorlab.decomp import bias_variance_monte_carlo, decompose_bundle, representativeness_probe
 from errorlab.experiments import (
     AxisLevel,
+    CurveConfig,
     InformationAxis,
     PanelScenario,
+    PanelsConfig,
     monotone_under_ci,
     run_panel_scenarios,
 )
@@ -220,17 +222,15 @@ def test_acceptance_5_learning_curve_geometry():
             AxisLevel(200, feats, (0.5, 0.3)),
         )
     )
-    result = run_panel_scenarios(
-        world,
-        [
+    panels = PanelsConfig(
+        (
             PanelScenario("baseline"),
             PanelScenario("reconstructed_target", target_noise=TargetNoiseSpec(variance=2.0)),
             PanelScenario("baseline"),
-        ],
-        axis,
-        RIDGE0,
-        replicates=30,
-        base_label="acc5",
+        )
+    )
+    result = run_panel_scenarios(
+        world, panels, RIDGE0, CurveConfig(axis, replicates=30), base_label="acc5"
     )
     baseline, variant, duplicate = result.curves
     assert monotone_under_ci(baseline.points)

@@ -11,7 +11,7 @@ import errorlab as el
 from errorlab import cli, parallel, seeding
 from errorlab.cli import main, run
 from errorlab.config import normalize_scenario, parse_config, scenario_to_yaml
-from errorlab.errors import ConfigError, InvariantError
+from errorlab.errors import ConfigError, InvalidSpecError, InvariantError
 
 STANDARD = Path(__file__).resolve().parents[1] / "scenarios" / "standard.yaml"
 
@@ -442,6 +442,60 @@ def test_replicates_override_below_two_exits_two(tmp_path, capsys):
     argv = ["biasvar", "--config", str(config), "--out", str(tmp_path / "b"), "--replicates", "1"]
     assert main(argv) == 2
     assert "--replicates" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, workers", [("curve", "0"), ("simulate", "-3")])
+def test_workers_below_one_exits_two_before_any_output(tmp_path, capsys, command, workers):
+    config = _write(tmp_path, REFERENCE)
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "w"), "--workers", workers]
+    assert main(argv) == 2
+    assert f"config error: --workers: must be >= 1, got {workers}" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
+
+
+def test_panels_without_curve_or_panels_names_the_curve_first(tmp_path, capsys):
+    config = _write(tmp_path, MINIMAL)
+    assert main(["panels", "--config", str(config), "--out", str(tmp_path / "p")]) == 2
+    assert "config error: curve: required section is missing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # standard.yaml's curve axis names feature 2; its gallery worlds are 2-d.
+        (
+            lambda s: dataclasses.replace(s, world=s.gallery.low.world),
+            "curve.axis: axis level [0, 1, 2]: feature index >= input_dim 2",
+        ),
+        (
+            lambda s: dataclasses.replace(s, curve=None),
+            "panels: requires a curve section",
+        ),
+        (
+            lambda s: dataclasses.replace(s.biasvar, replicates=1),
+            "biasvar.replicates: must be >= 2, got 1",
+        ),
+        (
+            lambda s: dataclasses.replace(s.biasvar, regime="XX"),
+            "biasvar.regime: unknown regime 'XX'",
+        ),
+        (
+            lambda s: dataclasses.replace(s.curve, test_points=0),
+            "curve.test_points: must be >= 2, got 0",
+        ),
+        (
+            lambda s: dataclasses.replace(s.panels, variants=s.panels.variants[1:]),
+            "panels.variants: needs a baseline variant",
+        ),
+    ],
+    ids=["world-without-feature-2", "panels-without-curve", "biasvar-replicates",
+         "biasvar-regime", "curve-test-points", "panels-without-baseline"],
+)
+def test_replace_checks_the_scenario_rules(build, message):
+    scenario = parse_config(STANDARD)
+    with pytest.raises(InvalidSpecError) as info:
+        build(scenario)
+    assert str(info.value).startswith(message)
 
 
 def test_exit_code_three_on_non_finite_json(tmp_path, capsys):

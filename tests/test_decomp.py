@@ -11,7 +11,6 @@ from errorlab.decomp import (
     check_telescoping,
     component_covariances,
     decompose_bundle,
-    estimate_aleatoric_from_residuals,
     estimate_ceiling,
     representativeness_probe,
 )
@@ -312,18 +311,6 @@ def test_degenerate_variance_rejected():
     )
     with pytest.raises(InvalidSpecError):
         estimate_ceiling(world, 1000)
-
-
-def test_residual_plugin_estimator_is_separate_and_biased_up():
-    world = make_world(target_noise={}, feature_noise={})
-    train = el.sample(world, 500, "plugin/train")
-    regimes = fit_regimes(train, ModelSpec(family="ridge", lam=0.0))
-    heldout = el.sample(world, 50_000, "plugin/eval")
-    plugin = estimate_aleatoric_from_residuals(
-        regimes.tt, heldout.x_true, heldout.y_true
-    )
-    assert plugin >= 0.25 * 0.95
-    assert plugin == pytest.approx(0.25, rel=0.10)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,13 @@ from errorlab.decomp import bias_variance_monte_carlo, decompose_rows
 from errorlab.errors import InvalidSpecError
 from errorlab.experiments import (
     AxisLevel,
+    CurveConfig,
+    GalleryConfig,
+    GallerySide,
     InformationAxis,
     LearningCurvePoint,
     PanelScenario,
+    PanelsConfig,
     level_world,
     monotone_under_ci,
     regime_gallery,
@@ -92,7 +96,7 @@ def test_level_world_quantization_step_underflowing_to_zero_disables_the_channel
 def test_single_level_curve_matches_direct_mse_estimate():
     world = make_world()
     axis = _axis([AxisLevel(200, FEATS, (1.0, 1.0))])
-    curve = run_learning_curve(world, RIDGE, axis, 40, test_points=2000)
+    curve = run_learning_curve(world, RIDGE, CurveConfig(axis, 40, test_points=2000))
     assert len(curve.points) == 1
     direct = bias_variance_monte_carlo(
         world, RIDGE, "OO", 200, 200, worldgen.draw_inputs(world, 2000, "direct/grid")
@@ -115,7 +119,7 @@ def test_growing_information_curve_is_monotone_under_ci():
             AxisLevel(1200, FEATS, (0.1, 0.1)),
         ]
     )
-    curve = run_learning_curve(world, RIDGE, axis, 30, test_points=4000)
+    curve = run_learning_curve(world, RIDGE, CurveConfig(axis, 30, test_points=4000))
     assert monotone_under_ci(curve.points)
     assert curve.points[0].mean_mse > curve.points[-1].mean_mse
 
@@ -139,7 +143,7 @@ def test_terminal_level_reaches_noise_floor():
             AxisLevel(2000, FEATS, (0.0, 0.0)),
         ]
     )
-    curve = run_learning_curve(world, RIDGE, axis, 30, test_points=4000)
+    curve = run_learning_curve(world, RIDGE, CurveConfig(axis, 30, test_points=4000))
     assert abs(curve.points[-1].mean_mse - 0.25) / 0.25 < 0.10
 
 
@@ -151,7 +155,7 @@ def test_curve_fit_failure_names_the_cell():
     )
     axis = _axis([AxisLevel(60, (0, 1), (1.0, 1.0))])
     with pytest.raises(el.errors.SingularSystemError, match="cell curve/L0/rep0000"):
-        run_learning_curve(world, RIDGE, axis, 2, test_points=100)
+        run_learning_curve(world, RIDGE, CurveConfig(axis, 2, test_points=100))
 
 
 def test_curve_on_a_constant_outcome_is_rejected():
@@ -162,29 +166,32 @@ def test_curve_on_a_constant_outcome_is_rejected():
     )
     axis = _axis([AxisLevel(60, FEATS, (1.0, 1.0))])
     with pytest.raises(InvalidSpecError, match="Var\\(y_test\\) is zero"):
-        run_learning_curve(world, RIDGE, axis, 2, test_points=100)
+        run_learning_curve(world, RIDGE, CurveConfig(axis, 2, test_points=100))
 
 
 def test_curve_with_an_undefined_variance_is_rejected():
-    # One test point has no sample variance: np.var(ddof=1) gives NaN with
-    # a RuntimeWarning, and a NaN variance must not pass as nonzero.
+    # Coefficients near the float maximum overflow f*(x) to +-inf, whose
+    # variance np.var gives as NaN with a RuntimeWarning; a NaN variance
+    # must not pass as nonzero.
+    world = make_world(f_star={"family": "linear", "coefficients": [1e308, 1e308, 1e308]})
     axis = _axis([AxisLevel(60, FEATS, (1.0, 1.0))])
     with pytest.raises(InvalidSpecError, match="Var\\(y_test\\) is zero or not a number"):
         with pytest.warns(RuntimeWarning):
-            run_learning_curve(make_world(), RIDGE, axis, 2, test_points=1)
+            run_learning_curve(world, RIDGE, CurveConfig(axis, 2, test_points=100))
 
 
 def test_curve_needs_two_replicates():
     axis = _axis([AxisLevel(60, FEATS, (1.0, 1.0))])
-    with pytest.raises(InvalidSpecError, match="replicates >= 2"):
-        run_learning_curve(make_world(), RIDGE, axis, 1, test_points=100)
+    with pytest.raises(InvalidSpecError, match="curve.replicates: must be >= 2"):
+        CurveConfig(axis, 1, test_points=100)
 
 
 def test_curve_workers_do_not_change_results():
     world = make_world()
     axis = _axis([AxisLevel(60, FEATS, (1.0, 1.0)), AxisLevel(150, FEATS, (0.5, 0.5))])
-    serial = run_learning_curve(world, RIDGE, axis, 6, test_points=500, workers=1)
-    parallel = run_learning_curve(world, RIDGE, axis, 6, test_points=500, workers=4)
+    curve = CurveConfig(axis, 6, test_points=500)
+    serial = run_learning_curve(world, RIDGE, curve, workers=1)
+    parallel = run_learning_curve(world, RIDGE, curve, workers=4)
     assert np.array_equal(serial.replicate_mse, parallel.replicate_mse)
 
 
@@ -259,7 +266,7 @@ def _hard_axis():
 )
 def test_per_level_engine_matches_per_cell_reference_bitwise(spec):
     world, axis = _hard_world(), _hard_axis()
-    curve = run_learning_curve(world, spec, axis, 3, test_points=300, comp_points=64)
+    curve = run_learning_curve(world, spec, CurveConfig(axis, 3, test_points=300, comp_points=64))
     values, var_y = _reference_curve(world, spec, axis, 3, 300, 64, "curve")
     assert np.array_equal(curve.replicate_mse, values[:, :, 0])
     assert curve.var_y_test == var_y
@@ -271,22 +278,18 @@ def test_per_level_engine_matches_per_cell_reference_bitwise(spec):
 
 
 def test_curve_and_panels_identical_at_one_two_and_four_workers():
-    world, axis = _hard_world(), _hard_axis()
-    variants = [
-        PanelScenario("baseline"),
-        PanelScenario("reconstructed_target", target_noise=TargetNoiseSpec(variance=0.1)),
-    ]
+    world, curve = _hard_world(), CurveConfig(_hard_axis(), 4, test_points=200)
+    variants = PanelsConfig(
+        (
+            PanelScenario("baseline"),
+            PanelScenario("reconstructed_target", target_noise=TargetNoiseSpec(variance=0.1)),
+        )
+    )
     curves, panels = [], []
     for workers in (1, 2, 4):
         with parallel.command_pool(workers):
-            curves.append(
-                run_learning_curve(world, RIDGE, axis, 4, test_points=200, workers=workers)
-            )
-            panels.append(
-                run_panel_scenarios(
-                    world, variants, axis, RIDGE, 4, test_points=200, workers=workers
-                )
-            )
+            curves.append(run_learning_curve(world, RIDGE, curve, workers=workers))
+            panels.append(run_panel_scenarios(world, variants, RIDGE, curve, workers=workers))
     for curve in curves[1:]:
         assert np.array_equal(curve.replicate_mse, curves[0].replicate_mse)
         assert curve.points == curves[0].points
@@ -331,11 +334,9 @@ def test_duplicated_baseline_curves_are_bit_identical():
     world = make_world(target_noise={"variance": 2.0})
     result = run_panel_scenarios(
         world,
-        [PanelScenario("baseline"), PanelScenario("baseline")],
-        _panel_axis(),
+        PanelsConfig((PanelScenario("baseline"), PanelScenario("baseline"))),
         RIDGE,
-        replicates=8,
-        test_points=1000,
+        CurveConfig(_panel_axis(), replicates=8, test_points=1000),
     )
     assert np.array_equal(result.curves[0].replicate_mse, result.curves[1].replicate_mse)
     assert result.comparisons[1].mean_diff_vs_baseline == 0.0
@@ -346,14 +347,14 @@ def test_halving_target_noise_beats_baseline_at_terminal():
     world = make_world(target_noise={"variance": 4.0}, feature_noise={"cov": 0.4})
     result = run_panel_scenarios(
         world,
-        [
-            PanelScenario("baseline"),
-            PanelScenario("reconstructed_target", target_noise=TargetNoiseSpec(variance=2.0)),
-        ],
-        _panel_axis(),
+        PanelsConfig(
+            (
+                PanelScenario("baseline"),
+                PanelScenario("reconstructed_target", target_noise=TargetNoiseSpec(variance=2.0)),
+            )
+        ),
         RIDGE,
-        replicates=30,
-        test_points=4000,
+        CurveConfig(_panel_axis(), replicates=30, test_points=4000),
     )
     comparison = result.comparisons[1]
     assert comparison.strictly_below_baseline
@@ -368,14 +369,14 @@ def test_unomitting_a_relevant_feature_clears_the_x_channel():
     repaired = FeatureNoiseSpec.none(3)
     result = run_panel_scenarios(
         world,
-        [
-            PanelScenario("baseline"),
-            PanelScenario("reconstructed_features", feature_noise=repaired),
-        ],
-        _panel_axis(),
+        PanelsConfig(
+            (
+                PanelScenario("baseline"),
+                PanelScenario("reconstructed_features", feature_noise=repaired),
+            )
+        ),
         RIDGE,
-        replicates=10,
-        test_points=1000,
+        CurveConfig(_panel_axis(), replicates=10, test_points=1000),
     )
     base_terminal = result.curves[0].points[-1]
     fixed_terminal = result.curves[1].points[-1]
@@ -385,14 +386,7 @@ def test_unomitting_a_relevant_feature_clears_the_x_channel():
 
 def test_panels_require_a_baseline():
     with pytest.raises(InvalidSpecError, match="baseline"):
-        run_panel_scenarios(
-            make_world(),
-            [PanelScenario("reconstructed_target", target_noise=TargetNoiseSpec())],
-            _panel_axis(),
-            RIDGE,
-            replicates=2,
-            test_points=100,
-        )
+        PanelsConfig((PanelScenario("reconstructed_target", target_noise=TargetNoiseSpec()),))
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +420,20 @@ def test_gallery_contrast():
             AxisLevel(5000, (0, 1), (1.0, 0.0)),
         ]
     )
-    result = regime_gallery(
-        low, RIDGE, high, RIDGE, axis, 20, test_points=4000, ceiling_n=50_000
+    gallery = GalleryConfig(
+        GallerySide(low, RIDGE),
+        GallerySide(high, RIDGE),
+        axis,
+        replicates=20,
+        test_points=4000,
+        ceiling_n=50_000,
     )
+    low_noise, high_noise = regime_gallery(gallery)
+    assert (low_noise.name, high_noise.name) == ("low_noise", "high_noise")
     # Matched Var(f*(x)) forces the ceiling ordering by construction.
-    assert result.low_noise.ceiling.ceiling_r2 > result.high_noise.ceiling.ceiling_r2
-    assert result.low_noise.attainment_level is not None
-    assert result.high_noise.attainment_level is not None
-    assert result.low_noise.attainment_level < result.high_noise.attainment_level
-    assert monotone_under_ci(result.low_noise.curve.points)
-    assert monotone_under_ci(result.high_noise.curve.points)
+    assert low_noise.ceiling.ceiling_r2 > high_noise.ceiling.ceiling_r2
+    assert low_noise.attainment_level is not None
+    assert high_noise.attainment_level is not None
+    assert low_noise.attainment_level < high_noise.attainment_level
+    assert monotone_under_ci(low_noise.curve.points)
+    assert monotone_under_ci(high_noise.curve.points)

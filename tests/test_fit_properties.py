@@ -18,7 +18,7 @@ from errorlab.decomp import (
     decompose_bundle,
 )
 from errorlab.errors import ErrorLabError
-from errorlab.experiments import AxisLevel, InformationAxis, run_learning_curve
+from errorlab.experiments import AxisLevel, CurveConfig, InformationAxis, run_learning_curve
 from errorlab.models import (
     ModelSpec,
     canonical_row_order,
@@ -248,7 +248,7 @@ def _study_runs(world, spec, regime, workers):
     grid = worldgen.draw_inputs(world, 16, "workers/grid")
     studies = (
         lambda: run_learning_curve(
-            world, spec, axis, 2, test_points=64, comp_points=16, workers=workers
+            world, spec, CurveConfig(axis, 2, test_points=64, comp_points=16), workers=workers
         ),
         lambda: bias_variance_monte_carlo(world, spec, regime, 40, 3, grid, workers=workers),
         lambda: component_covariances(world, spec, 40, 3, grid, workers=workers),
