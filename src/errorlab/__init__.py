@@ -38,7 +38,6 @@ from .experiments import (
 from .models import (
     FittedModel,
     ModelSpec,
-    RegimeModels,
     check_gradients,
     fit,
     fit_regimes,

@@ -92,16 +92,10 @@ def _cmd_decompose(scenario: Scenario, workers: int) -> dict[str, str]:
         "n": table.n,
         "train_n": cfg.train_n,
         "mse": float(np.mean((table.y_pred - table.y_true) ** 2)),
-        "mean_abs_model_approx_gain": float(np.mean(np.abs(table.model_approx_gain))),
-        "mean_abs_meas_gain_y": float(np.mean(np.abs(table.meas_gain_y))),
-        "mean_abs_meas_gain_x": float(np.mean(np.abs(table.meas_gain_x))),
+        **{f"mean_abs_{name}": value for name, value in table.mean_abs_gains().items()},
         "mean_epsilon": float(np.mean(table.aleatoric)),
     }
-    models_doc = {
-        "OO": model_to_json(regimes.oo),
-        "TO": model_to_json(regimes.to),
-        "TT": model_to_json(regimes.tt),
-    }
+    models_doc = {regime: model_to_json(model) for regime, model in regimes.items()}
     return {
         "decomposition.csv": render_csv(header, columns),
         "summary.json": render_json(summary),

@@ -188,8 +188,9 @@ def _gallery_side(cfg, path: str, seed: int, overridden: bool) -> GallerySide:
     side = as_mapping(cfg, path)
     if not side:
         raise ConfigError(f"{path}: required section is missing")
-    world = _world(side.pop("world", None), f"{path}.world", seed, overridden)
-    model = spec_from_config(ModelSpec, side.pop("model", None), f"{path}.model")
+    with naming(path):  # a broken rule names the side, as a panel variant's does
+        world = _world(side.pop("world", None), f"{path}.world", seed, overridden)
+        model = spec_from_config(ModelSpec, side.pop("model", None), f"{path}.model")
     reject_unknown(side, path)
     return GallerySide(world=world, model=model)
 

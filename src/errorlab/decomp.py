@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import worldgen
-from .errors import FitError, InvalidSpecError, InvariantError
+from .errors import EmptySelectionError, FitError, InvalidSpecError, InvariantError
 from .models import (
     REGIMES,
+    FittedModel,
     ModelSpec,
-    RegimeModels,
     fit,
     fit_regimes,
     predict,
@@ -32,6 +32,11 @@ from .worldgen import SampleBundle, World
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-9
+
+# The table's gain columns (pointwise side) and error columns (error side),
+# in chain order; every summary over a column group reads these.
+GAIN_COLUMNS = ("model_approx_gain", "meas_gain_y", "meas_gain_x")
+ERROR_COLUMNS = ("err_x", "err_y", "delta_f", "aleatoric_term")
 
 
 @dataclass
@@ -71,10 +76,14 @@ class DecompositionTable:
     def error_sum(self) -> np.ndarray:
         return self.err_x + self.err_y + self.delta_f + self.aleatoric_term
 
+    def mean_abs_gains(self) -> dict[str, float]:
+        """Mean absolute value of each gain column, in ``GAIN_COLUMNS`` order."""
+        return {name: float(np.mean(np.abs(getattr(self, name)))) for name in GAIN_COLUMNS}
+
 
 def decompose_rows(
     world: World,
-    regimes: RegimeModels,
+    regimes: dict[str, FittedModel],
     x_true: np.ndarray,
     x_observed: np.ndarray,
     y_true: np.ndarray,
@@ -85,9 +94,9 @@ def decompose_rows(
     y_true = np.asarray(y_true, dtype=float)
     epsilon = np.asarray(epsilon, dtype=float)
     f_star = world.f_star.values(x_true)
-    pred_tt = predict(regimes.tt, x_true)
-    pred_to = predict(regimes.to, x_true)
-    pred_oo = predict(regimes.oo, x_observed)
+    pred_tt = predict(regimes["TT"], x_true)
+    pred_to = predict(regimes["TO"], x_true)
+    pred_oo = predict(regimes["OO"], x_observed)
     return DecompositionTable(
         model_approx_gain=f_star - pred_tt,
         meas_gain_y=pred_tt - pred_to,
@@ -104,7 +113,7 @@ def decompose_rows(
 
 
 def decompose_bundle(
-    world: World, regimes: RegimeModels, bundle: SampleBundle
+    world: World, regimes: dict[str, FittedModel], bundle: SampleBundle
 ) -> DecompositionTable:
     return decompose_rows(
         world, regimes, bundle.x_true, bundle.x_observed, bundle.y_true, bundle.epsilon
@@ -129,21 +138,15 @@ def check_telescoping(table: DecompositionTable) -> None:
     if not np.all(finite):
         worst = int(np.argmin(finite))
         raise InvariantError(f"decomposition holds a non-finite term or sum at row {worst}")
-    point_err = np.abs(point_sum - table.y_true)
-    point_bound = ABS_TOL + REL_TOL * np.abs(table.y_true)
-    if np.any(point_err > point_bound):
-        worst = int(np.argmax(point_err - point_bound))
-        raise InvariantError(
-            f"pointwise component sum misses y_true by {point_err[worst]:.3e} at row {worst}"
-        )
-    target = table.y_pred - table.y_true
-    err = np.abs(error_sum - target)
-    bound = ABS_TOL + REL_TOL * np.abs(target)
-    if np.any(err > bound):
-        worst = int(np.argmax(err - bound))
-        raise InvariantError(
-            f"error component sum misses y_pred - y_true by {err[worst]:.3e} at row {worst}"
-        )
+    for what, total, target in (
+        ("pointwise component sum misses y_true", point_sum, table.y_true),
+        ("error component sum misses y_pred - y_true", error_sum, table.y_pred - table.y_true),
+    ):
+        err = np.abs(total - target)
+        bound = ABS_TOL + REL_TOL * np.abs(target)
+        if np.any(err > bound):
+            worst = int(np.argmax(err - bound))
+            raise InvariantError(f"{what} by {err[worst]:.3e} at row {worst}")
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +333,7 @@ def _component_cell(args) -> np.ndarray:
     eps_test = worldgen.draw_aleatoric(world, grid, f"{label}/test")
     f_star_grid = world.f_star.values(grid)
     table = decompose_rows(world, regimes, grid, x_obs_grid, f_star_grid + eps_test, eps_test)
-    return np.array(
-        [
-            table.err_x.mean(),
-            table.err_y.mean(),
-            table.delta_f.mean(),
-            table.aleatoric_term.mean(),
-        ]
-    )
+    return np.array([getattr(table, name).mean() for name in ERROR_COLUMNS])
 
 
 def component_covariances(
@@ -356,7 +352,7 @@ def component_covariances(
     tasks = [(world, spec, n_train, grid, label) for label in labels]
     samples = np.stack(ordered_map(_component_cell, tasks, workers=workers))
     return ComponentCovarianceReport(
-        component_names=("err_x", "err_y", "delta_f", "aleatoric_term"),
+        component_names=ERROR_COLUMNS,
         means=samples.mean(axis=0),
         covariance=np.cov(samples, rowvar=False, ddof=1),
         replicates=n_replicates,
@@ -439,6 +435,10 @@ def representativeness_probe(
     bundle = worldgen.sample(world, n, base_label)
     eps = bundle.epsilon
     sel = eps[bundle.selected]
+    if sel.shape[0] < 2:
+        raise EmptySelectionError(
+            f"selection kept {sel.shape[0]} of {n} rows; the probe's variances need 2"
+        )
     rest = eps[~bundle.selected]
     if rest.shape[0] < 2:
         z_mean = 0.0

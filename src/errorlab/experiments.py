@@ -170,17 +170,12 @@ def _replicate_scores(w_level, n_train, spec, label, grid, x_obs_test, y_test, e
         regimes = fit_regimes(bundle, spec)
     except FitError as exc:
         raise type(exc)(f"cell {label}: {exc}") from exc
-    preds = predict(regimes.oo, x_obs_test)
+    preds = predict(regimes["OO"], x_obs_test)
     mse = float(np.mean((preds - y_test) ** 2))
     table = decompose_rows(
         w_level, regimes, grid[:cp], x_obs_test[:cp], y_test[:cp], eps_test[:cp]
     )
-    return (
-        mse,
-        float(np.mean(np.abs(table.model_approx_gain))),
-        float(np.mean(np.abs(table.meas_gain_y))),
-        float(np.mean(np.abs(table.meas_gain_x))),
-    )
+    return (mse, *table.mean_abs_gains().values())
 
 
 def _curve_cell(args) -> list[tuple[float, float, float, float]]:

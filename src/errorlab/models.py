@@ -89,15 +89,6 @@ class FittedModel:
     diagnostics: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class RegimeModels:
-    """Fitted predictors for the three information regimes."""
-
-    oo: FittedModel
-    to: FittedModel
-    tt: FittedModel
-
-
 def canonical_row_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Sort order by features (first column primary) then label.
 
@@ -496,13 +487,13 @@ def regime_view(bundle: SampleBundle, regime: str) -> tuple[np.ndarray, np.ndarr
     return getattr(bundle, x_name)[rows], getattr(bundle, y_name)[rows]
 
 
-def fit_regimes(bundle: SampleBundle, spec: ModelSpec) -> RegimeModels:
-    """Fit the spec under each information regime on identical row indices."""
-    fitted = {
+def fit_regimes(bundle: SampleBundle, spec: ModelSpec) -> dict[str, FittedModel]:
+    """Fit the spec under each information regime on identical row indices;
+    the models keyed ``OO``, ``TO``, ``TT``."""
+    return {
         regime: fit(spec, *regime_view(bundle, regime), regime=regime)
         for regime in _REGIME_FIELDS
     }
-    return RegimeModels(oo=fitted["OO"], to=fitted["TO"], tt=fitted["TT"])
 
 
 # ---------------------------------------------------------------------------

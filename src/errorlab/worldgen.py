@@ -532,12 +532,17 @@ def coerce_fields(spec, **kinds) -> None:
 
 
 def at_least(spec, path: str, **minimums) -> None:
-    """Raise naming ``path.field`` for the first named field of ``spec``
+    """Read each named field of ``spec`` as an int through ``coerce`` and
+    raise naming ``path.field`` for the first one that is not an int or is
     below its minimum."""
     for name, minimum in minimums.items():
-        value = getattr(spec, name)
+        try:
+            value = coerce(int, getattr(spec, name), f"{path}.{name}")
+        except ConfigError as exc:
+            raise InvalidSpecError(str(exc)) from None
         if value < minimum:
             raise InvalidSpecError(f"{path}.{name}: must be >= {minimum}, got {value}")
+        object.__setattr__(spec, name, value)
 
 
 @contextmanager

@@ -422,9 +422,17 @@ def _gallery_level_features(doc, features):
             lambda doc: _curve_level_features(doc, 0, [2]),
             "curve.axis: axis level [2] leaves no observed features",
         ),
+        (
+            lambda doc: doc["gallery"]["low"].update(model={"family": "oracle"}),
+            "config error: gallery.low: model.family: unknown family 'oracle'",
+        ),
+        (
+            lambda doc: doc["gallery"]["high"]["world"]["aleatoric"].update(variance=-1.0),
+            "config error: gallery.high: aleatoric.variance: ",
+        ),
     ],
     ids=["oracle-family", "negative-panel-variance", "curve-feature-7", "gallery-feature-2",
-         "curve-level-all-omitted"],
+         "curve-level-all-omitted", "gallery-oracle-family", "negative-gallery-variance"],
 )
 def test_degenerate_scenario_exits_two_before_any_output(tmp_path, capsys, edit, message):
     doc = yaml.safe_load(STANDARD.read_text(encoding="utf-8"))
@@ -487,9 +495,18 @@ def test_panels_without_curve_or_panels_names_the_curve_first(tmp_path, capsys):
             lambda s: dataclasses.replace(s.panels, variants=s.panels.variants[1:]),
             "panels.variants: needs a baseline variant",
         ),
+        (
+            lambda s: dataclasses.replace(s.curve, replicates=2.5),
+            "curve.replicates: expected int, got 2.5",
+        ),
+        (
+            lambda s: dataclasses.replace(s.biasvar, n_train=True),
+            "biasvar.n_train: expected int, got True",
+        ),
     ],
     ids=["world-without-feature-2", "panels-without-curve", "biasvar-replicates",
-         "biasvar-regime", "curve-test-points", "panels-without-baseline"],
+         "biasvar-regime", "curve-test-points", "panels-without-baseline",
+         "curve-replicates-not-int", "biasvar-n-train-bool"],
 )
 def test_replace_checks_the_scenario_rules(build, message):
     scenario = parse_config(STANDARD)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from errorlab.decomp import (
     estimate_ceiling,
     representativeness_probe,
 )
-from errorlab.errors import InvalidSpecError, InvariantError
+from errorlab.errors import EmptySelectionError, InvalidSpecError, InvariantError
 from errorlab.models import ModelSpec, fit_regimes
 
 from conftest import make_world
@@ -97,10 +98,22 @@ def test_target_noise_only_world_isolates_y_channel():
     assert np.mean(np.abs(table.meas_gain_y)) > 3 * others
 
 
-def test_check_telescoping_flags_corruption(noisy_world):
+@pytest.mark.parametrize(
+    "column, message",
+    [
+        ("meas_gain_y", "pointwise component sum misses y_true by 1.000e-06 at row 7"),
+        ("delta_f", "error component sum misses y_pred - y_true by 1.000e-06 at row 7"),
+    ],
+    ids=["meas_gain_y", "delta_f"],
+)
+def test_check_telescoping_flags_corruption(noisy_world, column, message):
+    # A gain column enters only the pointwise sum, an error column only the
+    # error sum: each identity is checked on its own.
     _, _, table = _fit_and_decompose(noisy_world, ModelSpec(family="ridge"))
-    table.meas_gain_y = table.meas_gain_y + 1e-6
-    with pytest.raises(InvariantError):
+    values = getattr(table, column).copy()
+    values[7] += 1e-6
+    setattr(table, column, values)
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
         check_telescoping(table)
 
 
@@ -354,3 +367,12 @@ def test_full_coverage_probe_is_degenerate():
     assert report.eps_mean_selected == report.eps_mean_full
     assert report.eps_var_selected == report.eps_var_full
     assert report.z_mean == 0.0 and report.z_var == 0.0
+
+
+def test_probe_refuses_a_selection_of_fewer_than_two_rows():
+    # A threshold at coverage 0.25 keeps one of four rows: no variance of
+    # the selected noise exists, so the probe stops before computing one.
+    world = make_world(selection={"rule": "threshold", "coverage": 0.25})
+    message = "selection kept 1 of 4 rows; the probe's variances need 2"
+    with pytest.raises(EmptySelectionError, match=f"^{re.escape(message)}$"):
+        representativeness_probe(world, 4)

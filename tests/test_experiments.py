@@ -206,7 +206,7 @@ def _reference_cell(world, level, spec, label, base_label, test_points, comp_poi
     x_obs_test = worldgen.observe_features(w_level, grid, f"{base_label}/test")
     bundle = worldgen.sample(w_level, level.n_train, label)
     regimes = fit_regimes(bundle, spec)
-    preds = predict(regimes.oo, x_obs_test)
+    preds = predict(regimes["OO"], x_obs_test)
     mse = float(np.mean((preds - y_test) ** 2))
     cp = min(comp_points, test_points)
     table = decompose_rows(

@@ -217,9 +217,9 @@ def test_regimes_coincide_without_corruption(noiseless_world):
     bundle = el.sample(noiseless_world, 200, "reg-eq")
     regimes = fit_regimes(bundle, ModelSpec(family="ridge", lam=0.0))
     grid = worldgen.draw_inputs(noiseless_world, 100, "reg-grid")
-    oo = predict(regimes.oo, grid)
-    to = predict(regimes.to, grid)
-    tt = predict(regimes.tt, grid)
+    oo = predict(regimes["OO"], grid)
+    to = predict(regimes["TO"], grid)
+    tt = predict(regimes["TT"], grid)
     np.testing.assert_allclose(oo, to, atol=1e-9)
     np.testing.assert_allclose(to, tt, atol=1e-9)
 
@@ -239,9 +239,9 @@ def test_regime_mse_ordering_under_feature_noise():
         bundle = el.sample(world, 200, f"ord/rep{r}")
         regimes = fit_regimes(bundle, spec)
         x_obs = worldgen.observe_features(world, grid, f"ord/rep{r}/test")
-        mse["OO"].append(np.mean((predict(regimes.oo, x_obs) - y_grid) ** 2))
-        mse["TO"].append(np.mean((predict(regimes.to, grid) - y_grid) ** 2))
-        mse["TT"].append(np.mean((predict(regimes.tt, grid) - y_grid) ** 2))
+        mse["OO"].append(np.mean((predict(regimes["OO"], x_obs) - y_grid) ** 2))
+        mse["TO"].append(np.mean((predict(regimes["TO"], grid) - y_grid) ** 2))
+        mse["TT"].append(np.mean((predict(regimes["TT"], grid) - y_grid) ** 2))
     for worse, better in (("OO", "TO"), ("TO", "TT")):
         diff = np.asarray(mse[worse]) - np.asarray(mse[better])
         z = diff.mean() / (diff.std(ddof=1) / math.sqrt(diff.size))
