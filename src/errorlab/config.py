@@ -211,7 +211,8 @@ def scenario_from_mapping(raw: Mapping, seed=None, replicates=None) -> Scenario:
     file_seed = coerce(int, cfg.pop("seed"), "seed")
     overridden = seed is not None
     seed = seed if overridden else file_seed
-    world = _world(cfg.pop("world", None), "world", seed, overridden)
+    with naming("world"):  # a broken rule names the section, as a gallery side's does
+        world = _world(cfg.pop("world", None), "world", seed, overridden)
     model = spec_from_config(ModelSpec, cfg.pop("model", None), "model")
     simulate = spec_from_config(SimulateConfig, cfg.pop("simulate", None), "simulate")
     decompose = spec_from_config(DecomposeConfig, cfg.pop("decompose", None), "decompose")

@@ -17,15 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import worldgen
-from .errors import EmptySelectionError, FitError, InvalidSpecError, InvariantError
+from .errors import EmptySelectionError, InvalidSpecError, InvariantError
 from .models import (
     REGIMES,
     FittedModel,
     ModelSpec,
-    fit,
+    fit_regime,
     fit_regimes,
     predict,
-    regime_view,
 )
 from .parallel import ordered_map
 from .worldgen import SampleBundle, World
@@ -201,11 +200,7 @@ def _biasvar_cell(args) -> tuple[np.ndarray, np.ndarray]:
     if regime == "ORACLE":
         preds = f_star_grid
     else:
-        bundle = worldgen.sample(world, n_train, label)
-        try:
-            model = fit(spec, *regime_view(bundle, regime), regime=regime)
-        except FitError as exc:
-            raise type(exc)(f"replicate {label}: {exc}") from exc
+        model = fit_regime(worldgen.sample(world, n_train, label), spec, regime)
         x_eval = (
             worldgen.observe_features(world, grid, f"{label}/test") if regime == "OO" else grid
         )
@@ -324,11 +319,7 @@ class ComponentCovarianceReport:
 
 def _component_cell(args) -> np.ndarray:
     world, spec, n_train, grid, label = args
-    bundle = worldgen.sample(world, n_train, label)
-    try:
-        regimes = fit_regimes(bundle, spec)
-    except FitError as exc:
-        raise type(exc)(f"replicate {label}: {exc}") from exc
+    regimes = fit_regimes(worldgen.sample(world, n_train, label), spec)
     x_obs_grid = worldgen.observe_features(world, grid, f"{label}/test")
     eps_test = worldgen.draw_aleatoric(world, grid, f"{label}/test")
     f_star_grid = world.f_star.values(grid)

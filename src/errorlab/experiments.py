@@ -17,7 +17,7 @@ import numpy as np
 
 from . import worldgen
 from .decomp import CeilingEstimate, decompose_rows, estimate_ceiling
-from .errors import FitError, InvalidSpecError
+from .errors import InvalidSpecError
 from .models import ModelSpec, fit_regimes, predict
 from .parallel import ordered_map
 from .worldgen import FeatureNoiseSpec, TargetNoiseSpec, World, at_least, coerce_fields, naming
@@ -165,11 +165,7 @@ def _replicate_scores(w_level, n_train, spec, label, grid, x_obs_test, y_test, e
     """Held-out mse and mean absolute gains of one replicate's refit.  A
     function of its own, so the replicate's sample and models are freed
     before the level's next replicate draws its own."""
-    bundle = worldgen.sample(w_level, n_train, label)
-    try:
-        regimes = fit_regimes(bundle, spec)
-    except FitError as exc:
-        raise type(exc)(f"cell {label}: {exc}") from exc
+    regimes = fit_regimes(worldgen.sample(w_level, n_train, label), spec)
     preds = predict(regimes["OO"], x_obs_test)
     mse = float(np.mean((preds - y_test) ** 2))
     table = decompose_rows(

@@ -476,24 +476,24 @@ def predict(model: FittedModel, x: np.ndarray) -> np.ndarray:
     return predict_family(model, x)
 
 
-def regime_view(bundle: SampleBundle, regime: str) -> tuple[np.ndarray, np.ndarray]:
-    """The (x, y) a regime trains on: the bundle's selected rows of OO's
+def fit_regime(bundle: SampleBundle, spec: ModelSpec, regime: str) -> FittedModel:
+    """Fit the spec on the bundle's selected rows of the regime's view: OO's
     (x_observed, y_observed), TO's (x_true, y_observed) or TT's
-    (x_true, y_true)."""
+    (x_true, y_true).  A failed fit names the sample."""
     if regime not in _REGIME_FIELDS:
         raise InvalidSpecError(f"unknown training regime {regime!r}")
     x_name, y_name = _REGIME_FIELDS[regime]
     rows = bundle.selected
-    return getattr(bundle, x_name)[rows], getattr(bundle, y_name)[rows]
+    try:
+        return fit(spec, getattr(bundle, x_name)[rows], getattr(bundle, y_name)[rows], regime)
+    except FitError as exc:
+        raise type(exc)(f"sample {bundle.label}: {exc}") from exc
 
 
 def fit_regimes(bundle: SampleBundle, spec: ModelSpec) -> dict[str, FittedModel]:
     """Fit the spec under each information regime on identical row indices;
     the models keyed ``OO``, ``TO``, ``TT``."""
-    return {
-        regime: fit(spec, *regime_view(bundle, regime), regime=regime)
-        for regime in _REGIME_FIELDS
-    }
+    return {regime: fit_regime(bundle, spec, regime) for regime in _REGIME_FIELDS}
 
 
 # ---------------------------------------------------------------------------

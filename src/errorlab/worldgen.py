@@ -629,9 +629,9 @@ def feature_noise_from_config(cfg: Mapping, input_dim: int, path: str) -> Featur
 
 def build_world(config: Mapping, path: str = "world") -> World:
     """Build a World from a nested mapping (the scenario ``world`` section
-    plus a ``seed`` key).  Raises :class:`InvalidSpecError` or
-    :class:`ConfigError` naming the first violated field, ``path`` being the
-    section's own name."""
+    plus a ``seed`` key), ``path`` being the section's own name.  A missing
+    or mistyped field raises :class:`ConfigError` naming its full path; a
+    broken rule, the spec's own :class:`InvalidSpecError`."""
     cfg = dict(config)
 
     def section(name: str) -> dict:
@@ -639,7 +639,7 @@ def build_world(config: Mapping, path: str = "world") -> World:
 
     x_cfg = section("x")
     if "dim" not in x_cfg:
-        raise InvalidSpecError(f"{path}.x.dim: required field is missing")
+        raise ConfigError(f"{path}.x.dim: required field is missing")
     input_dim = coerce(int, x_cfg.pop("dim"), f"{path}.x.dim")
 
     f_cfg = section("f_star")
@@ -671,7 +671,7 @@ def build_world(config: Mapping, path: str = "world") -> World:
     selection = spec_from_config(SelectionSpec, section("selection"), f"{path}.selection")
 
     if "seed" not in cfg:
-        raise InvalidSpecError(f"{path}.seed: required field is missing")
+        raise ConfigError(f"{path}.seed: required field is missing")
     master_seed = coerce(int, cfg.pop("seed"), f"{path}.seed")
     reject_unknown(cfg, path)
 

@@ -383,6 +383,37 @@ decompose: {train_n: 60, n: 40}
     assert "numerical failure" in capsys.readouterr().err
 
 
+def _reference_with(tmp_path, world=None, **sections):
+    """reference.yaml with ``world`` merged into its world section and the
+    other sections replaced."""
+    doc = yaml.safe_load(STANDARD.with_name("reference.yaml").read_text(encoding="utf-8"))
+    doc["world"].update(world or {})
+    doc.update(sections)
+    return _write(tmp_path, yaml.safe_dump(doc), "reference.yaml")
+
+
+@pytest.mark.parametrize("seed", [None, "1", "3"])
+def test_decompose_heldout_rows_ignore_the_selection_rule(tmp_path, seed):
+    # At coverage 0.002 a 20-row sample keeps no row at these seeds; the
+    # held-out rows are scored, not trained on, so they are never selected.
+    config = _reference_with(
+        tmp_path,
+        world={"selection": {"rule": "probabilistic", "coverage": 0.002}},
+        decompose={"train_n": 20000, "n": 20},
+    )
+    argv = ["decompose", "--config", str(config), "--out", str(tmp_path / "d")]
+    assert main(argv + (["--seed", seed] if seed else [])) == 0
+    assert (tmp_path / "d" / "decomposition.csv").exists()
+
+
+def test_decompose_fit_failure_names_the_sample(tmp_path, capsys):
+    config = _reference_with(tmp_path, world={"feature_noise": {"coarsen": [100.0, 100.0]}})
+    code = main(["decompose", "--config", str(config), "--out", str(tmp_path / "d")])
+    assert code == 3
+    assert "numerical failure: sample decompose/train: regime OO: " in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def test_empty_curve_test_pack_exits_two(tmp_path, capsys):
     config = _standard_with(tmp_path, curve={"test_points": 0, "replicates": 2})
     code = main(["curve", "--config", str(config), "--out", str(tmp_path / "c")])
@@ -430,9 +461,26 @@ def _gallery_level_features(doc, features):
             lambda doc: doc["gallery"]["high"]["world"]["aleatoric"].update(variance=-1.0),
             "config error: gallery.high: aleatoric.variance: ",
         ),
+        (
+            lambda doc: doc["gallery"]["low"]["world"]["x"].pop("dim"),
+            "config error: gallery.low.world.x.dim: required field is missing\n",
+        ),
+        (
+            lambda doc: doc["world"]["x"].pop("dim"),
+            "config error: world.x.dim: required field is missing\n",
+        ),
+        (
+            lambda doc: doc["world"]["aleatoric"].update(variance=-1.0),
+            "config error: world: aleatoric.variance: must be finite and nonnegative\n",
+        ),
+        (
+            lambda doc: doc["world"]["x"].update(kind="correlated", cov=[[1.0, 0.0], [0.0, 1.0]]),
+            "config error: world: x.cov: expected a 3 x 3 matrix, ",
+        ),
     ],
     ids=["oracle-family", "negative-panel-variance", "curve-feature-7", "gallery-feature-2",
-         "curve-level-all-omitted", "gallery-oracle-family", "negative-gallery-variance"],
+         "curve-level-all-omitted", "gallery-oracle-family", "negative-gallery-variance",
+         "gallery-missing-dim", "world-missing-dim", "negative-world-variance", "world-cov-2x2"],
 )
 def test_degenerate_scenario_exits_two_before_any_output(tmp_path, capsys, edit, message):
     doc = yaml.safe_load(STANDARD.read_text(encoding="utf-8"))

@@ -209,7 +209,7 @@ def test_biasvar_fit_failure_names_the_replicate():
         f_star={"family": "linear", "coefficients": [1.0, 1.0]},
         feature_noise={"coarsen": [100.0, 100.0]},
     )
-    with pytest.raises(el.errors.SingularSystemError, match="replicate bv/rep00000"):
+    with pytest.raises(el.errors.SingularSystemError, match="sample bv/rep00000: regime OO"):
         bias_variance_monte_carlo(
             world, ModelSpec(family="ridge", lam=0.0), "OO", 60, 4, _grid(world, 32), base_label="bv"
         )
@@ -221,7 +221,7 @@ def test_component_fit_failure_names_the_replicate():
         f_star={"family": "linear", "coefficients": [1.0, 1.0]},
         feature_noise={"coarsen": [100.0, 100.0]},
     )
-    with pytest.raises(el.errors.SingularSystemError, match="replicate components/rep00000"):
+    with pytest.raises(el.errors.SingularSystemError, match="sample components/rep00000: regime OO"):
         component_covariances(world, ModelSpec(family="ridge", lam=0.0), 60, 4, _grid(world, 32))
 
 
@@ -302,6 +302,34 @@ def test_ceiling_draws_equal_the_full_sample(overrides):
     estimate = estimate_ceiling(world, 5000, base_label="ceil")
     assert estimate.ceiling_mse == float(np.var(bundle.epsilon, ddof=1))
     assert estimate.ceiling_r2 == 1.0 - estimate.ceiling_mse / float(np.var(bundle.y_true, ddof=1))
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"selection": {"rule": "threshold", "score": "y_true", "coverage": 0.3}},
+        {
+            "x": {"kind": "uniform", "dim": 3},
+            "aleatoric": {"variance": 0.4, "het_link": "one_plus_mean_sq"},
+            "feature_noise": {"cov": 0.3, "omit": [False, True, False], "coarsen": [0.5, 0, 0]},
+        },
+    ],
+)
+def test_testpack_draws_equal_the_full_sample(overrides):
+    # A test pack (decompose's held-out rows among them) draws x_true,
+    # x_observed and epsilon from the "x", "dx" and "eps" substreams that
+    # sample() reads under the same label; only target noise and selection
+    # are left out.
+    world = make_world(**overrides)
+    bundle = el.sample(world, 2000, "pack")
+    x_true = worldgen.draw_inputs(world, 2000, "pack")
+    x_observed = worldgen.observe_features(world, x_true, "pack")
+    epsilon = worldgen.draw_aleatoric(world, x_true, "pack")
+    assert np.array_equal(x_true, bundle.x_true)
+    assert np.array_equal(x_observed, bundle.x_observed)
+    assert np.array_equal(epsilon, bundle.epsilon)
+    assert np.array_equal(world.f_star.values(x_true) + epsilon, bundle.y_true)
 
 
 def test_ceiling_ignores_the_selection_rule():

@@ -154,7 +154,7 @@ def test_curve_fit_failure_names_the_cell():
         feature_noise={"coarsen": [100.0, 100.0]},
     )
     axis = _axis([AxisLevel(60, (0, 1), (1.0, 1.0))])
-    with pytest.raises(el.errors.SingularSystemError, match="cell curve/L0/rep0000"):
+    with pytest.raises(el.errors.SingularSystemError, match="sample curve/L0/rep0000: regime OO"):
         run_learning_curve(world, RIDGE, CurveConfig(axis, 2, test_points=100))
 
 

@@ -584,9 +584,10 @@ def test_mlp_divergence_bound_holds_on_all_zero_labels(x_scale):
     assert model.diagnostics["final_loss"] <= model.diagnostics["epoch_losses"][0]
 
 
-def test_regime_view_selects_each_regimes_training_data():
+def test_fit_regime_fits_each_regimes_training_data():
     world = make_world(selection={"rule": "probabilistic", "coverage": 0.6})
     bundle = el.sample(world, 50, "regime-view")
+    spec = ModelSpec(family="ridge", lam=0.1)
     rows = bundle.selected
     assert 0 < rows.sum() < 50
     expected = {
@@ -595,10 +596,13 @@ def test_regime_view_selects_each_regimes_training_data():
         "TT": (bundle.x_true[rows], bundle.y_true[rows]),
     }
     for regime, (x, y) in expected.items():
-        got_x, got_y = models.regime_view(bundle, regime)
-        assert np.array_equal(got_x, x) and np.array_equal(got_y, y)
+        # model_to_json round-trips floats exactly, so equal documents are
+        # equal models bit for bit.
+        got = models.model_to_json(models.fit_regime(bundle, spec, regime))
+        assert got == models.model_to_json(fit(spec, x, y, regime))
+        assert json.loads(got)["regime"] == regime
     with pytest.raises(InvalidSpecError):
-        models.regime_view(bundle, "ORACLE")
+        models.fit_regime(bundle, spec, "ORACLE")
 
 
 def test_model_json_spec_lists_every_model_spec_field():

@@ -6,7 +6,7 @@ import pytest
 
 import errorlab as el
 from errorlab import worldgen
-from errorlab.errors import EmptySelectionError, InvalidSpecError, InvariantError
+from errorlab.errors import ConfigError, EmptySelectionError, InvalidSpecError, InvariantError
 from errorlab.models import ModelSpec
 from errorlab.worldgen import AleatoricSpec, SelectionSpec, TargetNoiseSpec
 
@@ -134,7 +134,7 @@ def test_validated_covariances_are_not_factored_again_per_draw(monkeypatch):
 
 
 def test_missing_input_dim_rejected():
-    with pytest.raises(InvalidSpecError, match="world.x.dim"):
+    with pytest.raises(ConfigError, match="world.x.dim"):
         el.build_world({"f_star": {"coefficients": [1.0]}, "seed": 1})
 
 
