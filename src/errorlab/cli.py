@@ -83,13 +83,9 @@ def _cmd_decompose(scenario: Scenario, workers: int) -> dict[str, str]:
     world = scenario.world
     train = worldgen.sample(world, cfg.train_n, "decompose/train")
     regimes = fit_regimes(train, scenario.model)
-    # Held-out rows, drawn like every study's test pack: no target noise and
-    # no selection, which play no part in scoring them.
     x_true = worldgen.draw_inputs(world, cfg.n, "decompose/eval")
-    x_observed = worldgen.observe_features(world, x_true, "decompose/eval")
-    epsilon = worldgen.draw_aleatoric(world, x_true, "decompose/eval")
-    y_true = world.f_star.values(x_true) + epsilon
-    table = decompose_rows(world, regimes, x_true, x_observed, y_true, epsilon)
+    pack = worldgen.held_out(world, x_true, "decompose/eval")
+    table = decompose_rows(regimes, pack, pack.observed(world))
     check_telescoping(table)
     header = ["row", *(f.name for f in dataclasses.fields(table))]
     columns = [np.arange(table.n)] + [getattr(table, name) for name in header[1:]]

@@ -27,7 +27,7 @@ from .models import (
     predict,
 )
 from .parallel import ordered_map
-from .worldgen import SampleBundle, World
+from .worldgen import HeldOut, SampleBundle, World
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-9
@@ -81,32 +81,22 @@ class DecompositionTable:
 
 
 def decompose_rows(
-    world: World,
-    regimes: dict[str, FittedModel],
-    x_true: np.ndarray,
-    x_observed: np.ndarray,
-    y_true: np.ndarray,
-    epsilon: np.ndarray,
+    regimes: dict[str, FittedModel], pack: HeldOut, x_observed: np.ndarray
 ) -> DecompositionTable:
-    x_true = np.asarray(x_true, dtype=float)
-    x_observed = np.asarray(x_observed, dtype=float)
-    y_true = np.asarray(y_true, dtype=float)
-    epsilon = np.asarray(epsilon, dtype=float)
-    f_star = world.f_star.values(x_true)
-    pred_tt = predict(regimes["TT"], x_true)
-    pred_to = predict(regimes["TO"], x_true)
+    pred_tt = predict(regimes["TT"], pack.x_true)
+    pred_to = predict(regimes["TO"], pack.x_true)
     pred_oo = predict(regimes["OO"], x_observed)
     return DecompositionTable(
-        model_approx_gain=f_star - pred_tt,
+        model_approx_gain=pack.f_star - pred_tt,
         meas_gain_y=pred_tt - pred_to,
         meas_gain_x=pred_to - pred_oo,
         current_prediction=pred_oo,
-        aleatoric=epsilon,
+        aleatoric=pack.epsilon,
         err_x=pred_oo - pred_to,
         err_y=pred_to - pred_tt,
-        delta_f=pred_tt - f_star,
-        aleatoric_term=f_star - y_true,
-        y_true=y_true,
+        delta_f=pred_tt - pack.f_star,
+        aleatoric_term=pack.f_star - pack.y_true,
+        y_true=pack.y_true,
         y_pred=pred_oo,
     )
 
@@ -114,9 +104,9 @@ def decompose_rows(
 def decompose_bundle(
     world: World, regimes: dict[str, FittedModel], bundle: SampleBundle
 ) -> DecompositionTable:
-    return decompose_rows(
-        world, regimes, bundle.x_true, bundle.x_observed, bundle.y_true, bundle.epsilon
-    )
+    f_star = world.f_star.values(bundle.x_true)  # the bundle's own rows; nothing is redrawn
+    pack = HeldOut(bundle.x_true, f_star, bundle.epsilon, bundle.y_true, bundle.label)
+    return decompose_rows(regimes, pack, bundle.x_observed)
 
 
 def check_telescoping(table: DecompositionTable) -> None:
@@ -196,19 +186,13 @@ class BiasVarianceReport:
 def _biasvar_cell(args) -> tuple[np.ndarray, np.ndarray]:
     """One replicate: refit, predict the fixed grid, return error rows."""
     world, spec, regime, n_train, grid, label = args
-    f_star_grid = world.f_star.values(grid)
+    pack = worldgen.held_out(world, grid, f"{label}/test")
     if regime == "ORACLE":
-        preds = f_star_grid
+        preds = pack.f_star
     else:
         model = fit_regime(worldgen.sample(world, n_train, label), spec, regime)
-        x_eval = (
-            worldgen.observe_features(world, grid, f"{label}/test") if regime == "OO" else grid
-        )
-        preds = predict(model, x_eval)
-    eps_test = worldgen.draw_aleatoric(world, grid, f"{label}/test")
-    error = preds - (f_star_grid + eps_test)
-    epistemic = preds - f_star_grid
-    return error, epistemic
+        preds = predict(model, pack.observed(world) if regime == "OO" else grid)
+    return preds - pack.y_true, preds - pack.f_star
 
 
 def _biasvar_stats(sums: np.ndarray, counts: np.ndarray, aleatoric: float) -> np.ndarray:
@@ -320,10 +304,8 @@ class ComponentCovarianceReport:
 def _component_cell(args) -> np.ndarray:
     world, spec, n_train, grid, label = args
     regimes = fit_regimes(worldgen.sample(world, n_train, label), spec)
-    x_obs_grid = worldgen.observe_features(world, grid, f"{label}/test")
-    eps_test = worldgen.draw_aleatoric(world, grid, f"{label}/test")
-    f_star_grid = world.f_star.values(grid)
-    table = decompose_rows(world, regimes, grid, x_obs_grid, f_star_grid + eps_test, eps_test)
+    pack = worldgen.held_out(world, grid, f"{label}/test")
+    table = decompose_rows(regimes, pack, pack.observed(world))
     return np.array([getattr(table, name).mean() for name in ERROR_COLUMNS])
 
 
@@ -384,8 +366,8 @@ def estimate_ceiling(world: World, n: int, base_label: str = "ceiling") -> Ceili
     y = world.f_star.values(x_true) + eps
     sigma_sq = float(np.var(eps, ddof=1))
     var_y = float(np.var(y, ddof=1))
-    if var_y == 0.0:
-        raise InvalidSpecError("estimate_ceiling: Var(y_true) is zero; ceiling_r2 undefined")
+    if not var_y > 0.0:
+        raise InvalidSpecError(f"estimate_ceiling: Var(y_true) is zero or not a number ({var_y})")
     eps_dev_sq = (eps - eps.mean()) ** 2
     y_dev_sq = (y - y.mean()) ** 2
     # Delta method for r2 = 1 - sigma_sq / var_y via per-row influences.

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import worldgen
 from .decomp import CeilingEstimate, decompose_rows, estimate_ceiling
-from .errors import InvalidSpecError
+from .errors import FitError, InvalidSpecError
 from .models import ModelSpec, fit_regimes, predict
 from .parallel import ordered_map
 from .worldgen import FeatureNoiseSpec, TargetNoiseSpec, World, at_least, coerce_fields, naming
@@ -161,16 +161,14 @@ class LearningCurve:
         return self.points[-1]
 
 
-def _replicate_scores(w_level, n_train, spec, label, grid, x_obs_test, y_test, eps_test, cp):
+def _replicate_scores(w_level, n_train, spec, label, pack, x_obs_test, comp_points):
     """Held-out mse and mean absolute gains of one replicate's refit.  A
     function of its own, so the replicate's sample and models are freed
     before the level's next replicate draws its own."""
     regimes = fit_regimes(worldgen.sample(w_level, n_train, label), spec)
     preds = predict(regimes["OO"], x_obs_test)
-    mse = float(np.mean((preds - y_test) ** 2))
-    table = decompose_rows(
-        w_level, regimes, grid[:cp], x_obs_test[:cp], y_test[:cp], eps_test[:cp]
-    )
+    mse = float(np.mean((preds - pack.y_true) ** 2))
+    table = decompose_rows(regimes, pack.head(comp_points), x_obs_test[:comp_points])
     return (mse, *table.mean_abs_gains().values())
 
 
@@ -179,14 +177,11 @@ def _curve_cell(args) -> list[tuple[float, float, float, float]]:
 
     The level's observed view of the grid depends only on the level, so it
     is built once here and serves every replicate of the level."""
-    world, level, spec, labels, base_label, comp_points, grid, eps_test, y_test = args
+    world, level, spec, labels, comp_points, pack = args
     w_level = level_world(world, level)
-    x_obs_test = worldgen.observe_features(w_level, grid, f"{base_label}/test")
-    cp = min(comp_points, len(grid))
+    x_obs_test = pack.observed(w_level)
     return [
-        _replicate_scores(
-            w_level, level.n_train, spec, label, grid, x_obs_test, y_test, eps_test, cp
-        )
+        _replicate_scores(w_level, level.n_train, spec, label, pack, x_obs_test, comp_points)
         for label in labels
     ]
 
@@ -210,9 +205,8 @@ def run_learning_curve(
     n_levels = len(axis.levels)
     test_label = f"{base_label}/test"
     grid = worldgen.draw_inputs(world, curve.test_points, test_label)
-    eps_test = worldgen.draw_aleatoric(world, grid, test_label)
-    y_test = world.f_star.values(grid) + eps_test
-    var_y = float(np.var(y_test, ddof=1))
+    pack = worldgen.held_out(world, grid, test_label)
+    var_y = float(np.var(pack.y_true, ddof=1))
     if not var_y > 0.0:
         raise InvalidSpecError(f"run_learning_curve: Var(y_test) is zero or not a number ({var_y})")
 
@@ -220,7 +214,7 @@ def run_learning_curve(
         [f"{base_label}/L{li}/rep{r:04d}" for r in range(replicates)] for li in range(n_levels)
     ]
     tasks = [
-        (world, level, spec, labels[li], base_label, curve.comp_points, grid, eps_test, y_test)
+        (world, level, spec, labels[li], curve.comp_points, pack)
         for li, level in enumerate(axis.levels)
     ]
     values = np.asarray(ordered_map(_curve_cell, tasks, workers=workers), dtype=float)
@@ -345,10 +339,13 @@ def run_panel_scenarios(
     a duplicated baseline reproduces the baseline curve bit for bit.
     """
     scenarios = panels.variants
-    curves = [
-        run_learning_curve(s.apply(world), spec, curve, base_label=base_label, workers=workers)
-        for s in scenarios
-    ]
+    curves = []
+    for i, s in enumerate(scenarios):
+        try:
+            result = run_learning_curve(s.apply(world), spec, curve, base_label, workers)
+        except FitError as exc:
+            raise type(exc)(f"panels.variants[{i}] ({s.variant}): {exc}") from exc
+        curves.append(result)
     base_idx = next(i for i, s in enumerate(scenarios) if s.variant == "baseline")
     base_terminal = curves[base_idx].replicate_mse[-1]
     comparisons = []

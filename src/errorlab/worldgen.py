@@ -723,6 +723,33 @@ def draw_aleatoric(world: World, x_true: np.ndarray, substream_label: str) -> np
     return world.aleatoric.draw(rng, np.asarray(x_true, dtype=float))
 
 
+@dataclass(frozen=True)
+class HeldOut:
+    """Held-out rows and the truth they are scored against: f* at ``x_true``, the
+    inherent noise and ``y_true = f_star + epsilon`` (no target noise or selection)."""
+
+    x_true: np.ndarray
+    f_star: np.ndarray
+    epsilon: np.ndarray
+    y_true: np.ndarray
+    label: str
+
+    def observed(self, world: World) -> np.ndarray:
+        """The rows as ``world`` shows them, drawn under the pack's label."""
+        return observe_features(world, self.x_true, self.label)
+
+    def head(self, n: int) -> "HeldOut":
+        return HeldOut(
+            self.x_true[:n], self.f_star[:n], self.epsilon[:n], self.y_true[:n], self.label
+        )
+
+
+def held_out(world: World, x_true: np.ndarray, label: str) -> HeldOut:
+    """The pack at ``x_true``, its noise drawn as ``sample`` under ``label`` draws it."""
+    f_star, epsilon = world.f_star.values(x_true), draw_aleatoric(world, x_true, label)
+    return HeldOut(x_true, f_star, epsilon, f_star + epsilon, label)
+
+
 def sample(world: World, n: int, substream_label: str) -> SampleBundle:
     """Generate a paired true/observed sample of size n.
 

@@ -414,6 +414,20 @@ def test_decompose_fit_failure_names_the_sample(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+def test_panels_fit_failure_names_the_variant(tmp_path, capsys):
+    # The variants share their substream labels (their draws are paired), so
+    # only the variant's index and name tell which one failed.
+    doc = yaml.safe_load(STANDARD.read_text(encoding="utf-8"))
+    variants = doc["panels"]["variants"]
+    variants[2]["feature_noise"]["coarsen"] = [100.0, 100.0, 100.0]
+    config = _standard_with(tmp_path, panels={"variants": variants})
+    code = main(["panels", "--config", str(config), "--out", str(tmp_path / "p")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "panels.variants[2] (reconstructed_features): sample panels/L0/rep0000: regime OO" in err
+    assert not (tmp_path / "p").exists()
+
+
 def test_empty_curve_test_pack_exits_two(tmp_path, capsys):
     config = _standard_with(tmp_path, curve={"test_points": 0, "replicates": 2})
     code = main(["curve", "--config", str(config), "--out", str(tmp_path / "c")])

@@ -58,14 +58,15 @@ def test_component_sum_reproduces_y_true(noisy_world):
 def test_scalar_ops_match_batch(noisy_world):
     regimes, heldout, table = _fit_and_decompose(noisy_world, ModelSpec(family="ridge"))
     i = 17
-    row = decomp.decompose_rows(
-        noisy_world,
-        regimes,
-        heldout.x_true[i : i + 1],
-        heldout.x_observed[i : i + 1],
-        heldout.y_true[i : i + 1],
+    x_true = heldout.x_true[i : i + 1]
+    pack = worldgen.HeldOut(
+        x_true,
+        noisy_world.f_star.values(x_true),
         heldout.epsilon[i : i + 1],
+        heldout.y_true[i : i + 1],
+        heldout.label,
     )
+    row = decomp.decompose_rows(regimes, pack, heldout.x_observed[i : i + 1])
     assert row.n == 1
     assert row.pointwise_sum()[0] == pytest.approx(heldout.y_true[i], rel=1e-9)
     assert row.error_sum()[0] == pytest.approx(
@@ -317,19 +318,21 @@ def test_ceiling_draws_equal_the_full_sample(overrides):
     ],
 )
 def test_testpack_draws_equal_the_full_sample(overrides):
-    # A test pack (decompose's held-out rows among them) draws x_true,
-    # x_observed and epsilon from the "x", "dx" and "eps" substreams that
-    # sample() reads under the same label; only target noise and selection
-    # are left out.
+    # A held-out pack (every study's test rows) draws x_true, x_observed and
+    # epsilon from the "x", "dx" and "eps" substreams that sample() reads
+    # under the same label; only target noise and selection are left out.
     world = make_world(**overrides)
     bundle = el.sample(world, 2000, "pack")
-    x_true = worldgen.draw_inputs(world, 2000, "pack")
-    x_observed = worldgen.observe_features(world, x_true, "pack")
-    epsilon = worldgen.draw_aleatoric(world, x_true, "pack")
-    assert np.array_equal(x_true, bundle.x_true)
-    assert np.array_equal(x_observed, bundle.x_observed)
-    assert np.array_equal(epsilon, bundle.epsilon)
-    assert np.array_equal(world.f_star.values(x_true) + epsilon, bundle.y_true)
+    pack = worldgen.held_out(world, worldgen.draw_inputs(world, 2000, "pack"), "pack")
+    assert np.array_equal(pack.x_true, bundle.x_true)
+    assert np.array_equal(pack.observed(world), bundle.x_observed)
+    assert np.array_equal(pack.epsilon, bundle.epsilon)
+    assert np.array_equal(pack.y_true, bundle.y_true)
+    assert np.array_equal(pack.f_star, world.f_star.values(bundle.x_true))
+    head = pack.head(37)
+    assert head.label == "pack"
+    for field in ("x_true", "f_star", "epsilon", "y_true"):
+        assert np.array_equal(getattr(head, field), getattr(pack, field)[:37])
 
 
 def test_ceiling_ignores_the_selection_rule():

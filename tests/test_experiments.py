@@ -6,7 +6,7 @@ import pytest
 
 import errorlab as el
 from errorlab import parallel, worldgen
-from errorlab.decomp import bias_variance_monte_carlo, decompose_rows
+from errorlab.decomp import bias_variance_monte_carlo, decompose_rows, estimate_ceiling
 from errorlab.errors import InvalidSpecError
 from errorlab.experiments import (
     AxisLevel,
@@ -180,6 +180,15 @@ def test_curve_with_an_undefined_variance_is_rejected():
             run_learning_curve(world, RIDGE, CurveConfig(axis, 2, test_points=100))
 
 
+def test_ceiling_with_an_undefined_variance_is_rejected():
+    # The same overflowing world: the noise ceiling's r2 = 1 - mse / Var(y_true)
+    # is as undefined as the curve's performance, and must not reach a JSON file.
+    world = make_world(f_star={"family": "linear", "coefficients": [1e308, 1e308, 1e308]})
+    with pytest.raises(InvalidSpecError, match=r"Var\(y_true\) is zero or not a number \(nan\)"):
+        with pytest.warns(RuntimeWarning):
+            estimate_ceiling(world, 100)
+
+
 def test_curve_needs_two_replicates():
     axis = _axis([AxisLevel(60, FEATS, (1.0, 1.0))])
     with pytest.raises(InvalidSpecError, match="curve.replicates: must be >= 2"):
@@ -209,9 +218,9 @@ def _reference_cell(world, level, spec, label, base_label, test_points, comp_poi
     preds = predict(regimes["OO"], x_obs_test)
     mse = float(np.mean((preds - y_test) ** 2))
     cp = min(comp_points, test_points)
-    table = decompose_rows(
-        w_level, regimes, grid[:cp], x_obs_test[:cp], y_test[:cp], eps_test[:cp]
-    )
+    f_star = w_level.f_star.values(grid[:cp])
+    pack = worldgen.HeldOut(grid[:cp], f_star, eps_test[:cp], y_test[:cp], f"{base_label}/test")
+    table = decompose_rows(regimes, pack, x_obs_test[:cp])
     return (
         mse,
         float(np.mean(np.abs(table.model_approx_gain))),
