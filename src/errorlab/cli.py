@@ -36,7 +36,15 @@ from .experiments import (
 )
 from .models import fit_regimes, model_to_json
 from .parallel import command_pool
-from .runio import RunManifest, render_csv, render_json, sha256_text, write_outputs
+from .runio import (
+    CsvText,
+    RunManifest,
+    render_csv,
+    render_json,
+    sha256_text,
+    write_file,
+    write_outputs,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,7 +67,7 @@ def _curve_columns(curves) -> list[list]:
     ]
 
 
-def _cmd_simulate(scenario: Scenario, workers: int) -> dict[str, str]:
+def _cmd_simulate(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
     cfg = scenario.simulate
     bundle = worldgen.sample(scenario.world, cfg.n, cfg.label)
     header, columns = worldgen.bundle_columns(bundle)
@@ -78,7 +86,7 @@ def _cmd_simulate(scenario: Scenario, workers: int) -> dict[str, str]:
     }
 
 
-def _cmd_decompose(scenario: Scenario, workers: int) -> dict[str, str]:
+def _cmd_decompose(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
     cfg = scenario.decompose
     world = scenario.world
     train = worldgen.sample(world, cfg.train_n, "decompose/train")
@@ -104,7 +112,7 @@ def _cmd_decompose(scenario: Scenario, workers: int) -> dict[str, str]:
     }
 
 
-def _cmd_biasvar(scenario: Scenario, workers: int) -> dict[str, str]:
+def _cmd_biasvar(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
     cfg = scenario.biasvar
     world = scenario.world
     grid = worldgen.draw_inputs(world, cfg.test_points, "biasvar/test_grid")
@@ -155,7 +163,7 @@ def _required(scenario: Scenario, name: str):
     return section
 
 
-def _cmd_curve(scenario: Scenario, workers: int) -> dict[str, str]:
+def _cmd_curve(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
     cfg = _required(scenario, "curve")
     curve = run_learning_curve(
         scenario.world, scenario.model, cfg, base_label="curve", workers=workers
@@ -172,7 +180,7 @@ def _cmd_curve(scenario: Scenario, workers: int) -> dict[str, str]:
     }
 
 
-def _cmd_panels(scenario: Scenario, workers: int) -> dict[str, str]:
+def _cmd_panels(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
     cfg = _required(scenario, "curve")  # named first when both sections are missing
     panels = _required(scenario, "panels")
     result = run_panel_scenarios(
@@ -189,7 +197,7 @@ def _cmd_panels(scenario: Scenario, workers: int) -> dict[str, str]:
     }
 
 
-def _cmd_gallery(scenario: Scenario, workers: int) -> dict[str, str]:
+def _cmd_gallery(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
     sides = regime_gallery(_required(scenario, "gallery"), base_label="gallery", workers=workers)
     payload = {}
     for side in sides:
@@ -206,7 +214,7 @@ def _cmd_gallery(scenario: Scenario, workers: int) -> dict[str, str]:
     }
 
 
-def _cmd_probe(scenario: Scenario, workers: int) -> dict[str, str]:
+def _cmd_probe(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
     report = representativeness_probe(scenario.world, scenario.probe.n, base_label="probe")
     ceiling = estimate_ceiling(scenario.world, scenario.probe.n, base_label="probe/ceiling")
     payload = {**dataclasses.asdict(report), "ceiling_r2": ceiling.ceiling_r2}
@@ -259,9 +267,7 @@ def run(command: str, config, out, seed=None, workers: int = 1, replicates=None)
             "processes": pool.processes,
         },
     )
-    (out_dir / "manifest.json").write_text(
-        render_json(dataclasses.asdict(manifest)), encoding="utf-8"
-    )
+    write_file(out_dir / "manifest.json", render_json(dataclasses.asdict(manifest)))
     return manifest
 
 

@@ -62,29 +62,49 @@ def _format_column(column, lo: int, hi: int) -> list[str]:
     return [_format_cell(v) for v in column[lo:hi]]
 
 
-def render_csv(header: list[str], columns) -> str:
-    """CSV text from one sequence per column (every column the same length).
+class CsvText:
+    """The text of one CSV file, rendered block by block as it is iterated.
 
-    Rows are rendered in blocks of ``CSV_BLOCK_ROWS``: each column of a block
-    is formatted in one pass, then the block's rows are joined, so only one
-    block's cell strings are alive at a time.  The bytes equal formatting
-    every cell with ``_format_cell`` row by row.
+    The constructor checks the shape (one column per header field, every
+    column the same length) and keeps references to the columns, not
+    copies, until the payload is written, so a column must not be changed
+    after ``render_csv``.  Iterating yields the schema line and header,
+    then one newline-terminated string per ``CSV_BLOCK_ROWS`` rows; each
+    column of a block is formatted in one pass, so only one block's cell
+    strings are alive at a time.  Every iteration renders the text again.
+    The bytes equal formatting every cell with ``_format_cell`` row by row.
     """
-    columns = list(columns)
-    if len(columns) != len(header):
-        raise ValueError(f"render_csv: {len(columns)} columns for {len(header)} header fields")
-    n = len(columns[0]) if columns else 0
-    if any(len(column) != n for column in columns):
-        raise ValueError("render_csv: columns differ in length")
-    parts = [f"# schema_version={OUTPUT_SCHEMA_VERSION}", ",".join(header)]
-    for lo in range(0, n, CSV_BLOCK_ROWS):
-        hi = min(lo + CSV_BLOCK_ROWS, n)
-        cells = [_format_column(column, lo, hi) for column in columns]
-        parts.append("\n".join(map(",".join, zip(*cells))))
-    # The empty last part supplies the trailing newline without copying the
-    # joined text once more.
-    parts.append("")
-    return "\n".join(parts)
+
+    __slots__ = ("_header", "_columns", "_n")
+
+    def __init__(self, header: list[str], columns) -> None:
+        columns = list(columns)
+        if len(columns) != len(header):
+            raise ValueError(f"render_csv: {len(columns)} columns for {len(header)} header fields")
+        n = len(columns[0]) if columns else 0
+        if any(len(column) != n for column in columns):
+            raise ValueError("render_csv: columns differ in length")
+        self._header = ",".join(header)
+        self._columns = columns
+        self._n = n
+
+    def __iter__(self):
+        yield f"# schema_version={OUTPUT_SCHEMA_VERSION}\n{self._header}\n"
+        for lo in range(0, self._n, CSV_BLOCK_ROWS):
+            hi = min(lo + CSV_BLOCK_ROWS, self._n)
+            cells = [_format_column(column, lo, hi) for column in self._columns]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+    def encode(self, encoding: str = "utf-8") -> bytes:
+        """The whole file as bytes, like ``str.encode``."""
+        return b"".join(part.encode(encoding) for part in self)
+
+
+def render_csv(header: list[str], columns) -> CsvText:
+    """CSV payload from one sequence per column (every column the same
+    length); raises ``ValueError`` here, before anything is written, when
+    the shape is wrong.  See ``CsvText``."""
+    return CsvText(header, columns)
 
 
 def render_json(payload) -> str:
@@ -119,11 +139,19 @@ class RunManifest:
     schema_version: int = OUTPUT_SCHEMA_VERSION
 
 
-def write_outputs(out_dir: Path, payloads: dict[str, str]) -> dict[str, str]:
-    """Write rendered text files and return their checksums."""
-    checksums = {}
-    for name, text in payloads.items():
-        data = text.encode("utf-8")
-        (out_dir / name).write_bytes(data)
-        checksums[name] = hashlib.sha256(data).hexdigest()
-    return checksums
+def write_file(path: Path, payload: str | CsvText) -> str:
+    """Write one rendered payload, part by part as it is encoded (a ``str``
+    is one part), and return the SHA-256 of the bytes written."""
+    digest = hashlib.sha256()
+    parts = (payload,) if isinstance(payload, str) else payload
+    with open(path, "wb") as fh:
+        for part in parts:
+            data = part.encode("utf-8")
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
+
+
+def write_outputs(out_dir: Path, payloads: dict[str, str | CsvText]) -> dict[str, str]:
+    """Write rendered files and return their checksums."""
+    return {name: write_file(out_dir / name, payload) for name, payload in payloads.items()}

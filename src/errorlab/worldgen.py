@@ -128,12 +128,27 @@ class TrueFunctionSpec:
                 raise InvalidSpecError("f_star.interactions: index out of range")
 
     def values(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate at an n x input_dim matrix; deterministic."""
+        """Evaluate at an n x input_dim matrix; deterministic.  Raises
+        ``InvalidSpecError`` naming ``f_star`` when a value is not finite
+        (coefficients that overflow float64 on the drawn inputs)."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise DimensionError(
                 f"expected points with {self.input_dim} columns, got shape {x.shape}"
             )
+        # An overflow is refused below, naming f*, rather than warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._evaluate(x)
+        finite = np.isfinite(out)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise InvalidSpecError(
+                f"f_star: f*(x) is {float(out[row])} at row {row}; "
+                "the coefficients overflow float64 on the drawn inputs"
+            )
+        return out
+
+    def _evaluate(self, x: np.ndarray) -> np.ndarray:
         c = np.asarray(self.coefficients)
         # Columnwise accumulation keeps each row's value identical whether it
         # is evaluated alone or inside a batch (a matmul would not).

@@ -596,6 +596,23 @@ def test_exit_code_three_on_non_finite_json(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_overflowing_f_star_exits_two_in_every_command(tmp_path, capsys, command):
+    # Coefficients near the float maximum overflow f*(x) on gaussian inputs.
+    # Every command evaluates f* before any fit, so each refuses it there,
+    # naming f_star, instead of failing later with exit 3 or 4.
+    doc = yaml.safe_load(STANDARD.read_text(encoding="utf-8"))
+    sides = [doc["gallery"]["low"], doc["gallery"]["high"]] if command == "gallery" else [doc]
+    for side in sides:
+        side["world"]["f_star"]["coefficients"] = [1e308] * side["world"]["x"]["dim"]
+    config = _write(tmp_path, yaml.safe_dump(doc))
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.match(r"config error: f_star: f\*\(x\) is (-?inf|nan) at row \d+; ", err), err
+    assert not (tmp_path / "o").exists()
+
+
 def test_finite_mlp_divergence_exits_three(tmp_path, capsys):
     # This fit stays finite for all 20 epochs (OO ends near 5e194), so
     # only the divergence bound stops it: the first epoch's loss, 1.3e8,

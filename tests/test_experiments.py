@@ -169,24 +169,22 @@ def test_curve_on_a_constant_outcome_is_rejected():
         run_learning_curve(world, RIDGE, CurveConfig(axis, 2, test_points=100))
 
 
-def test_curve_with_an_undefined_variance_is_rejected():
-    # Coefficients near the float maximum overflow f*(x) to +-inf, whose
-    # variance np.var gives as NaN with a RuntimeWarning; a NaN variance
-    # must not pass as nonzero.
+def test_curve_refuses_an_overflowing_f_star():
+    # Coefficients near the float maximum overflow f*(x) to +-inf.  The
+    # held-out pack's f* refuses that, naming f_star, before Var(y_test)
+    # (NaN with a RuntimeWarning) could be computed from it.
     world = make_world(f_star={"family": "linear", "coefficients": [1e308, 1e308, 1e308]})
     axis = _axis([AxisLevel(60, FEATS, (1.0, 1.0))])
-    with pytest.raises(InvalidSpecError, match="Var\\(y_test\\) is zero or not a number"):
-        with pytest.warns(RuntimeWarning):
-            run_learning_curve(world, RIDGE, CurveConfig(axis, 2, test_points=100))
+    with pytest.raises(InvalidSpecError, match=r"^f_star: f\*\(x\) is -?inf at row \d+"):
+        run_learning_curve(world, RIDGE, CurveConfig(axis, 2, test_points=100))
 
 
-def test_ceiling_with_an_undefined_variance_is_rejected():
+def test_ceiling_refuses_an_overflowing_f_star():
     # The same overflowing world: the noise ceiling's r2 = 1 - mse / Var(y_true)
-    # is as undefined as the curve's performance, and must not reach a JSON file.
+    # would be undefined, and the refusal comes from f* before it.
     world = make_world(f_star={"family": "linear", "coefficients": [1e308, 1e308, 1e308]})
-    with pytest.raises(InvalidSpecError, match=r"Var\(y_true\) is zero or not a number \(nan\)"):
-        with pytest.warns(RuntimeWarning):
-            estimate_ceiling(world, 100)
+    with pytest.raises(InvalidSpecError, match=r"^f_star: "):
+        estimate_ceiling(world, 100)
 
 
 def test_curve_needs_two_replicates():

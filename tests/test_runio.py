@@ -1,12 +1,13 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from errorlab import runio, worldgen
+from errorlab import cli, runio, worldgen
 from errorlab.cli import main
 from errorlab.config import parse_config
 from errorlab.errors import NonFiniteOutputError
@@ -63,7 +64,7 @@ def _mixed_columns(n: int) -> tuple[list[str], list]:
 def test_render_csv_matches_row_wise_reference(n):
     header, columns = _mixed_columns(n)
     rows = [[column[i] for column in columns] for i in range(n)]
-    assert render_csv(header, columns) == _reference_csv(header, rows)
+    assert "".join(render_csv(header, columns)) == _reference_csv(header, rows)
 
 
 def test_render_csv_rejects_ragged_columns():
@@ -71,6 +72,33 @@ def test_render_csv_rejects_ragged_columns():
         render_csv(["a", "b"], [np.zeros(3), np.zeros(2)])
     with pytest.raises(ValueError, match="header"):
         render_csv(["a", "b"], [np.zeros(3)])
+
+
+def test_a_csv_payload_renders_the_same_text_each_time_it_is_iterated():
+    header, columns = _mixed_columns(2 * CSV_BLOCK_ROWS + 3)
+    payload = render_csv(header, columns)
+    parts = list(payload)
+    # The schema line and header, then one part per block.
+    assert len(parts) == 1 + 3
+    assert all(part.endswith("\n") for part in parts)
+    assert "".join(payload) == "".join(parts)
+    assert payload.encode("utf-8") == "".join(parts).encode("utf-8")
+
+
+def test_writing_a_csv_never_holds_the_whole_file(tmp_path):
+    n = 50_000
+    rng = np.random.default_rng(0)
+    header = [f"c{i}" for i in range(9)]
+    columns = [np.arange(n), *rng.normal(size=(8, n))]
+    tracemalloc.start()
+    try:
+        write_outputs(tmp_path, {"big.csv": render_csv(header, columns)})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "big.csv").stat().st_size
+    assert size > 7_000_000
+    assert peak < size / 8, (peak, size)
 
 
 def test_simulate_samples_round_trip_to_bundle(tmp_path):
@@ -103,3 +131,22 @@ def test_write_outputs_checksums_the_written_bytes(tmp_path):
         assert data == text.encode("utf-8")
         assert checksums[name] == hashlib.sha256(data).hexdigest()
     assert json.loads((tmp_path / "b.json").read_bytes())["name"] == "é中"
+
+
+def test_write_outputs_checksums_a_csv_payload_as_written(tmp_path):
+    header, columns = _mixed_columns(CSV_BLOCK_ROWS + 5)
+    checksums = write_outputs(tmp_path, {"t.csv": render_csv(header, columns)})
+    data = (tmp_path / "t.csv").read_bytes()
+    assert checksums == {"t.csv": hashlib.sha256(data).hexdigest()}
+    rows = [[column[i] for column in columns] for i in range(CSV_BLOCK_ROWS + 5)]
+    assert data == _reference_csv(header, rows).encode("utf-8")
+
+
+def test_decompose_with_a_non_finite_json_value_writes_nothing(tmp_path, monkeypatch, capsys):
+    # decomposition.csv comes first in decompose's payloads, but every JSON
+    # payload is rendered before any file is opened.
+    monkeypatch.setattr(cli, "model_to_json", lambda model: {"w": float("nan")})
+    out = tmp_path / "d"
+    assert main(["decompose", "--config", str(STANDARD), "--out", str(out)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not out.exists()

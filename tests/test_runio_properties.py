@@ -63,4 +63,4 @@ def test_render_csv_equals_row_wise_format_cell(table):
         for i in range(len(columns[0]))
     ]
     lines = [f"# schema_version={runio.OUTPUT_SCHEMA_VERSION}", ",".join(header), *rows]
-    assert render_csv(header, columns) == "\n".join(lines) + "\n"
+    assert "".join(render_csv(header, columns)) == "\n".join(lines) + "\n"
