@@ -23,7 +23,6 @@ from .decomp import (
     check_telescoping,
     component_covariances,
     decompose_rows,
-    estimate_ceiling,
     representativeness_probe,
 )
 from .errors import ConfigError, ErrorLabError, FitError, InvalidSpecError, InvariantError
@@ -202,7 +201,7 @@ def _cmd_gallery(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
     payload = {}
     for side in sides:
         payload[side.name] = {
-            **dataclasses.asdict(side.ceiling),
+            **dataclasses.asdict(side.curve.ceiling),
             "attainment_level": side.attainment_level,
             "monotone_under_ci": monotone_under_ci(side.curve.points),
         }
@@ -216,9 +215,7 @@ def _cmd_gallery(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
 
 def _cmd_probe(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
     report = representativeness_probe(scenario.world, scenario.probe.n, base_label="probe")
-    ceiling = estimate_ceiling(scenario.world, scenario.probe.n, base_label="probe/ceiling")
-    payload = {**dataclasses.asdict(report), "ceiling_r2": ceiling.ceiling_r2}
-    return {"probe.json": render_json(payload)}
+    return {"probe.json": render_json(dataclasses.asdict(report))}
 
 
 _HANDLERS = {

@@ -238,6 +238,8 @@ def scenario_from_mapping(raw: Mapping, seed=None, replicates=None) -> Scenario:
     gal_cfg = cfg.pop("gallery", None)
     if gal_cfg is not None:
         gal_cfg = as_mapping(gal_cfg, "gallery")
+        # ceiling_n sized the ceiling's own draws until 0.2.0; it is ignored.
+        gal_cfg.pop("ceiling_n", None)
         low = _gallery_side(gal_cfg.pop("low", None), "gallery.low", seed, overridden)
         high = _gallery_side(gal_cfg.pop("high", None), "gallery.high", seed, overridden)
         axis = _axis_from_config(gal_cfg.pop("axis", None), "gallery.axis")

@@ -353,23 +353,19 @@ def _var_se_sq(values: np.ndarray) -> float:
     return max(m4 - s2**2, 0.0) / n
 
 
-def estimate_ceiling(world: World, n: int, base_label: str = "ceiling") -> CeilingEstimate:
-    """Estimate the noise floor and the matching R^2 ceiling from draws.
-
-    Only the inputs and the inherent noise are drawn (the ``x`` and ``eps``
-    substreams of ``worldgen.sample`` under the same label): the ceiling
-    concerns the true outcome, so no corruption or selection applies."""
+def estimate_ceiling(epsilon: np.ndarray, y_true: np.ndarray) -> CeilingEstimate:
+    """The noise floor and the matching R^2 ceiling of rows a study already
+    drew; nothing is drawn.  The ceiling concerns the true outcome, so no
+    corruption or selection applies."""
+    n = epsilon.shape[0]
     if n < 2:
         raise InvalidSpecError("estimate_ceiling needs n >= 2")
-    x_true = worldgen.draw_inputs(world, n, base_label)
-    eps = worldgen.draw_aleatoric(world, x_true, base_label)
-    y = world.f_star.values(x_true) + eps
-    sigma_sq = float(np.var(eps, ddof=1))
-    var_y = float(np.var(y, ddof=1))
+    sigma_sq = float(np.var(epsilon, ddof=1))
+    var_y = float(np.var(y_true, ddof=1))
     if not var_y > 0.0:
         raise InvalidSpecError(f"estimate_ceiling: Var(y_true) is zero or not a number ({var_y})")
-    eps_dev_sq = (eps - eps.mean()) ** 2
-    y_dev_sq = (y - y.mean()) ** 2
+    eps_dev_sq = (epsilon - epsilon.mean()) ** 2
+    y_dev_sq = (y_true - y_true.mean()) ** 2
     # Delta method for r2 = 1 - sigma_sq / var_y via per-row influences.
     influence = -eps_dev_sq / var_y + sigma_sq * y_dev_sq / var_y**2
     se_r2 = float(np.std(influence, ddof=1) / math.sqrt(n))
@@ -383,7 +379,8 @@ class RepresentativenessReport:
     """Noise moments on the selected subsample vs. the full draw.
 
     Divergence z-scores compare the selected rows against their disjoint
-    complement; both are zero when selection keeps everything.
+    complement; both are zero when selection keeps everything.  The R^2
+    ceiling is read off all ``n`` rows, as no selection applies to it.
     """
 
     eps_mean_full: float
@@ -395,6 +392,7 @@ class RepresentativenessReport:
     coverage: float
     n: int
     n_selected: int
+    ceiling_r2: float
 
 
 def representativeness_probe(
@@ -433,4 +431,5 @@ def representativeness_probe(
         coverage=bundle.coverage,
         n=n,
         n_selected=int(sel.shape[0]),
+        ceiling_r2=estimate_ceiling(eps, bundle.y_true).ceiling_r2,
     )

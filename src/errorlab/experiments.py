@@ -155,6 +155,7 @@ class LearningCurve:
     points: list[LearningCurvePoint]
     replicate_mse: np.ndarray  # levels x replicates
     var_y_test: float
+    ceiling: CeilingEstimate  # the noise floor of the held-out pack's rows
 
     @property
     def terminal(self) -> LearningCurvePoint:
@@ -199,7 +200,7 @@ def run_learning_curve(
     Every level and replicate refits in the observable (OO) regime on its
     own substream; the held-out grid and its noise are drawn once per
     world and shared by all levels and replicates, and each level's
-    observed view of the grid is built once.
+    observed view of the grid is built once, as is the pack's noise floor.
     """
     axis, replicates = curve.axis, curve.replicates
     n_levels = len(axis.levels)
@@ -209,6 +210,7 @@ def run_learning_curve(
     var_y = float(np.var(pack.y_true, ddof=1))
     if not var_y > 0.0:
         raise InvalidSpecError(f"run_learning_curve: Var(y_test) is zero or not a number ({var_y})")
+    ceiling = estimate_ceiling(pack.epsilon, pack.y_true)
 
     labels = [
         [f"{base_label}/L{li}/rep{r:04d}" for r in range(replicates)] for li in range(n_levels)
@@ -243,6 +245,7 @@ def run_learning_curve(
         points=points,
         replicate_mse=values[:, :, 0].copy(),
         var_y_test=var_y,
+        ceiling=ceiling,
     )
 
 
@@ -381,33 +384,31 @@ class GallerySide:
 
 @dataclass(frozen=True)
 class GalleryConfig:
-    """Two sides run along one axis; each noise ceiling draws ``ceiling_n`` rows."""
+    """Two sides run along one axis, each with its own held-out pack."""
 
     low: GallerySide
     high: GallerySide
     axis: InformationAxis
     replicates: int = 20
     test_points: int = 10_000
-    ceiling_n: int = 100_000
 
     def __post_init__(self) -> None:
         with naming("gallery.axis"):
             self.axis.check_world(self.low.world)
             self.axis.check_world(self.high.world)
-        at_least(self, "gallery", replicates=2, test_points=2, ceiling_n=2)
+        at_least(self, "gallery", replicates=2, test_points=2)
 
 
 @dataclass
 class GalleryScenarioResult:
     name: str
     curve: LearningCurve
-    ceiling: CeilingEstimate
     attainment_level: Optional[int]
 
 
-def _attainment_level(curve: LearningCurve, ceiling_mse: float) -> Optional[int]:
+def _attainment_level(curve: LearningCurve) -> Optional[int]:
     for point in curve.points:
-        if point.mean_mse <= (1.0 + _ATTAINMENT_SLACK) * ceiling_mse:
+        if point.mean_mse <= (1.0 + _ATTAINMENT_SLACK) * curve.ceiling.ceiling_mse:
             return point.level_index
     return None
 
@@ -417,25 +418,17 @@ def regime_gallery(
 ) -> list[GalleryScenarioResult]:
     """Contrast a low-noise fast-attaining world with a high-noise slow one.
 
-    Emits both decomposed curves, their estimated ceilings, and the first
-    axis level at which each curve comes within 10% of its ceiling MSE:
-    the ``low_noise`` side first, then ``high_noise``.
+    Emits both decomposed curves and the first axis level at which each
+    comes within 10% of the ceiling MSE of its own held-out pack: the
+    ``low_noise`` side first, then ``high_noise``, each naming its errors.
     """
     config = CurveConfig(gallery.axis, gallery.replicates, gallery.test_points)
     results = []
-    for name, side in (("low_noise", gallery.low), ("high_noise", gallery.high)):
-        curve = run_learning_curve(
-            side.world, side.model, config, base_label=f"{base_label}/{name}", workers=workers
-        )
-        ceiling = estimate_ceiling(
-            side.world, gallery.ceiling_n, base_label=f"{base_label}/{name}/ceiling"
-        )
-        results.append(
-            GalleryScenarioResult(
-                name=name,
-                curve=curve,
-                ceiling=ceiling,
-                attainment_level=_attainment_level(curve, ceiling.ceiling_mse),
+    for name, key in (("low_noise", "low"), ("high_noise", "high")):
+        side = getattr(gallery, key)
+        with naming(f"gallery.{key}"):
+            curve = run_learning_curve(
+                side.world, side.model, config, base_label=f"{base_label}/{name}", workers=workers
             )
-        )
+        results.append(GalleryScenarioResult(name, curve, _attainment_level(curve)))
     return results

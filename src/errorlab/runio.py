@@ -21,6 +21,8 @@ OUTPUT_SCHEMA_VERSION = 1
 def to_builtin(value):
     """Recursively convert numpy containers/scalars to plain Python."""
     if isinstance(value, np.ndarray):
+        if value.dtype.kind in "biuf":
+            return value.tolist()  # already nested lists of Python scalars
         return [to_builtin(v) for v in value.tolist()]
     if isinstance(value, (np.floating, np.integer, np.bool_)):
         return value.item()

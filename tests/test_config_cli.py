@@ -136,11 +136,9 @@ def _standard_with(tmp_path: Path, **sections) -> Path:
         ("curve", "comp_points", 0),
         ("gallery", "replicates", 0),
         ("gallery", "test_points", 0),
-        ("gallery", "ceiling_n", -1),
-        # A variance needs two test points, the noise ceiling two draws.
+        # A variance needs two test points.
         ("curve", "test_points", 1),
         ("gallery", "test_points", 1),
-        ("gallery", "ceiling_n", 1),
         ("probe", "n", 3),
     ],
 )
@@ -257,6 +255,36 @@ def test_probe_command(tmp_path):
     payload = json.loads((out / "probe.json").read_text())
     assert abs(payload["coverage"] - 0.7) < 0.02
     assert abs(payload["z_var"]) > 3.0
+
+
+@pytest.mark.parametrize("command", ["gallery", "probe"])
+def test_noise_ceiling_draws_no_rows_of_its_own(tmp_path, command):
+    # The floor is read off rows each command already draws (each gallery
+    # side's held-out pack, the probe's sample), so no substream is
+    # labelled for the ceiling alone.
+    config = _standard_with(
+        tmp_path, gallery={"replicates": 2, "test_points": 300}, probe={"n": 2000}
+    )
+    manifest = run(command, config, tmp_path / "o")
+    assert manifest.seed_labels
+    assert not [label for label in manifest.seed_labels if "ceiling" in label]
+    pack = "gallery/low_noise/test" if command == "gallery" else "probe"
+    assert pack in manifest.seed_labels
+
+
+def test_a_leftover_ceiling_n_is_ignored(tmp_path):
+    # gallery.ceiling_n sized the ceiling's own draws before 0.2.0; a file
+    # that still sets it parses, and every output equals the run without it.
+    sizes = {"replicates": 2, "test_points": 300}
+    runs = []
+    for name, extra in (("without", {}), ("with", {"ceiling_n": 20_000})):
+        (tmp_path / name).mkdir()
+        config = _standard_with(tmp_path / name, gallery={**sizes, **extra})
+        assert ("ceiling_n" in config.read_text(encoding="utf-8")) == bool(extra)
+        manifest = run("gallery", config, tmp_path / name / "out")
+        files = {f: (tmp_path / name / "out" / f).read_bytes() for f in manifest.files}
+        runs.append((files, {**dataclasses.asdict(manifest), "timings": None}))
+    assert runs[0] == runs[1]
 
 
 def test_seed_override_changes_outputs_replicates_override_respected(tmp_path):
@@ -600,16 +628,20 @@ def test_exit_code_three_on_non_finite_json(tmp_path, capsys):
 def test_overflowing_f_star_exits_two_in_every_command(tmp_path, capsys, command):
     # Coefficients near the float maximum overflow f*(x) on gaussian inputs.
     # Every command evaluates f* before any fit, so each refuses it there,
-    # naming f_star, instead of failing later with exit 3 or 4.
+    # naming f_star, instead of failing later with exit 3 or 4.  In the
+    # gallery only the high side overflows, after the low side has run: the
+    # message names that side.
     doc = yaml.safe_load(STANDARD.read_text(encoding="utf-8"))
-    sides = [doc["gallery"]["low"], doc["gallery"]["high"]] if command == "gallery" else [doc]
-    for side in sides:
-        side["world"]["f_star"]["coefficients"] = [1e308] * side["world"]["x"]["dim"]
+    side = doc["gallery"]["high"] if command == "gallery" else doc
+    side["world"]["f_star"]["coefficients"] = [1e308] * side["world"]["x"]["dim"]
     config = _write(tmp_path, yaml.safe_dump(doc))
-    code = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
-    assert code == 2
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "o"), "--replicates", "2"]
+    assert main(argv) == 2
     err = capsys.readouterr().err
-    assert re.match(r"config error: f_star: f\*\(x\) is (-?inf|nan) at row \d+; ", err), err
+    where = "gallery.high: " if command == "gallery" else ""
+    assert re.match(
+        rf"config error: {where}f_star: f\*\(x\) is (-?inf|nan) at row \d+; ", err
+    ), err
     assert not (tmp_path / "o").exists()
 
 

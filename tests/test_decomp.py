@@ -247,8 +247,14 @@ def test_component_covariances_report():
 # ceiling
 
 
+def _pack_floor(world, n, label="ceiling"):
+    """The noise floor of an n-row held-out pack, as a curve reads it."""
+    pack = worldgen.held_out(world, worldgen.draw_inputs(world, n, label), label)
+    return estimate_ceiling(pack.epsilon, pack.y_true)
+
+
 def test_noiseless_world_has_r2_ceiling_one(noiseless_world):
-    estimate = estimate_ceiling(noiseless_world, 20_000)
+    estimate = _pack_floor(noiseless_world, 20_000)
     assert estimate.ceiling_r2 == pytest.approx(1.0)
     assert estimate.ceiling_mse == pytest.approx(0.0, abs=1e-12)
 
@@ -261,8 +267,8 @@ def test_constant_function_world_has_r2_ceiling_zero():
         target_noise={},
         feature_noise={},
     )
-    estimate = estimate_ceiling(world, 20_000)
-    # Same draws feed both variances, so the ratio cancels exactly.
+    estimate = _pack_floor(world, 20_000)
+    # Same rows feed both variances, so the ratio cancels exactly.
     assert estimate.ceiling_r2 == 0.0
 
 
@@ -274,10 +280,27 @@ def test_ceiling_matches_plugin_variance_ratio():
         target_noise={},
         feature_noise={},
     )
-    estimate = estimate_ceiling(world, 100_000)
+    estimate = _pack_floor(world, 100_000)
     assert abs(estimate.ceiling_r2 - 0.75) < 0.02
     assert 0.0 <= estimate.ceiling_r2 <= 1.0
     assert estimate.se_ceiling_r2 > 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("mean", [0.0, 0.5])
+def test_pack_floor_estimates_the_spec_variance(seed, mean):
+    # Homoskedastic gaussian noise of variance 0.25 on a 10,000-row pack:
+    # the floor is a sample variance, whose standard error is
+    # sqrt(2 / (n - 1)) sigma^2, and the R^2 ceiling comes with its own.
+    # Each fixed seed lands within four of them (one would miss on about a
+    # third of seeds by chance).  A noise mean leaves the floor unchanged:
+    # a model with an intercept absorbs it.
+    n, sigma_sq = 10_000, 0.25
+    world = make_world(aleatoric={"mean": mean, "variance": sigma_sq}, seed=seed)
+    estimate = _pack_floor(world, n)
+    assert abs(estimate.ceiling_mse - sigma_sq) <= 4 * math.sqrt(2 / (n - 1)) * sigma_sq
+    var_y = 1.5**2 + 2.0**2 + 0.7**2 + sigma_sq
+    assert abs(estimate.ceiling_r2 - (1 - sigma_sq / var_y)) <= 4 * estimate.se_ceiling_r2
 
 
 @pytest.mark.parametrize(
@@ -292,15 +315,13 @@ def test_ceiling_matches_plugin_variance_ratio():
     ],
 )
 def test_ceiling_draws_equal_the_full_sample(overrides):
-    # The ceiling reads only epsilon and y_true, which sample() draws from
-    # the same "x" and "eps" substreams under the same label.
+    # The ceiling reads only epsilon and y_true, which a held-out pack and
+    # sample() draw from the same "x" and "eps" substreams under one label:
+    # read off either (a curve's pack, the probe's sample), it is one floor.
     world = make_world(**overrides)
     bundle = el.sample(world, 5000, "ceil")
-    x_true = worldgen.draw_inputs(world, 5000, "ceil")
-    eps = worldgen.draw_aleatoric(world, x_true, "ceil")
-    assert np.array_equal(eps, bundle.epsilon)
-    assert np.array_equal(world.f_star.values(x_true) + eps, bundle.y_true)
-    estimate = estimate_ceiling(world, 5000, base_label="ceil")
+    estimate = _pack_floor(world, 5000, "ceil")
+    assert estimate == estimate_ceiling(bundle.epsilon, bundle.y_true)
     assert estimate.ceiling_mse == float(np.var(bundle.epsilon, ddof=1))
     assert estimate.ceiling_r2 == 1.0 - estimate.ceiling_mse / float(np.var(bundle.y_true, ddof=1))
 
@@ -336,13 +357,17 @@ def test_testpack_draws_equal_the_full_sample(overrides):
 
 
 def test_ceiling_ignores_the_selection_rule():
-    # At coverage 1e-9 a two-row sample keeps no row, but the ceiling
-    # concerns every row of the population and never selects.
-    world = make_world(selection={"rule": "probabilistic", "coverage": 1e-9})
-    with pytest.raises(el.errors.EmptySelectionError):
-        el.sample(world, 2, "ceiling")
-    unselected = make_world()
-    assert estimate_ceiling(world, 2) == estimate_ceiling(unselected, 2)
+    # The probe's ceiling concerns every row's true outcome: it is read off
+    # all n rows of the probe's sample, not the 30% with the highest y_true
+    # that the rule keeps, so the same rows with no selection give it too.
+    world = make_world(selection={"rule": "threshold", "score": "y_true", "coverage": 0.3})
+    report = representativeness_probe(world, 5000)
+    everyone = el.sample(make_world(), 5000, "probe")
+    assert report.ceiling_r2 == estimate_ceiling(everyone.epsilon, everyone.y_true).ceiling_r2
+    kept = el.sample(world, 5000, "probe").selected
+    assert report.ceiling_r2 != estimate_ceiling(
+        everyone.epsilon[kept], everyone.y_true[kept]
+    ).ceiling_r2
 
 
 def test_degenerate_variance_rejected():
@@ -353,8 +378,10 @@ def test_degenerate_variance_rejected():
         target_noise={},
         feature_noise={},
     )
-    with pytest.raises(InvalidSpecError):
-        estimate_ceiling(world, 1000)
+    with pytest.raises(InvalidSpecError, match=r"Var\(y_true\) is zero"):
+        _pack_floor(world, 1000)
+    with pytest.raises(InvalidSpecError, match="needs n >= 2"):
+        estimate_ceiling(np.zeros(1), np.ones(1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,20 @@
 import dataclasses
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import errorlab as el
 from errorlab import parallel, worldgen
-from errorlab.decomp import bias_variance_monte_carlo, decompose_rows, estimate_ceiling
+from errorlab.config import parse_config
+from errorlab.decomp import (
+    bias_variance_monte_carlo,
+    decompose_rows,
+    estimate_ceiling,
+    representativeness_probe,
+)
 from errorlab.errors import InvalidSpecError
 from errorlab.experiments import (
     AxisLevel,
@@ -14,9 +22,11 @@ from errorlab.experiments import (
     GalleryConfig,
     GallerySide,
     InformationAxis,
+    LearningCurve,
     LearningCurvePoint,
     PanelScenario,
     PanelsConfig,
+    _attainment_level,
     level_world,
     monotone_under_ci,
     regime_gallery,
@@ -28,6 +38,7 @@ from errorlab.worldgen import FeatureNoiseSpec, TargetNoiseSpec
 
 from conftest import make_world
 
+STANDARD = Path(__file__).resolve().parents[1] / "scenarios" / "standard.yaml"
 FEATS = (0, 1, 2)
 RIDGE = ModelSpec(family="ridge", lam=0.0)
 
@@ -181,10 +192,25 @@ def test_curve_refuses_an_overflowing_f_star():
 
 def test_ceiling_refuses_an_overflowing_f_star():
     # The same overflowing world: the noise ceiling's r2 = 1 - mse / Var(y_true)
-    # would be undefined, and the refusal comes from f* before it.
-    world = make_world(f_star={"family": "linear", "coefficients": [1e308, 1e308, 1e308]})
+    # would be undefined.  The probe reads its ceiling off its own sample,
+    # and the refusal comes from that sample's f* before it.
+    world = make_world(
+        f_star={"family": "linear", "coefficients": [1e308, 1e308, 1e308]},
+        selection={"rule": "probabilistic", "coverage": 0.9},
+    )
     with pytest.raises(InvalidSpecError, match=r"^f_star: "):
-        estimate_ceiling(world, 100)
+        representativeness_probe(world, 100)
+
+
+def test_curve_ceiling_is_read_off_its_own_pack():
+    # The floor a curve reports is that of the held-out rows it scores
+    # every level on: its pack under "<base_label>/test".
+    world = make_world()
+    axis = _axis([AxisLevel(60, FEATS, (1.0, 1.0))])
+    curve = run_learning_curve(world, RIDGE, CurveConfig(axis, 2, test_points=700), "c")
+    pack = worldgen.held_out(world, worldgen.draw_inputs(world, 700, "c/test"), "c/test")
+    assert curve.ceiling == estimate_ceiling(pack.epsilon, pack.y_true)
+    assert curve.var_y_test == float(np.var(pack.y_true, ddof=1))
 
 
 def test_curve_needs_two_replicates():
@@ -433,14 +459,42 @@ def test_gallery_contrast():
         axis,
         replicates=20,
         test_points=4000,
-        ceiling_n=50_000,
     )
     low_noise, high_noise = regime_gallery(gallery)
     assert (low_noise.name, high_noise.name) == ("low_noise", "high_noise")
     # Matched Var(f*(x)) forces the ceiling ordering by construction.
-    assert low_noise.ceiling.ceiling_r2 > high_noise.ceiling.ceiling_r2
+    assert low_noise.curve.ceiling.ceiling_r2 > high_noise.curve.ceiling.ceiling_r2
     assert low_noise.attainment_level is not None
     assert high_noise.attainment_level is not None
     assert low_noise.attainment_level < high_noise.attainment_level
     assert monotone_under_ci(low_noise.curve.points)
     assert monotone_under_ci(high_noise.curve.points)
+
+
+def test_attainment_compares_each_level_with_the_curve_floor():
+    # A level attains the floor when its mean mse is within 10% of the
+    # floor of the same held-out rows: 1.08 reaches a floor of 1.0 and 1.15
+    # does not, so the first curve attains at level 2 and the second never.
+    point = LearningCurvePoint(0, 50, 2, 1.0, 1.0, 3.0, 0.1, 0.5, 0.4, 0.3, 0.6)
+    floor = el.CeilingEstimate(ceiling_mse=1.0, ceiling_r2=0.7, se_ceiling_r2=0.01)
+
+    def curve(*mses):
+        points = [dataclasses.replace(point, level_index=i, mean_mse=m) for i, m in enumerate(mses)]
+        return LearningCurve(points, np.zeros((len(mses), 2)), var_y_test=3.3, ceiling=floor)
+
+    assert _attainment_level(curve(3.0, 1.5, 1.08, 1.01)) == 2
+    assert _attainment_level(curve(3.0, 1.5, 1.15)) is None
+
+
+def test_gallery_peak_memory_stays_small():
+    # Each side's floor is read off its 10,000-row held-out pack, so the
+    # gallery holds no draw of its own beside the packs: with 100,000 extra
+    # ceiling rows per side its traced peak was 6.4 MB.
+    gallery = parse_config(STANDARD, replicates=2).gallery
+    tracemalloc.start()
+    try:
+        regime_gallery(gallery)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000

@@ -40,7 +40,7 @@ if yaml.__with_libyaml__:
 
 
 PINNED = [
-    ("standard.yaml", "fc5db7f5c930864459884deb0f0df687c5c0d4bed70a07adbe44f07c7a79fb1c"),
+    ("standard.yaml", "f0462079e682e17c5f33aa066ae328fff314419e4544a6ed8734d3259a326a2a"),
     ("reference.yaml", "4f6648d2a2243a001f724b0ad5d03d8335490392655de4e5911529d89576406a"),
 ]
 
