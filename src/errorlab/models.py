@@ -148,9 +148,12 @@ def _predict_ridge(model: FittedModel, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # knn
 
-# 64 query rows per chunk: the (chunk, n) distance and selection arrays of
-# a 256-row chunk raised the peak resident set of small knn studies.
-_KNN_CHUNK = 64
+# Distance entries per block: a block holds max(1, _KNN_SCRATCH // (n * w))
+# query rows against n training rows, where w is the input dimension on the
+# broadcast path (its (rows, n, d) temporary) and 1 on the columnwise path.
+# Each of the two (rows, n) float buffers then takes 256 kB whatever n is, so
+# predict memory does not grow with the training set.
+_KNN_SCRATCH = 1 << 15
 # numpy's pairwise sum unrolls by eight, so a column-by-column accumulation
 # matches ``np.sum(..., axis=2)`` bit for bit only up to seven columns.
 _KNN_COLUMNWISE_MAX_DIM = 7
@@ -184,10 +187,10 @@ def _knn_distances(
 
     Explicit differences keep exactly-equal distances exactly equal, so the
     lower-canonical-index tie rule is honest.  ``out`` and ``scratch`` are
-    buffers of the result's shape, reused across chunks.
+    buffers of the result's shape, reused across blocks.
     """
     if not 0 < train.shape[1] <= _KNN_COLUMNWISE_MAX_DIM:
-        return np.sum((chunk[:, None, :] - train[None, :, :]) ** 2, axis=2)
+        return np.sum((chunk[:, None, :] - train[None, :, :]) ** 2, axis=2, out=out)
     np.subtract(chunk[:, 0:1], train_cols[0], out=out)
     np.square(out, out=out)
     for j in range(1, train.shape[1]):
@@ -197,25 +200,32 @@ def _knn_distances(
     return out
 
 
-def _knn_nearest(dist_sq: np.ndarray, k: int) -> np.ndarray:
+def _knn_nearest(dist_sq: np.ndarray, scratch: np.ndarray, k: int) -> np.ndarray:
     """Indices of each row's k nearest training rows, ascending.
 
     The neighbours are the k first rows of a stable sort by distance:
     every row closer than the k-th distance, then the lowest-index rows at
-    exactly that distance.
+    exactly that distance.  ``scratch``, a buffer of ``dist_sq``'s shape,
+    is overwritten: the k-th distance is found by partitioning it in place.
     """
-    kth = np.partition(dist_sq, k - 1, axis=1)[:, k - 1 : k]
+    np.copyto(scratch, dist_sq)
+    scratch.partition(k - 1, axis=1)
+    kth = scratch[:, k - 1 : k]
     if not np.all(np.isfinite(kth)):
         # A NaN k-th distance equals no distance, so ties cannot fill the
         # set; every non-finite k-th distance is left to the stable sort.
         return np.sort(np.argsort(dist_sq, axis=1, kind="stable")[:, :k], axis=1)
-    sel = dist_sq < kth
-    ties = dist_sq == kth
-    need = k - np.count_nonzero(sel, axis=1)
-    surplus = np.count_nonzero(ties, axis=1) > need
+    sel = dist_sq <= kth
+    # More than k rows at or below the k-th distance: ties at that distance
+    # outnumber the places left, which go to the lowest indices.
+    surplus = np.count_nonzero(sel, axis=1) > k
     if surplus.any():
-        ties[surplus] &= np.cumsum(ties[surplus], axis=1) <= need[surplus, None]
-    sel |= ties
+        dist, cut = dist_sq[surplus], kth[surplus]
+        closer = dist < cut
+        ties = dist == cut
+        need = k - np.count_nonzero(closer, axis=1)
+        ties &= np.cumsum(ties, axis=1) <= need[:, None]
+        sel[surplus] = closer | ties
     return np.nonzero(sel)[1].reshape(-1, k)
 
 
@@ -225,15 +235,17 @@ def _predict_knn(model: FittedModel, x: np.ndarray) -> np.ndarray:
     labels = model.params["train_y"]
     k = model.params["k"]
     queries = (x - model.params["mean"]) / model.params["sd"]
+    n, d = train.shape
+    block = max(1, _KNN_SCRATCH // (n * (d if d > _KNN_COLUMNWISE_MAX_DIM else 1)))
     out = np.empty(queries.shape[0])
-    buffers = np.empty((2, min(_KNN_CHUNK, queries.shape[0]), train.shape[0]))
-    for start in range(0, queries.shape[0], _KNN_CHUNK):
-        chunk = queries[start : start + _KNN_CHUNK]
-        rows = chunk.shape[0]
-        dist_sq = _knn_distances(chunk, train, train_cols, buffers[0, :rows], buffers[1, :rows])
+    buffers = np.empty((2, min(block, queries.shape[0]), n))
+    for start in range(0, queries.shape[0], block):
+        chunk = queries[start : start + block]
+        dist, scratch = buffers[:, : chunk.shape[0]]
+        dist_sq = _knn_distances(chunk, train, train_cols, dist, scratch)
         # Average in canonical index order so equal neighbor sets produce
         # bitwise-equal means (k = n then gives the global mean everywhere).
-        out[start : start + _KNN_CHUNK] = labels[_knn_nearest(dist_sq, k)].mean(axis=1)
+        out[start : start + block] = labels[_knn_nearest(dist_sq, scratch, k)].mean(axis=1)
     return out
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -494,10 +495,96 @@ def test_knn_matches_reference_at_k_extremes(k):
 
 @pytest.mark.parametrize("m", [0, 1, 63, 64, 65, 130])
 def test_knn_matches_reference_across_chunk_boundaries(m):
+    # 63, 64 and 65 straddled the old fixed 64-row chunk.  Against 100
+    # training rows a block now holds _KNN_SCRATCH // 100 rows, so every m
+    # here fits in one block; the budget's own boundaries are tested below.
     rng = rng_for(44, f"knnref/m{m}")
     x = rng.standard_normal((100, 3))
     y = rng.standard_normal(100)
     _assert_knn_matches_reference(x, y, rng.standard_normal((m, 3)), k=7)
+
+
+# 3,000 training rows of dimension 3: a block holds this many query rows.
+_BUDGET_ROWS = models._KNN_SCRATCH // 3000
+
+
+@pytest.mark.parametrize(
+    "m", [0, 1, _BUDGET_ROWS - 1, _BUDGET_ROWS, _BUDGET_ROWS + 1, 3 * _BUDGET_ROWS + 1]
+)
+def test_knn_matches_reference_across_budget_block_boundaries(m):
+    assert 1 < _BUDGET_ROWS < 64
+    rng = rng_for(46, f"knnref/budget{m}")
+    x = rng.standard_normal((3000, 3))
+    y = rng.standard_normal(3000)
+    _assert_knn_matches_reference(x, y, rng.standard_normal((m, 3)), k=7)
+
+
+def test_knn_matches_reference_in_a_block_mixing_surplus_ties_and_none():
+    # Training rows on a 3 x 3 grid, 10 copies of each point, and a
+    # continuous cluster far from it.  A grid query has 10 rows at its k-th
+    # distance (0) for k = 5 places; a query in the cluster has no tie.
+    # Interleaved, both kinds share every block.
+    rng = rng_for(47, "knnref/mixed")
+    grid = np.repeat(np.stack(np.meshgrid(range(3), range(3)), -1).reshape(-1, 2), 10, axis=0)
+    x = np.concatenate([grid.astype(float), 10.0 + rng.standard_normal((90, 2))])
+    y = rng.standard_normal(180)
+    queries = np.empty((60, 2))
+    queries[0::2] = rng.integers(0, 3, (30, 2))
+    queries[1::2] = 10.0 + rng.standard_normal((30, 2))
+    assert queries.shape[0] <= models._KNN_SCRATCH // 180
+    k = 5
+    model = fit(ModelSpec(family="knn", k=k), x, y)
+    scaled = (queries - model.params["mean"]) / model.params["sd"]
+    dist = np.sum((scaled[:, None, :] - model.params["train_x_std"][None]) ** 2, axis=2)
+    kth = np.sort(dist, axis=1)[:, k - 1 : k]
+    surplus = np.count_nonzero(dist <= kth, axis=1) > k
+    assert surplus[0::2].all() and not surplus[1::2].any()
+    _assert_knn_matches_reference(x, y, queries, k)
+
+
+def test_knn_matches_reference_at_d9_under_the_budget():
+    # The broadcast path's (rows, n, d) temporary counts against the budget:
+    # against 3,000 rows of dimension 9 a block holds a single query row.
+    assert models._KNN_SCRATCH // (3000 * 9) <= 1
+    rng = rng_for(48, "knnref/budget-d9")
+    x = rng.standard_normal((3000, 9))
+    y = rng.standard_normal(3000)
+    _assert_knn_matches_reference(x, y, rng.standard_normal((5, 9)), k=10)
+
+
+@pytest.mark.parametrize("scratch", [1, 7, 1 << 30])
+@pytest.mark.parametrize("data", ["grid", "continuous"])
+def test_knn_scratch_budget_does_not_change_predictions(monkeypatch, scratch, data):
+    rng = rng_for(49, f"knnref/scratch-{data}")
+    if data == "grid":
+        x = rng.integers(0, 3, (180, 2)).astype(float)
+        queries = rng.integers(0, 3, (70, 2)).astype(float) + rng.choice([0.0, 0.5], (70, 2))
+    else:
+        x = rng.standard_normal((180, 2))
+        queries = rng.standard_normal((70, 2))
+    y = rng.standard_normal(180)
+    model = fit(ModelSpec(family="knn", k=17), x, y)
+    default = predict(model, queries)
+    monkeypatch.setattr(models, "_KNN_SCRATCH", scratch)
+    assert np.array_equal(predict(model, queries).view(np.int64), default.view(np.int64))
+    _assert_knn_matches_reference(x, y, queries, k=17)
+
+
+@pytest.mark.parametrize("n, d", [(20_000, 3), (3000, 9)])
+def test_knn_predict_memory_does_not_grow_with_the_training_set(n, d):
+    # Two (64, n) float buffers would take 20 MB at n = 20,000.  The bound
+    # leaves room for predict's copy of the training columns (0.5 MB) and
+    # the two budget-sized blocks (256 kB each).
+    rng = rng_for(50, f"knnref/memory{n}x{d}")
+    model = fit(ModelSpec(family="knn", k=10), rng.standard_normal((n, d)), rng.standard_normal(n))
+    queries = rng.standard_normal((64, d))
+    tracemalloc.start()
+    try:
+        predict(model, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024, f"predict peaked at {peak / 2**20:.2f} MB"
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
