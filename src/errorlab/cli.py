@@ -20,7 +20,6 @@ from . import __version__, seeding, worldgen
 from .config import Scenario, parse_config, scenario_to_yaml
 from .decomp import (
     bias_variance_monte_carlo,
-    check_telescoping,
     component_covariances,
     decompose_rows,
     representativeness_probe,
@@ -66,7 +65,7 @@ def _curve_columns(curves) -> list[list]:
     ]
 
 
-def _cmd_simulate(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
+def _cmd_simulate(scenario: Scenario) -> dict[str, str | CsvText]:
     cfg = scenario.simulate
     bundle = worldgen.sample(scenario.world, cfg.n, cfg.label)
     header, columns = worldgen.bundle_columns(bundle)
@@ -85,7 +84,7 @@ def _cmd_simulate(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
     }
 
 
-def _cmd_decompose(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
+def _cmd_decompose(scenario: Scenario) -> dict[str, str | CsvText]:
     cfg = scenario.decompose
     world = scenario.world
     train = worldgen.sample(world, cfg.train_n, "decompose/train")
@@ -93,7 +92,6 @@ def _cmd_decompose(scenario: Scenario, workers: int) -> dict[str, str | CsvText]
     x_true = worldgen.draw_inputs(world, cfg.n, "decompose/eval")
     pack = worldgen.held_out(world, x_true, "decompose/eval")
     table = decompose_rows(regimes, pack, pack.observed(world))
-    check_telescoping(table)
     header = ["row", *(f.name for f in dataclasses.fields(table))]
     columns = [np.arange(table.n)] + [getattr(table, name) for name in header[1:]]
     summary = {
@@ -111,7 +109,7 @@ def _cmd_decompose(scenario: Scenario, workers: int) -> dict[str, str | CsvText]
     }
 
 
-def _cmd_biasvar(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
+def _cmd_biasvar(scenario: Scenario) -> dict[str, str | CsvText]:
     cfg = scenario.biasvar
     world = scenario.world
     grid = worldgen.draw_inputs(world, cfg.test_points, "biasvar/test_grid")
@@ -123,7 +121,6 @@ def _cmd_biasvar(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
         cfg.replicates,
         grid,
         base_label="biasvar",
-        workers=workers,
     )
     payload = dataclasses.asdict(report)
     del payload["replicate_mse"]
@@ -149,7 +146,6 @@ def _cmd_biasvar(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
             cfg.components_replicates,
             grid,
             base_label="components",
-            workers=workers,
         )
         files["components.json"] = render_json(dataclasses.asdict(comp))
     return files
@@ -162,11 +158,9 @@ def _required(scenario: Scenario, name: str):
     return section
 
 
-def _cmd_curve(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
+def _cmd_curve(scenario: Scenario) -> dict[str, str | CsvText]:
     cfg = _required(scenario, "curve")
-    curve = run_learning_curve(
-        scenario.world, scenario.model, cfg, base_label="curve", workers=workers
-    )
+    curve = run_learning_curve(scenario.world, scenario.model, cfg, base_label="curve")
     payload = {
         "replicates": cfg.replicates,
         "var_y_test": curve.var_y_test,
@@ -179,12 +173,10 @@ def _cmd_curve(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
     }
 
 
-def _cmd_panels(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
+def _cmd_panels(scenario: Scenario) -> dict[str, str | CsvText]:
     cfg = _required(scenario, "curve")  # named first when both sections are missing
     panels = _required(scenario, "panels")
-    result = run_panel_scenarios(
-        scenario.world, panels, scenario.model, cfg, base_label="panels", workers=workers
-    )
+    result = run_panel_scenarios(scenario.world, panels, scenario.model, cfg, base_label="panels")
     curves = [
         (f"panel{idx}", comparison.variant, curve)
         for idx, (comparison, curve) in enumerate(zip(result.comparisons, result.curves))
@@ -196,8 +188,8 @@ def _cmd_panels(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
     }
 
 
-def _cmd_gallery(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
-    sides = regime_gallery(_required(scenario, "gallery"), base_label="gallery", workers=workers)
+def _cmd_gallery(scenario: Scenario) -> dict[str, str | CsvText]:
+    sides = regime_gallery(_required(scenario, "gallery"), base_label="gallery")
     payload = {}
     for side in sides:
         payload[side.name] = {
@@ -213,7 +205,7 @@ def _cmd_gallery(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
     }
 
 
-def _cmd_probe(scenario: Scenario, workers: int) -> dict[str, str | CsvText]:
+def _cmd_probe(scenario: Scenario) -> dict[str, str | CsvText]:
     report = representativeness_probe(scenario.world, scenario.probe.n, base_label="probe")
     return {"probe.json": render_json(dataclasses.asdict(report))}
 
@@ -245,7 +237,7 @@ def run(command: str, config, out, seed=None, workers: int = 1, replicates=None)
     handler = _HANDLERS[command]
     compute_started = time.perf_counter()
     with command_pool(workers) as pool, seeding.recording() as seed_labels:
-        payloads = handler(scenario, workers)
+        payloads = handler(scenario)
     compute_seconds = time.perf_counter() - compute_started
 
     out_dir = Path(out)

@@ -83,10 +83,12 @@ class DecompositionTable:
 def decompose_rows(
     regimes: dict[str, FittedModel], pack: HeldOut, x_observed: np.ndarray
 ) -> DecompositionTable:
+    """The decomposition of the pack's rows under the fitted regimes; every
+    table passes :func:`check_telescoping` before it is returned."""
     pred_tt = predict(regimes["TT"], pack.x_true)
     pred_to = predict(regimes["TO"], pack.x_true)
     pred_oo = predict(regimes["OO"], x_observed)
-    return DecompositionTable(
+    table = DecompositionTable(
         model_approx_gain=pack.f_star - pred_tt,
         meas_gain_y=pred_tt - pred_to,
         meas_gain_x=pred_to - pred_oo,
@@ -99,6 +101,8 @@ def decompose_rows(
         y_true=pack.y_true,
         y_pred=pred_oo,
     )
+    check_telescoping(table)
+    return table
 
 
 def decompose_bundle(
@@ -227,7 +231,6 @@ def bias_variance_monte_carlo(
     n_replicates: int,
     test_grid: np.ndarray,
     base_label: str = "biasvar",
-    workers: int = 1,
 ) -> BiasVarianceReport:
     """Refit on independent training draws and decompose the squared error.
 
@@ -249,7 +252,7 @@ def bias_variance_monte_carlo(
     m = grid.shape[0]
     labels = [f"{base_label}/rep{r:05d}" for r in range(n_replicates)]
     tasks = [(world, spec, regime, n_train, grid, label) for label in labels]
-    results = ordered_map(_biasvar_cell, tasks, workers=workers)
+    results = ordered_map(_biasvar_cell, tasks)
 
     rep_sums = np.empty((n_replicates, 4))
     point_ep_sum = np.zeros(m)
@@ -316,14 +319,13 @@ def component_covariances(
     n_replicates: int,
     test_grid: np.ndarray,
     base_label: str = "components",
-    workers: int = 1,
 ) -> ComponentCovarianceReport:
     if n_replicates < 2:
         raise InvalidSpecError("component_covariances needs n_replicates >= 2")
     grid = np.asarray(test_grid, dtype=float)
     labels = [f"{base_label}/rep{r:05d}" for r in range(n_replicates)]
     tasks = [(world, spec, n_train, grid, label) for label in labels]
-    samples = np.stack(ordered_map(_component_cell, tasks, workers=workers))
+    samples = np.stack(ordered_map(_component_cell, tasks))
     return ComponentCovarianceReport(
         component_names=ERROR_COLUMNS,
         means=samples.mean(axis=0),

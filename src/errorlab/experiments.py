@@ -17,12 +17,18 @@ import numpy as np
 
 from . import worldgen
 from .decomp import CeilingEstimate, decompose_rows, estimate_ceiling
-from .errors import FitError, InvalidSpecError
+from .errors import InvalidSpecError
 from .models import ModelSpec, fit_regimes, predict
 from .parallel import ordered_map
 from .worldgen import FeatureNoiseSpec, TargetNoiseSpec, World, at_least, coerce_fields, naming
 
-PANEL_VARIANTS = ("baseline", "reconstructed_target", "reconstructed_features")
+# Each panel variant and the world section it overrides (None: none).
+_PANEL_OVERRIDES = {
+    "baseline": None,
+    "reconstructed_target": "target_noise",
+    "reconstructed_features": "feature_noise",
+}
+PANEL_VARIANTS = tuple(_PANEL_OVERRIDES)
 _ATTAINMENT_SLACK = 0.10  # a gallery curve attains its ceiling within this fraction
 
 
@@ -192,7 +198,6 @@ def run_learning_curve(
     spec: ModelSpec,
     curve: CurveConfig,
     base_label: str = "curve",
-    workers: int = 1,
 ) -> LearningCurve:
     """Held-out MSE and mean absolute gain components per level of
     ``curve.axis``.
@@ -219,7 +224,7 @@ def run_learning_curve(
         (world, level, spec, labels[li], curve.comp_points, pack)
         for li, level in enumerate(axis.levels)
     ]
-    values = np.asarray(ordered_map(_curve_cell, tasks, workers=workers), dtype=float)
+    values = np.asarray(ordered_map(_curve_cell, tasks), dtype=float)
 
     points = []
     for li, level in enumerate(axis.levels):
@@ -277,27 +282,20 @@ class PanelScenario:
     feature_noise: Optional[FeatureNoiseSpec] = None
 
     def __post_init__(self) -> None:
-        if self.variant not in PANEL_VARIANTS:
+        if self.variant not in _PANEL_OVERRIDES:
             raise InvalidSpecError(f"panel variant: unknown {self.variant!r}")
-        if self.variant == "baseline" and (self.target_noise or self.feature_noise):
+        section = _PANEL_OVERRIDES[self.variant]
+        given = {s for s in _PANEL_OVERRIDES.values() if s and getattr(self, s) is not None}
+        if section is None and given:
             raise InvalidSpecError("panel baseline must not carry overrides")
-        if self.variant == "reconstructed_target":
-            if self.target_noise is None or self.feature_noise is not None:
-                raise InvalidSpecError(
-                    "reconstructed_target overrides target_noise and nothing else"
-                )
-        if self.variant == "reconstructed_features":
-            if self.feature_noise is None or self.target_noise is not None:
-                raise InvalidSpecError(
-                    "reconstructed_features overrides feature_noise and nothing else"
-                )
+        if section is not None and given != {section}:
+            raise InvalidSpecError(f"{self.variant} overrides {section} and nothing else")
 
     def apply(self, world: World) -> World:
-        if self.variant == "reconstructed_target":
-            return dataclasses.replace(world, target_noise=self.target_noise)
-        if self.variant == "reconstructed_features":
-            return dataclasses.replace(world, feature_noise=self.feature_noise)
-        return world
+        section = _PANEL_OVERRIDES[self.variant]
+        if section is None:
+            return world
+        return dataclasses.replace(world, **{section: getattr(self, section)})
 
 
 @dataclass(frozen=True)
@@ -333,7 +331,6 @@ def run_panel_scenarios(
     spec: ModelSpec,
     curve: CurveConfig,
     base_label: str = "panels",
-    workers: int = 1,
 ) -> PanelResult:
     """Aligned variant curves with a paired terminal comparison.
 
@@ -344,11 +341,8 @@ def run_panel_scenarios(
     scenarios = panels.variants
     curves = []
     for i, s in enumerate(scenarios):
-        try:
-            result = run_learning_curve(s.apply(world), spec, curve, base_label, workers)
-        except FitError as exc:
-            raise type(exc)(f"panels.variants[{i}] ({s.variant}): {exc}") from exc
-        curves.append(result)
+        with naming(f"panels.variants[{i}] ({s.variant})"):
+            curves.append(run_learning_curve(s.apply(world), spec, curve, base_label))
     base_idx = next(i for i, s in enumerate(scenarios) if s.variant == "baseline")
     base_terminal = curves[base_idx].replicate_mse[-1]
     comparisons = []
@@ -414,7 +408,7 @@ def _attainment_level(curve: LearningCurve) -> Optional[int]:
 
 
 def regime_gallery(
-    gallery: GalleryConfig, base_label: str = "gallery", workers: int = 1
+    gallery: GalleryConfig, base_label: str = "gallery"
 ) -> list[GalleryScenarioResult]:
     """Contrast a low-noise fast-attaining world with a high-noise slow one.
 
@@ -427,8 +421,6 @@ def regime_gallery(
     for name, key in (("low_noise", "low"), ("high_noise", "high")):
         side = getattr(gallery, key)
         with naming(f"gallery.{key}"):
-            curve = run_learning_curve(
-                side.world, side.model, config, base_label=f"{base_label}/{name}", workers=workers
-            )
+            curve = run_learning_curve(side.world, side.model, config, f"{base_label}/{name}")
         results.append(GalleryScenarioResult(name, curve, _attainment_level(curve)))
     return results

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionError, FitError, InvalidSpecError, SingularSystemError
 from .seeding import rng_for
-from .worldgen import SampleBundle, coerce, coerce_fields, spec_from_config, spec_to_config
+from .worldgen import SampleBundle, coerce, coerce_fields, naming, spec_from_config, spec_to_config
 
 # training regime -> the bundle fields it trains on, as (features, labels).
 _REGIME_FIELDS = {
@@ -461,7 +461,7 @@ def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray, regime: str = "OO") -> Fi
     if regime not in _REGIME_FIELDS:
         raise InvalidSpecError(f"unknown training regime {regime!r}")
     fit_family, _ = _FAMILIES[spec.family]
-    try:
+    with naming(f"regime {regime}"):
         x, y = _check_training_arrays(x, y)
         if x.shape[0] < 1:
             raise FitError("training data is empty")
@@ -469,8 +469,6 @@ def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray, regime: str = "OO") -> Fi
         order = canonical_row_order(x, y)
         x, y = x[order], y[order]
         params, diagnostics = fit_family(spec, x, y)
-    except (FitError, DimensionError) as exc:
-        raise type(exc)(f"regime {regime}: {exc}") from exc
     return FittedModel(
         spec=spec, regime=regime, input_dim=x.shape[1], params=params, diagnostics=diagnostics
     )
@@ -496,10 +494,8 @@ def fit_regime(bundle: SampleBundle, spec: ModelSpec, regime: str) -> FittedMode
         raise InvalidSpecError(f"unknown training regime {regime!r}")
     x_name, y_name = _REGIME_FIELDS[regime]
     rows = bundle.selected
-    try:
+    with naming(f"sample {bundle.label}"):
         return fit(spec, getattr(bundle, x_name)[rows], getattr(bundle, y_name)[rows], regime)
-    except FitError as exc:
-        raise type(exc)(f"sample {bundle.label}: {exc}") from exc
 
 
 def fit_regimes(bundle: SampleBundle, spec: ModelSpec) -> dict[str, FittedModel]:

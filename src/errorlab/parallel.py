@@ -3,10 +3,10 @@
 Cells derive all randomness from their own substream labels, so results are
 identical for any worker count; only wall time changes.
 
-A spawn pool costs a fresh interpreter per process, so a caller that maps
-several times (the CLI runs one command's curves, sides and components one
-after another) opens a :func:`command_pool`, and every ``ordered_map``
-inside it shares one pool, started on first use.
+A spawn pool costs a fresh interpreter per process, so the worker count is
+set once, by the :func:`command_pool` a caller opens around its maps (the
+CLI opens one per command); every ``ordered_map`` inside it shares that
+pool, started on first use, and a map outside any pool runs in-process.
 """
 
 from __future__ import annotations
@@ -89,16 +89,19 @@ def _recorded_cell(fn: Callable[[T], R], item: T) -> tuple[R, set[str]]:
     return result, labels
 
 
-def ordered_map(fn: Callable[[T], R], items: Sequence[T], workers: int = 1) -> list[R]:
-    processes = pool_size(workers, len(items))
+def ordered_map(
+    fn: Callable[[T], R], items: Sequence[T], workers: Optional[int] = None
+) -> list[R]:
+    """``fn`` over ``items``, in order, on the open command pool, or in this
+    process when none is open.  ``workers`` (the pool's size by default)
+    bounds the processes the map spreads over: 1 runs it in-process."""
+    if _OPEN is None:
+        processes = 1
+    else:
+        processes = pool_size(_OPEN.size if workers is None else workers, len(items))
     if processes == 1:
         return [fn(item) for item in items]
     chunksize = max(1, len(items) // (processes * 4))
-    cell = partial(_recorded_cell, fn)
-    if _OPEN is not None:
-        pairs = _OPEN.map(cell, items, chunksize)
-    else:
-        with command_pool(processes) as pool:
-            pairs = pool.map(cell, items, chunksize)
+    pairs = _OPEN.map(partial(_recorded_cell, fn), items, chunksize)
     seeding.record(label for _, labels in pairs for label in labels)
     return [result for result, _ in pairs]

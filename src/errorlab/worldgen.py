@@ -23,6 +23,7 @@ from .errors import (
     ConfigError,
     DimensionError,
     EmptySelectionError,
+    ErrorLabError,
     InvalidSpecError,
     InvariantError,
 )
@@ -562,12 +563,14 @@ def at_least(spec, path: str, **minimums) -> None:
 
 @contextmanager
 def naming(path: str) -> Iterator[None]:
-    """Prefix ``path`` to the message of an :class:`InvalidSpecError`
-    raised in the block."""
+    """Prefix ``path`` to the message of an error raised in the block,
+    keeping its type; a :class:`ConfigError` already names its full path."""
     try:
         yield
-    except InvalidSpecError as exc:
-        raise InvalidSpecError(f"{path}: {exc}") from exc
+    except ConfigError:
+        raise
+    except ErrorLabError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def spec_from_config(cls, cfg: Mapping, path: str, **given):

@@ -8,10 +8,12 @@ import pytest
 import yaml
 
 import errorlab as el
-from errorlab import cli, parallel, seeding
+from errorlab import cli, decomp, parallel, seeding
 from errorlab.cli import main, run
 from errorlab.config import normalize_scenario, parse_config, scenario_to_yaml
 from errorlab.errors import ConfigError, InvalidSpecError, InvariantError
+from errorlab.experiments import run_panel_scenarios
+from errorlab.runio import render_json
 
 STANDARD = Path(__file__).resolve().parents[1] / "scenarios" / "standard.yaml"
 
@@ -630,7 +632,8 @@ def test_overflowing_f_star_exits_two_in_every_command(tmp_path, capsys, command
     # Every command evaluates f* before any fit, so each refuses it there,
     # naming f_star, instead of failing later with exit 3 or 4.  In the
     # gallery only the high side overflows, after the low side has run: the
-    # message names that side.
+    # message names that side.  panels names the first variant, the first
+    # to evaluate f*.
     doc = yaml.safe_load(STANDARD.read_text(encoding="utf-8"))
     side = doc["gallery"]["high"] if command == "gallery" else doc
     side["world"]["f_star"]["coefficients"] = [1e308] * side["world"]["x"]["dim"]
@@ -638,9 +641,11 @@ def test_overflowing_f_star_exits_two_in_every_command(tmp_path, capsys, command
     argv = [command, "--config", str(config), "--out", str(tmp_path / "o"), "--replicates", "2"]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    where = "gallery.high: " if command == "gallery" else ""
+    where = {"gallery": "gallery.high: ", "panels": "panels.variants[0] (baseline): "}
     assert re.match(
-        rf"config error: {where}f_star: f\*\(x\) is (-?inf|nan) at row \d+; ", err
+        rf"config error: {re.escape(where.get(command, ''))}f_star: f\*\(x\) is (-?inf|nan) "
+        r"at row \d+; ",
+        err,
     ), err
     assert not (tmp_path / "o").exists()
 
@@ -901,6 +906,38 @@ def test_one_pool_serves_a_whole_command(tmp_path, monkeypatch, command):
     assert manifest["timings"]["processes"] == 2
 
 
+def test_a_study_inside_a_command_pool_starts_it_once_and_matches_in_process(
+    tmp_path, monkeypatch
+):
+    # A study takes its worker count from the enclosing pool: two panel
+    # curves map twice on one pool, with the bytes and ledger of a run
+    # made outside any pool.
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    config = _standard_with(
+        tmp_path,
+        curve={"replicates": 3, "test_points": 200, "comp_points": 32},
+        panels={"variants": [{"variant": "baseline"}, {"variant": "baseline"}]},
+    )
+    scenario = parse_config(config)
+
+    def panels():
+        with seeding.recording() as labels:
+            result = run_panel_scenarios(
+                scenario.world, scenario.panels, scenario.model, scenario.curve
+            )
+        return render_json(dataclasses.asdict(result)), labels
+
+    in_process = panels()
+    fake = _CountingMultiprocessing()
+    monkeypatch.setattr(parallel, "mp", fake)
+    with parallel.command_pool(2) as pool:
+        pooled = panels()
+        assert pool.processes == 2
+    assert fake.log == [("pool", 2), "closed"]
+    assert pooled == in_process
+    assert in_process[1]
+
+
 def test_serial_command_starts_no_pool(tmp_path, monkeypatch):
     fake = _CountingMultiprocessing()
     monkeypatch.setattr(parallel, "mp", fake)
@@ -913,7 +950,7 @@ def test_serial_command_starts_no_pool(tmp_path, monkeypatch):
 
 
 def test_exit_code_four_on_invariant_breach(tmp_path, capsys, monkeypatch):
-    def broken(scenario, workers):
+    def broken(scenario):
         raise InvariantError("component sum failed to collapse")
 
     monkeypatch.setitem(cli._HANDLERS, "decompose", broken)
@@ -921,6 +958,48 @@ def test_exit_code_four_on_invariant_breach(tmp_path, capsys, monkeypatch):
     code = main(["decompose", "--config", str(config), "--out", str(tmp_path / "z")])
     assert code == 4
     assert "invariant" in capsys.readouterr().err
+
+
+@dataclasses.dataclass
+class _OffByOneMilli(decomp.DecompositionTable):
+    """A decomposition whose measurement gain from the features is 1e-3 off,
+    so its pointwise chain no longer collapses to y_true."""
+
+    def __post_init__(self):
+        self.meas_gain_x = self.meas_gain_x + 1e-3
+
+
+@pytest.mark.parametrize("command", ["decompose", "biasvar", "curve", "panels", "gallery"])
+def test_every_decomposing_command_exits_four_on_a_broken_chain(
+    tmp_path, capsys, monkeypatch, command
+):
+    monkeypatch.setattr(decomp, "DecompositionTable", _OffByOneMilli)
+    config = _standard_with(
+        tmp_path,
+        decompose={"train_n": 100, "n": 50},
+        biasvar={"n_train": 50, "replicates": 2, "test_points": 16, "components_replicates": 2},
+        curve={"replicates": 2, "test_points": 50, "comp_points": 16},
+        gallery={"replicates": 2, "test_points": 50},
+    )
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "m"), "--workers", "1"]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal invariant breach: ")
+    assert "pointwise component sum misses y_true by 1.000e-03" in err
+    assert not (tmp_path / "m").exists()
+
+
+def test_a_failed_fit_in_a_gallery_side_names_the_side(tmp_path, capsys):
+    doc = yaml.safe_load(STANDARD.read_text(encoding="utf-8"))
+    doc["gallery"]["low"]["model"] = {"family": "knn", "k": 100}  # its first level has 60 rows
+    config = _write(tmp_path, yaml.safe_dump(doc))
+    argv = ["gallery", "--config", str(config), "--out", str(tmp_path / "g"), "--replicates", "2"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: gallery.low: sample gallery/low_noise/L0/rep0000: regime OO: "
+        "knn needs at least k=100 training rows, got 60\n"
+    )
+    assert not (tmp_path / "g").exists()
 
 
 def test_unknown_command_rejected_by_parser(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import errorlab as el
-from errorlab import decomp, worldgen
+from errorlab import decomp, parallel, worldgen
 from errorlab.decomp import (
     bias_variance_monte_carlo,
     check_telescoping,
@@ -190,10 +190,11 @@ def test_biasvar_workers_do_not_change_results():
     world = make_world()
     grid = _grid(world, 64)
     spec = ModelSpec(family="ridge", lam=0.0)
-    serial = bias_variance_monte_carlo(world, spec, "TT", 80, 24, grid, workers=1)
-    parallel = bias_variance_monte_carlo(world, spec, "TT", 80, 24, grid, workers=4)
-    assert np.array_equal(serial.replicate_mse, parallel.replicate_mse)
-    assert serial.identity_gap == parallel.identity_gap
+    serial = bias_variance_monte_carlo(world, spec, "TT", 80, 24, grid)
+    with parallel.command_pool(4):
+        pooled = bias_variance_monte_carlo(world, spec, "TT", 80, 24, grid)
+    assert np.array_equal(serial.replicate_mse, pooled.replicate_mse)
+    assert serial.identity_gap == pooled.identity_gap
 
 
 def test_biasvar_validates_inputs():

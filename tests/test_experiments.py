@@ -223,9 +223,10 @@ def test_curve_workers_do_not_change_results():
     world = make_world()
     axis = _axis([AxisLevel(60, FEATS, (1.0, 1.0)), AxisLevel(150, FEATS, (0.5, 0.5))])
     curve = CurveConfig(axis, 6, test_points=500)
-    serial = run_learning_curve(world, RIDGE, curve, workers=1)
-    parallel = run_learning_curve(world, RIDGE, curve, workers=4)
-    assert np.array_equal(serial.replicate_mse, parallel.replicate_mse)
+    serial = run_learning_curve(world, RIDGE, curve)
+    with parallel.command_pool(4):
+        pooled = run_learning_curve(world, RIDGE, curve)
+    assert np.array_equal(serial.replicate_mse, pooled.replicate_mse)
 
 
 # The per-cell engine the per-level engine replaced: every (level, replicate)
@@ -321,8 +322,8 @@ def test_curve_and_panels_identical_at_one_two_and_four_workers():
     curves, panels = [], []
     for workers in (1, 2, 4):
         with parallel.command_pool(workers):
-            curves.append(run_learning_curve(world, RIDGE, curve, workers=workers))
-            panels.append(run_panel_scenarios(world, variants, RIDGE, curve, workers=workers))
+            curves.append(run_learning_curve(world, RIDGE, curve))
+            panels.append(run_panel_scenarios(world, variants, RIDGE, curve))
     for curve in curves[1:]:
         assert np.array_equal(curve.replicate_mse, curves[0].replicate_mse)
         assert curve.points == curves[0].points

@@ -239,8 +239,9 @@ def _leaves(value) -> list:
     return [np.asarray(value)]
 
 
-def _study_runs(world, spec, regime, workers):
-    """Each parallel study on ``world`` at ``workers``, as (result, ledger)."""
+def _study_runs(world, spec, regime):
+    """Each parallel study on ``world``, as (result, ledger), at the worker
+    count of the enclosing command pool."""
     every = tuple(range(world.input_dim))
     axis = InformationAxis(
         levels=(AxisLevel(40, every, (1.0, 1.0)), AxisLevel(60, every, (0.5, 0.0)))
@@ -248,10 +249,10 @@ def _study_runs(world, spec, regime, workers):
     grid = worldgen.draw_inputs(world, 16, "workers/grid")
     studies = (
         lambda: run_learning_curve(
-            world, spec, CurveConfig(axis, 2, test_points=64, comp_points=16), workers=workers
+            world, spec, CurveConfig(axis, 2, test_points=64, comp_points=16)
         ),
-        lambda: bias_variance_monte_carlo(world, spec, regime, 40, 3, grid, workers=workers),
-        lambda: component_covariances(world, spec, 40, 3, grid, workers=workers),
+        lambda: bias_variance_monte_carlo(world, spec, regime, 40, 3, grid),
+        lambda: component_covariances(world, spec, 40, 3, grid),
     )
     runs = []
     for study in studies:
@@ -278,8 +279,10 @@ def test_worker_count_never_changes_a_study(monkeypatch):
             regime=st.sampled_from(models.REGIMES),
         )
         def check(world, spec, regime):
-            serial = _study_runs(world, spec, regime, workers=1)
-            pooled = _study_runs(world, spec, regime, workers=2)
+            with monkeypatch.context() as one_cpu:  # the serial pass maps in-process
+                one_cpu.setattr(parallel, "usable_cpus", lambda: 1)
+                serial = _study_runs(world, spec, regime)
+            pooled = _study_runs(world, spec, regime)
             for study, ((one, one_labels), (two, two_labels)) in enumerate(zip(serial, pooled)):
                 if not isinstance(one, str):
                     completed.add(study)

@@ -90,15 +90,25 @@ def test_command_pool_starts_lazily_and_serves_every_map(monkeypatch):
     assert fake.log == [("start", 4), ("map", 3), ("map", 2), "terminate"]
 
 
-def test_without_a_command_pool_each_map_starts_its_own(monkeypatch):
+def test_outside_a_command_pool_a_map_runs_in_process_and_starts_nothing(monkeypatch):
     fake = _FakeMultiprocessing()
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
     monkeypatch.setattr(parallel, "mp", fake)
-    parallel.ordered_map(abs, [-1, -2, 3], workers=2)
-    parallel.ordered_map(abs, [-4, 5], workers=8)
-    assert fake.log == [
-        ("start", 2), ("map", 3), "terminate", ("start", 2), ("map", 2), "terminate"
-    ]
+    assert parallel.ordered_map(abs, [-1, -2, 3], workers=2) == [1, 2, 3]
+    assert parallel.ordered_map(abs, [-4, 5]) == [4, 5]
+    assert fake.log == []
+
+
+def test_a_map_defaults_to_the_command_pool_size(monkeypatch):
+    fake = _FakeMultiprocessing()
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(parallel, "mp", fake)
+    with parallel.command_pool(3) as pool:
+        assert parallel.ordered_map(abs, [-1, -2], workers=1) == [1, 2]  # in-process
+        assert fake.log == []
+        assert parallel.ordered_map(abs, [-4, 5, -6, 7]) == [4, 5, 6, 7]
+        assert pool.processes == 3
+    assert fake.log == [("start", 3), ("map", 4), "terminate"]
 
 
 def test_command_pool_closes_and_resets_on_error(monkeypatch):
