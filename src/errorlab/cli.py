@@ -91,7 +91,8 @@ def _cmd_decompose(scenario: Scenario) -> dict[str, str | CsvText]:
     regimes = fit_regimes(train, scenario.model)
     x_true = worldgen.draw_inputs(world, cfg.n, "decompose/eval")
     pack = worldgen.held_out(world, x_true, "decompose/eval")
-    table = decompose_rows(regimes, pack, pack.observed(world))
+    with worldgen.naming(f"sample {train.label}"):
+        table = decompose_rows(regimes, pack, pack.observed(world))
     header = ["row", *(f.name for f in dataclasses.fields(table))]
     columns = [np.arange(table.n)] + [getattr(table, name) for name in header[1:]]
     summary = {

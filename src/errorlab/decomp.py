@@ -308,7 +308,8 @@ def _component_cell(args) -> np.ndarray:
     world, spec, n_train, grid, label = args
     regimes = fit_regimes(worldgen.sample(world, n_train, label), spec)
     pack = worldgen.held_out(world, grid, f"{label}/test")
-    table = decompose_rows(regimes, pack, pack.observed(world))
+    with worldgen.naming(f"sample {label}"):
+        table = decompose_rows(regimes, pack, pack.observed(world))
     return np.array([getattr(table, name).mean() for name in ERROR_COLUMNS])
 
 

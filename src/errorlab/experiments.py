@@ -175,7 +175,8 @@ def _replicate_scores(w_level, n_train, spec, label, pack, x_obs_test, comp_poin
     regimes = fit_regimes(worldgen.sample(w_level, n_train, label), spec)
     preds = predict(regimes["OO"], x_obs_test)
     mse = float(np.mean((preds - pack.y_true) ** 2))
-    table = decompose_rows(regimes, pack.head(comp_points), x_obs_test[:comp_points])
+    with naming(f"sample {label}"):
+        table = decompose_rows(regimes, pack.head(comp_points), x_obs_test[:comp_points])
     return (mse, *table.mean_abs_gains().values())
 
 

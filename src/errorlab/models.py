@@ -45,7 +45,9 @@ class ModelSpec:
     Only the fields of the chosen family matter; the rest keep defaults.
     mlp weights initialize uniformly in +-1/sqrt(fan_in) (biases at zero)
     from ``init_seed``, and mini-batch order is reshuffled each epoch from
-    the same seed, so training is fully deterministic.
+    the same seed, so training is fully deterministic.  ``fit_regimes``
+    trains a sample's three mlp regimes as one stacked network, with the
+    same bits as three separate fits and the same divergence messages.
     """
 
     family: str = "ridge"
@@ -166,7 +168,9 @@ def _fit_knn(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[dict, dict]
     sd = x.std(axis=0)
     sd = np.where(sd == 0.0, 1.0, sd)
     params = {
-        "train_x_std": (x - mean) / sd,
+        # Column-major, so each feature's column is contiguous for the
+        # distance kernel: laid out once here rather than on every predict.
+        "train_x_std": np.asfortranarray((x - mean) / sd),
         "train_y": y,
         "mean": mean,
         "sd": sd,
@@ -177,24 +181,26 @@ def _fit_knn(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[dict, dict]
 
 
 def _knn_distances(
-    chunk: np.ndarray,
-    train: np.ndarray,
-    train_cols: np.ndarray,
-    out: np.ndarray,
-    scratch: np.ndarray,
+    chunk: np.ndarray, train: np.ndarray, out: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
     """Squared Euclidean distances, (queries, training rows), in ``out``.
 
     Explicit differences keep exactly-equal distances exactly equal, so the
     lower-canonical-index tie rule is honest.  ``out`` and ``scratch`` are
-    buffers of the result's shape, reused across blocks.
+    buffers of the result's shape, reused across blocks.  Any layout of
+    ``train`` gives the same bits; column-major reads fastest.
     """
-    if not 0 < train.shape[1] <= _KNN_COLUMNWISE_MAX_DIM:
-        return np.sum((chunk[:, None, :] - train[None, :, :]) ** 2, axis=2, out=out)
-    np.subtract(chunk[:, 0:1], train_cols[0], out=out)
+    rows, (n, d) = chunk.shape[0], train.shape
+    if not 0 < d <= _KNN_COLUMNWISE_MAX_DIM:
+        # The differences in C order whatever the layout of ``train``, so
+        # the sum runs along contiguous columns, as np.sum's pairwise
+        # summation does for a C-ordered ``train``.
+        diff = np.subtract(chunk[:, None, :], train[None, :, :], out=np.empty((rows, n, d)))
+        return np.sum(np.square(diff, out=diff), axis=2, out=out)
+    np.subtract(chunk[:, 0:1], train[:, 0], out=out)
     np.square(out, out=out)
-    for j in range(1, train.shape[1]):
-        np.subtract(chunk[:, j : j + 1], train_cols[j], out=scratch)
+    for j in range(1, d):
+        np.subtract(chunk[:, j : j + 1], train[:, j], out=scratch)
         np.square(scratch, out=scratch)
         out += scratch
     return out
@@ -231,7 +237,6 @@ def _knn_nearest(dist_sq: np.ndarray, scratch: np.ndarray, k: int) -> np.ndarray
 
 def _predict_knn(model: FittedModel, x: np.ndarray) -> np.ndarray:
     train = model.params["train_x_std"]
-    train_cols = np.ascontiguousarray(train.T)
     labels = model.params["train_y"]
     k = model.params["k"]
     queries = (x - model.params["mean"]) / model.params["sd"]
@@ -242,7 +247,7 @@ def _predict_knn(model: FittedModel, x: np.ndarray) -> np.ndarray:
     for start in range(0, queries.shape[0], block):
         chunk = queries[start : start + block]
         dist, scratch = buffers[:, : chunk.shape[0]]
-        dist_sq = _knn_distances(chunk, train, train_cols, dist, scratch)
+        dist_sq = _knn_distances(chunk, train, dist, scratch)
         # Average in canonical index order so equal neighbor sets produce
         # bitwise-equal means (k = n then gives the global mean everywhere).
         out[start : start + block] = labels[_knn_nearest(dist_sq, scratch, k)].mean(axis=1)
@@ -272,68 +277,90 @@ def mlp_init_params(spec: ModelSpec, input_dim: int) -> list[tuple[np.ndarray, n
     return params
 
 
+# The mlp kernels below run a stack of networks of one architecture side by
+# side, each on its own rows.  Every weight is (s, fan_in, fan_out) and
+# every bias (s, fan_out) for a stack of s, except the first layer's weight:
+# the networks' inputs may differ in width, so the input comes in blocks of
+# consecutive networks of one width, each (s_g, rows, d_g), and the first
+# weight in matching (s_g, d_g, fan_out) blocks.  Every matrix product is
+# then one numpy call per layer (per block for the first), with the shapes
+# and memory layout a lone network's product has, so numpy picks the same
+# BLAS kernel and each network gets the same bits as it would alone.
+
+
 def _mlp_forward(
-    params: list[tuple[np.ndarray, np.ndarray]], activation: str, x: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    params: list[tuple], activation: str, xs: list[np.ndarray]
+) -> tuple[list[np.ndarray], list]:
+    """Pre- and post-activations of every layer of the stack ``params``
+    on the input blocks ``xs``; ``post[0]`` is ``xs`` itself."""
     act, _ = _ACT[activation]
-    pre: list[np.ndarray] = []
-    post: list[np.ndarray] = [x]
-    h = x
-    last = len(params) - 1
-    for i, (w, b) in enumerate(params):
-        z = h @ w + b
-        pre.append(z)
-        h = act(z) if i < last else z
+    (w0, b0), *rest = params
+    z = np.empty((len(b0), xs[0].shape[1], b0.shape[1]))
+    start = 0
+    for x, w in zip(xs, w0):
+        np.matmul(x, w, out=z[start : start + len(x)])
+        start += len(x)
+    # In place: the same sums as z + b, without a second array of z's size.
+    z += b0[:, None, :]
+    pre: list[np.ndarray] = [z]
+    post: list = [xs]
+    for w, b in rest:
+        h = act(z)
         post.append(h)
+        z = h @ w
+        z += b[:, None, :]
+        pre.append(z)
+    post.append(z)
     return pre, post
+
+
+def _mlp_gradients(
+    params: list[tuple], activation: str, xs: list[np.ndarray], y: np.ndarray, grads: list[tuple]
+) -> np.ndarray:
+    """Write the analytic mean-squared-error gradient of every parameter of
+    the stack into ``grads``, shaped like ``params``, each network's on its
+    own labels (a row of the (s, rows) ``y``); return the residuals."""
+    _, dact = _ACT[activation]
+    pre, post = _mlp_forward(params, activation, xs)
+    resid = post[-1][..., 0] - y
+    delta = (2.0 / y.shape[-1]) * resid[..., None]
+    for i in range(len(params) - 1, 0, -1):
+        gw, gb = grads[i]
+        np.matmul(post[i].swapaxes(1, 2), delta, out=gw)
+        np.add.reduce(delta, axis=1, out=gb)
+        delta = delta @ params[i][0].swapaxes(1, 2)
+        delta *= dact(pre[i - 1], post[i])
+    gw0, gb0 = grads[0]
+    np.add.reduce(delta, axis=1, out=gb0)
+    start = 0
+    for x, gw in zip(xs, gw0):
+        np.matmul(x.swapaxes(1, 2), delta[start : start + len(x)], out=gw)
+        start += len(x)
+    return resid
+
+
+def _stack_of_one(layers: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple]:
+    """One network's (w, b) layers as a stack of one: views, not copies."""
+    (w0, b0), *rest = layers
+    return [([w0[None]], b0[None]), *((w[None], b[None]) for w, b in rest)]
 
 
 def mlp_predict_params(
     params: list[tuple[np.ndarray, np.ndarray]], activation: str, x: np.ndarray
 ) -> np.ndarray:
-    _, post = _mlp_forward(params, activation, x)
-    return post[-1][:, 0]
+    _, post = _mlp_forward(_stack_of_one(params), activation, [x[None]])
+    return post[-1][0, :, 0]
 
 
-def _flatten(params: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    return np.concatenate([np.concatenate([w.ravel(), b]) for w, b in params])
-
-
-def _param_views(
-    flat: np.ndarray, like: list[tuple[np.ndarray, np.ndarray]]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(w, b) views into ``flat``, shaped and ordered like ``like``."""
+def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive views into ``flat`` of the given shapes."""
     views = []
     offset = 0
-    for w, b in like:
-        w_view = flat[offset : offset + w.size].reshape(w.shape)
-        offset += w.size
-        views.append((w_view, flat[offset : offset + b.size]))
-        offset += b.size
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
     return views
-
-
-def _mlp_gradients(
-    params: list[tuple[np.ndarray, np.ndarray]],
-    activation: str,
-    x: np.ndarray,
-    y: np.ndarray,
-    grads: list[tuple[np.ndarray, np.ndarray]],
-) -> np.ndarray:
-    """Write the analytic mean-squared-error gradient of every parameter
-    into ``grads``, shaped like ``params``; return the residuals."""
-    _, dact = _ACT[activation]
-    pre, post = _mlp_forward(params, activation, x)
-    resid = post[-1][:, 0] - y
-    delta = (2.0 / y.shape[0]) * resid[:, None]
-    for i in range(len(params) - 1, -1, -1):
-        gw, gb = grads[i]
-        np.matmul(post[i].T, delta, out=gw)
-        np.add.reduce(delta, axis=0, out=gb)
-        if i > 0:
-            w, _ = params[i]
-            delta = (delta @ w.T) * dact(pre[i - 1], post[i])
-    return resid
 
 
 def mlp_loss_and_gradients(
@@ -344,7 +371,9 @@ def mlp_loss_and_gradients(
 ) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
     """Mean-squared-error loss and its analytic gradient for every parameter."""
     grads = [(np.empty_like(w), np.empty_like(b)) for w, b in params]
-    resid = _mlp_gradients(params, activation, x, y, grads)
+    resid = _mlp_gradients(
+        _stack_of_one(params), activation, [x[None]], y[None], _stack_of_one(grads)
+    )
     return float(np.mean(resid**2)), grads
 
 
@@ -357,51 +386,96 @@ def mlp_loss_and_gradients(
 _MLP_DIVERGENCE_FACTOR = 1e6
 
 
-def _fit_mlp(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[dict, dict]:
-    if x.shape[0] < spec.batch_size:
-        raise FitError(
-            f"mlp needs at least batch_size={spec.batch_size} training rows, got {x.shape[0]}"
-        )
-    n = x.shape[0]
+def _mlp_loss(layers: list[tuple[np.ndarray, np.ndarray]], activation: str, x, y) -> float:
+    return float(np.mean((mlp_predict_params(layers, activation, x) - y) ** 2))
+
+
+def _train_mlp(
+    spec: ModelSpec, x_blocks: list[np.ndarray], y: np.ndarray
+) -> list[tuple[dict, dict]]:
+    """Train a stack of networks, one per row of the (s, n) labels ``y``, on
+    the input blocks ``x_blocks`` (see ``_mlp_forward``), each network's
+    rows in its canonical order: an SGD step is one set of numpy calls for
+    all of them.
+
+    Every network draws the ``mlp/init`` weights for its input width and
+    takes the same ``mlp/batches`` permutations, as a lone fit on its rows
+    would, and gets the same bits.  Each epoch's full-data loss is computed
+    one network at a time.  Raises :class:`FitError` for the first network
+    whose epoch loss crosses its divergence bound, and for a stack with
+    fewer rows than one batch.
+    """
+    s, n = y.shape
+    if n < spec.batch_size:
+        raise FitError(f"mlp needs at least batch_size={spec.batch_size} training rows, got {n}")
     lr = spec.learning_rate
-    init = mlp_init_params(spec, x.shape[1])
+    sizes = [*spec.widths, 1]
+    shapes = [(len(x), x.shape[2], sizes[0]) for x in x_blocks] + [(s, sizes[0])]
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        shapes += [(s, fan_in, fan_out), (s, fan_out)]
     # Parameters and gradients each live in one buffer, so a step updates
-    # every layer with one multiply and one subtraction, elementwise the
-    # same arithmetic as w - lr * gw.
-    flat = _flatten(init)
-    params = _param_views(flat, init)
+    # every layer of every network with one multiply and one subtraction,
+    # elementwise the same arithmetic as w - lr * gw.
+    flat = np.empty(sum(map(math.prod, shapes)))
     grad_flat = np.empty_like(flat)
-    grads = _param_views(grad_flat, init)
+    stacks = []
+    for buffer in (flat, grad_flat):
+        arrays = _views(buffer, shapes)
+        first = (arrays[: len(x_blocks)], arrays[len(x_blocks)])
+        rest = arrays[len(x_blocks) + 1 :]
+        stacks.append([first, *zip(rest[::2], rest[1::2])])
+    params, grads = stacks
+    # Each network's own inputs and layers, the layers as views into the stack.
+    inputs, nets = [], []
+    for w0, x in zip(params[0][0], x_blocks):
+        for j in range(len(x)):
+            r = len(nets)
+            net = [(w0[j], params[0][1][r]), *((w[r], b[r]) for w, b in params[1:])]
+            for (w, b), (w_init, b_init) in zip(net, mlp_init_params(spec, x.shape[2])):
+                w[...] = w_init
+                b[...] = b_init
+            inputs.append(x[j])
+            nets.append(net)
+    bounds = [
+        _MLP_DIVERGENCE_FACTOR
+        * max(float(np.mean(y_r**2)), _mlp_loss(net, spec.activation, x, y_r))
+        for net, x, y_r in zip(nets, inputs, y)
+    ]
     shuffler = rng_for(spec.init_seed, "mlp/batches")
-    initial_loss = float(np.mean((mlp_predict_params(params, spec.activation, x) - y) ** 2))
-    bound = _MLP_DIVERGENCE_FACTOR * max(float(np.mean(y**2)), initial_loss)
-    epoch_losses = []
+    epoch_losses: list[list[float]] = [[] for _ in nets]
     iterations = 0
     for epoch in range(1, spec.epochs + 1):
         perm = shuffler.permutation(n)
-        x_perm = x[perm]
-        y_perm = y[perm]
         for start in range(0, n, spec.batch_size):
-            stop = start + spec.batch_size
-            _mlp_gradients(params, spec.activation, x_perm[start:stop], y_perm[start:stop], grads)
+            rows = perm[start : start + spec.batch_size]
+            # take, not x[:, rows], whose result is not C-ordered: each
+            # network's batch must be laid out as a lone fit's x[rows] is.
+            batch = [x.take(rows, axis=1) for x in x_blocks]
+            _mlp_gradients(params, spec.activation, batch, y.take(rows, axis=1), grads)
             grad_flat *= lr
             flat -= grad_flat
             iterations += 1
-        loss = float(np.mean((mlp_predict_params(params, spec.activation, x) - y) ** 2))
-        if not loss <= bound:
-            raise FitError(
-                f"mlp training loss {loss:.6g} after epoch {epoch} of {spec.epochs} is "
-                f"non-finite or above the divergence bound {bound:.6g}; learning_rate {lr} "
-                "diverges on this data"
-            )
-        epoch_losses.append(loss)
-    model_params = {"layers": params}
-    diagnostics = {
-        "final_loss": epoch_losses[-1],
-        "iterations": iterations,
-        "epoch_losses": epoch_losses,
-    }
-    return model_params, diagnostics
+        for net, x, y_r, bound, losses in zip(nets, inputs, y, bounds, epoch_losses):
+            loss = _mlp_loss(net, spec.activation, x, y_r)
+            if not loss <= bound:
+                raise FitError(
+                    f"mlp training loss {loss:.6g} after epoch {epoch} of {spec.epochs} is "
+                    f"non-finite or above the divergence bound {bound:.6g}; learning_rate {lr} "
+                    "diverges on this data"
+                )
+            losses.append(loss)
+    return [
+        (
+            {"layers": net},
+            {"final_loss": losses[-1], "iterations": iterations, "epoch_losses": losses},
+        )
+        for net, losses in zip(nets, epoch_losses)
+    ]
+
+
+def _fit_mlp(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[dict, dict]:
+    (fitted,) = _train_mlp(spec, [x[None]], y[None])
+    return fitted
 
 
 def _predict_mlp(model: FittedModel, x: np.ndarray) -> np.ndarray:
@@ -426,13 +500,17 @@ def check_gradients(
     x, y = _check_training_arrays(x, y)
     params = mlp_init_params(spec, x.shape[1])
     _, analytic = mlp_loss_and_gradients(params, spec.activation, x, y)
+    shapes = [a.shape for layer in params for a in layer]
 
     def loss_at(flat: np.ndarray) -> float:
-        pred = mlp_predict_params(_param_views(flat, params), spec.activation, x)
-        return float(np.mean((pred - y) ** 2))
+        arrays = _views(flat, shapes)
+        return _mlp_loss(list(zip(arrays[::2], arrays[1::2])), spec.activation, x, y)
 
-    flat = _flatten(params)
-    flat_analytic = _flatten(analytic)
+    def flatten(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        return np.concatenate([a.ravel() for layer in layers for a in layer])
+
+    flat = flatten(params)
+    flat_analytic = flatten(analytic)
     max_rel = 0.0
     for i in range(flat.size):
         bumped = flat.copy()
@@ -498,9 +576,42 @@ def fit_regime(bundle: SampleBundle, spec: ModelSpec, regime: str) -> FittedMode
         return fit(spec, getattr(bundle, x_name)[rows], getattr(bundle, y_name)[rows], regime)
 
 
+def _stacked_regimes(bundle: SampleBundle) -> tuple[list[np.ndarray], np.ndarray]:
+    """The regimes' views of the selected rows, each in its canonical order,
+    as ``_train_mlp``'s input blocks and labels: OO, TO and TT in one input
+    block when OO is as wide, else OO in one and TO and TT in another."""
+    rows = bundle.selected
+    xs, ys = [], []
+    for x_name, y_name in _REGIME_FIELDS.values():
+        x, y = getattr(bundle, x_name)[rows], getattr(bundle, y_name)[rows]
+        order = canonical_row_order(x, y)
+        xs.append(x[order])
+        ys.append(y[order])
+    blocks = [xs] if xs[0].shape[1] == xs[1].shape[1] else [xs[:1], xs[1:]]
+    return [np.stack(block) for block in blocks], np.stack(ys)
+
+
 def fit_regimes(bundle: SampleBundle, spec: ModelSpec) -> dict[str, FittedModel]:
     """Fit the spec under each information regime on identical row indices;
-    the models keyed ``OO``, ``TO``, ``TT``."""
+    the models keyed ``OO``, ``TO``, ``TT``.
+
+    The mlp trains the three as one stack (see ``_train_mlp``), with the
+    same results as fitting each regime alone.  When the stack fails (a
+    regime diverges, or the sample is too small), the regimes are refitted
+    one at a time in that order, so the error names the same regime and
+    epoch, and numpy warns the same, as separate fits would."""
+    if spec.family == "mlp":
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                trained = _train_mlp(spec, *_stacked_regimes(bundle))
+        except FitError:
+            pass
+        else:
+            # A first weight matrix has a row per input column.
+            return {
+                regime: FittedModel(spec, regime, p["layers"][0][0].shape[0], p, diagnostics)
+                for regime, (p, diagnostics) in zip(_REGIME_FIELDS, trained)
+            }
     return {regime: fit_regime(bundle, spec, regime) for regime in _REGIME_FIELDS}
 
 

@@ -969,7 +969,17 @@ class _OffByOneMilli(decomp.DecompositionTable):
         self.meas_gain_x = self.meas_gain_x + 1e-3
 
 
-@pytest.mark.parametrize("command", ["decompose", "biasvar", "curve", "panels", "gallery"])
+# command -> where its first broken table is named.
+_BROKEN_CHAIN_SAMPLE = {
+    "decompose": "sample decompose/train",
+    "biasvar": "sample components/rep00000",
+    "curve": "sample curve/L0/rep0000",
+    "panels": "panels.variants[0] (baseline): sample panels/L0/rep0000",
+    "gallery": "gallery.low: sample gallery/low_noise/L0/rep0000",
+}
+
+
+@pytest.mark.parametrize("command", list(_BROKEN_CHAIN_SAMPLE))
 def test_every_decomposing_command_exits_four_on_a_broken_chain(
     tmp_path, capsys, monkeypatch, command
 ):
@@ -984,7 +994,9 @@ def test_every_decomposing_command_exits_four_on_a_broken_chain(
     argv = [command, "--config", str(config), "--out", str(tmp_path / "m"), "--workers", "1"]
     assert main(argv) == 4
     err = capsys.readouterr().err
-    assert err.startswith("internal invariant breach: ")
+    # The breach names the training sample whose table broke, behind the
+    # variant or side that drew it.
+    assert err.startswith(f"internal invariant breach: {_BROKEN_CHAIN_SAMPLE[command]}: ")
     assert "pointwise component sum misses y_true by 1.000e-03" in err
     assert not (tmp_path / "m").exists()
 

@@ -1,7 +1,8 @@
 """Property tests of the fitting contract over random data and worlds: a
 fit is a function of the set of training rows, not of their order, the
 canonical row order equals the full ``np.lexsort`` whichever path computes
-it, the decomposition of every fit telescopes, and no study result or
+it, a sample's mlp regimes trained as one stack equal lone fits bit for
+bit, the decomposition of every fit telescopes, and no study result or
 seed ledger depends on the worker count."""
 
 import dataclasses
@@ -28,6 +29,7 @@ from errorlab.models import (
     predict,
 )
 from errorlab.worldgen import FeatureNoiseSpec
+from test_models import _reference_fit_mlp
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -155,6 +157,69 @@ def test_canonical_row_order_uses_lexsort_only_on_a_first_column_tie(monkeypatch
     x[7, 0] = x[1900, 0]
     fit(spec, x, y)
     assert calls == [4]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    widths=st.one_of(
+        st.just(()),
+        st.tuples(st.integers(1, 6)),
+        st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    ),
+    activation=st.sampled_from(["tanh", "relu", "identity"]),
+    batch_size=st.integers(2, 9),
+    rows=st.sampled_from(["one batch", "ragged"]),
+    d=st.integers(1, 4),
+    oo=st.sampled_from(["narrower", "as wide"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_stacked_mlp_regimes_equal_lone_reference_fits(
+    widths, activation, batch_size, rows, d, oo, seed
+):
+    # fit_regimes trains OO, TO and TT as one stack; each must match the
+    # list-rebuilding reference run on that regime's view alone.
+    rng = np.random.default_rng(seed)
+    n = batch_size
+    if rows == "ragged":  # a last batch shorter than the others
+        n = batch_size * int(rng.integers(1, 4)) + int(rng.integers(1, batch_size))
+    d_obs = d if oo == "as wide" or d == 1 else int(rng.integers(1, d))
+    total = n + 5  # five rows the selection drops
+    selected = np.zeros(total, dtype=bool)
+    selected[rng.choice(total, n, replace=False)] = True
+    x_true = rng.standard_normal((total, d))
+    y_true = np.sin(x_true[:, 0]) + 0.1 * rng.standard_normal(total)
+    bundle = worldgen.SampleBundle(
+        x_true=x_true,
+        x_observed=x_true[:, :d_obs] + 0.3 * rng.standard_normal((total, d_obs)),
+        y_true=y_true,
+        y_observed=y_true + 0.5 * rng.standard_normal(total),
+        epsilon=np.zeros(total),
+        selected=selected,
+        delta_y=np.zeros(total),
+        delta_x=np.zeros((total, d)),
+        label="stacked",
+    )
+    spec = ModelSpec(
+        family="mlp",
+        widths=widths,
+        activation=activation,
+        epochs=int(rng.integers(1, 4)),
+        batch_size=batch_size,
+        init_seed=int(rng.integers(0, 3)),
+    )
+    fitted = fit_regimes(bundle, spec)
+    for regime, (x_name, y_name) in models._REGIME_FIELDS.items():
+        x, y = getattr(bundle, x_name)[selected], getattr(bundle, y_name)[selected]
+        params, epoch_losses, iterations = _reference_fit_mlp(spec, x, y)
+        model = fitted[regime]
+        assert model.input_dim == x.shape[1]
+        assert model.diagnostics["iterations"] == iterations
+        assert model.diagnostics["epoch_losses"] == epoch_losses
+        assert len(model.params["layers"]) == len(params)
+        for (w, b), (w_ref, b_ref) in zip(model.params["layers"], params):
+            assert w.shape == w_ref.shape
+            assert np.array_equal(w.view(np.int64), w_ref.view(np.int64))
+            assert np.array_equal(b.view(np.int64), b_ref.view(np.int64))
 
 
 def _coefficients(draw, family: str, dim: int) -> list:

@@ -362,7 +362,11 @@ def test_model_json_naming_no_training_regime_is_rejected_on_load(regime):
 
 
 def _reference_knn(model, x):
-    train = model.params["train_x_std"]
+    # Row-major whatever layout the model holds (a fit stores it
+    # column-major): np.sum's order along the broadcast temporary's last
+    # axis follows the layout, and the reference fixes the pairwise order
+    # along contiguous rows.
+    train = np.ascontiguousarray(model.params["train_x_std"])
     labels = model.params["train_y"]
     k = model.params["k"]
     queries = (x - model.params["mean"]) / model.params["sd"]
@@ -441,6 +445,10 @@ def _assert_knn_matches_reference(x, y, queries, k):
     # a finite value only if both sides held NaN there.
     assert np.array_equal(got, expected, equal_nan=True)
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    # A loaded model holds its training matrix row-major, not as the fit
+    # laid it out, and predicts the same bits.
+    restored = models.model_from_json(models.model_to_json(model))
+    assert np.array_equal(predict(restored, queries).view(np.int64), got.view(np.int64))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
@@ -451,9 +459,12 @@ def test_knn_distances_match_broadcast_sum_bitwise(d):
     train = rng.standard_normal((150, d)) * 10.0 ** rng.integers(-3, 4, d)
     chunk = rng.standard_normal((64, d))
     expected = np.sum((chunk[:, None, :] - train[None, :, :]) ** 2, axis=2)
-    buffers = np.empty((2, 64, 150))
-    got = models._knn_distances(chunk, train, np.ascontiguousarray(train.T), *buffers)
-    assert np.array_equal(got, expected)
+    # A fit stores the training matrix column-major and a loaded model
+    # row-major; the broadcast path's sum runs in one order for both.
+    for layout in (np.asfortranarray(train), np.ascontiguousarray(train)):
+        buffers = np.empty((2, 64, 150))
+        got = models._knn_distances(chunk, layout, *buffers)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9])
@@ -573,8 +584,8 @@ def test_knn_scratch_budget_does_not_change_predictions(monkeypatch, scratch, da
 @pytest.mark.parametrize("n, d", [(20_000, 3), (3000, 9)])
 def test_knn_predict_memory_does_not_grow_with_the_training_set(n, d):
     # Two (64, n) float buffers would take 20 MB at n = 20,000.  The bound
-    # leaves room for predict's copy of the training columns (0.5 MB) and
-    # the two budget-sized blocks (256 kB each).
+    # leaves room for the two budget-sized blocks (256 kB each); predict
+    # copies no training columns, as the fit stored them column-major.
     rng = rng_for(50, f"knnref/memory{n}x{d}")
     model = fit(ModelSpec(family="knn", k=10), rng.standard_normal((n, d)), rng.standard_normal(n))
     queries = rng.standard_normal((64, d))
@@ -650,6 +661,49 @@ def test_divergent_mlp_raises_fit_error_naming_regime_and_epoch():
     assert "regime TO" in message
     assert "non-finite" in message
     assert "after epoch" in message
+
+
+def _bundle_scaling_features(x_true_scale, x_observed_scale):
+    rng = rng_for(51, "mlp/diverge-stacked")
+    x = rng.standard_normal((64, 3))
+    y_true = x[:, 0] - x[:, 1] + 0.1 * rng.standard_normal(64)
+    return worldgen.SampleBundle(
+        x_true=x_true_scale * x,
+        x_observed=x_observed_scale * x[:, :2],
+        y_true=y_true,
+        y_observed=y_true + 0.5 * rng.standard_normal(64),
+        epsilon=np.zeros(64),
+        selected=np.ones(64, dtype=bool),
+        delta_y=np.zeros(64),
+        delta_x=np.zeros((64, 3)),
+        label="diverge",
+    )
+
+
+@pytest.mark.parametrize(
+    "regime, x_true_scale, x_observed_scale, batch_size",
+    [("TO", 100.0, 1.0, 32), ("OO", 1e6, 30.0, 16)],
+    ids=["TO-and-TT", "OO-while-TO-and-TT-overflow"],
+)
+def test_stacked_mlp_regimes_name_the_diverging_regime_as_lone_fits_do(
+    regime, x_true_scale, x_observed_scale, batch_size
+):
+    # Scaled features make SGD diverge at the default learning rate.  In the
+    # first case x_true's scale makes TO and TT cross the bound in epoch 1.
+    # In the second OO crosses it in epoch 1, in the same epoch as TO and TT
+    # overflow: a lone TO fit would warn, so this passes under the suite's
+    # RuntimeWarning filter only if the stack silences its overflow and the
+    # one-at-a-time refit stops at OO, as separate fits do.
+    bundle = _bundle_scaling_features(x_true_scale, x_observed_scale)
+    spec = ModelSpec(family="mlp", widths=(8,), activation="relu", epochs=5, batch_size=batch_size)
+    x_name, y_name = models._REGIME_FIELDS[regime]
+    with pytest.raises(el.errors.FitError) as lone:
+        fit(spec, getattr(bundle, x_name), getattr(bundle, y_name), regime)
+    with pytest.raises(el.errors.FitError) as stacked:
+        fit_regimes(bundle, spec)
+    assert str(stacked.value) == f"sample diverge: {lone.value}"
+    assert str(lone.value).startswith(f"regime {regime}: mlp training loss ")
+    assert "after epoch 1 of 5" in str(lone.value)
 
 
 def test_finite_mlp_divergence_raises_at_the_bound():
