@@ -18,14 +18,7 @@ import numpy as np
 
 from . import worldgen
 from .errors import EmptySelectionError, InvalidSpecError, InvariantError
-from .models import (
-    REGIMES,
-    FittedModel,
-    ModelSpec,
-    fit_regime,
-    fit_regimes,
-    predict,
-)
+from .models import REGIMES, FittedModel, ModelSpec, fit_regimes, predict
 from .parallel import ordered_map
 from .worldgen import HeldOut, SampleBundle, World
 
@@ -194,7 +187,7 @@ def _biasvar_cell(args) -> tuple[np.ndarray, np.ndarray]:
     if regime == "ORACLE":
         preds = pack.f_star
     else:
-        model = fit_regime(worldgen.sample(world, n_train, label), spec, regime)
+        model = fit_regimes(worldgen.sample(world, n_train, label), spec, (regime,))[regime]
         preds = predict(model, pack.observed(world) if regime == "OO" else grid)
     return preds - pack.y_true, preds - pack.f_star
 

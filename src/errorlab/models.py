@@ -46,8 +46,8 @@ class ModelSpec:
     mlp weights initialize uniformly in +-1/sqrt(fan_in) (biases at zero)
     from ``init_seed``, and mini-batch order is reshuffled each epoch from
     the same seed, so training is fully deterministic.  ``fit_regimes``
-    trains a sample's three mlp regimes as one stacked network, with the
-    same bits as three separate fits and the same divergence messages.
+    trains the mlp regimes a study fits as one stacked network, with the
+    same bits as separate fits and the same divergence messages.
     """
 
     family: str = "ridge"
@@ -564,55 +564,52 @@ def predict(model: FittedModel, x: np.ndarray) -> np.ndarray:
     return predict_family(model, x)
 
 
-def fit_regime(bundle: SampleBundle, spec: ModelSpec, regime: str) -> FittedModel:
-    """Fit the spec on the bundle's selected rows of the regime's view: OO's
-    (x_observed, y_observed), TO's (x_true, y_observed) or TT's
-    (x_true, y_true).  A failed fit names the sample."""
-    if regime not in _REGIME_FIELDS:
-        raise InvalidSpecError(f"unknown training regime {regime!r}")
-    x_name, y_name = _REGIME_FIELDS[regime]
-    rows = bundle.selected
-    with naming(f"sample {bundle.label}"):
-        return fit(spec, getattr(bundle, x_name)[rows], getattr(bundle, y_name)[rows], regime)
+def fit_regimes(
+    bundle: SampleBundle, spec: ModelSpec, regimes: tuple[str, ...] = tuple(_REGIME_FIELDS)
+) -> dict[str, FittedModel]:
+    """Fit the spec on the bundle's selected rows under each of the regimes
+    a study fits, keyed by regime in the order given.  Each regime's view
+    is OO's (x_observed, y_observed), TO's (x_true, y_observed) or TT's
+    (x_true, y_true).  A failed fit names the sample.
 
-
-def _stacked_regimes(bundle: SampleBundle) -> tuple[list[np.ndarray], np.ndarray]:
-    """The regimes' views of the selected rows, each in its canonical order,
-    as ``_train_mlp``'s input blocks and labels: OO, TO and TT in one input
-    block when OO is as wide, else OO in one and TO and TT in another."""
-    rows = bundle.selected
-    xs, ys = [], []
-    for x_name, y_name in _REGIME_FIELDS.values():
-        x, y = getattr(bundle, x_name)[rows], getattr(bundle, y_name)[rows]
-        order = canonical_row_order(x, y)
-        xs.append(x[order])
-        ys.append(y[order])
-    blocks = [xs] if xs[0].shape[1] == xs[1].shape[1] else [xs[:1], xs[1:]]
-    return [np.stack(block) for block in blocks], np.stack(ys)
-
-
-def fit_regimes(bundle: SampleBundle, spec: ModelSpec) -> dict[str, FittedModel]:
-    """Fit the spec under each information regime on identical row indices;
-    the models keyed ``OO``, ``TO``, ``TT``.
-
-    The mlp trains the three as one stack (see ``_train_mlp``), with the
-    same results as fitting each regime alone.  When the stack fails (a
-    regime diverges, or the sample is too small), the regimes are refitted
-    one at a time in that order, so the error names the same regime and
+    The mlp trains the regimes as one stack (see ``_train_mlp``), in input
+    blocks of consecutive regimes with one width, with the same results as
+    fitting each regime alone.  Every other family, and the mlp once the
+    stack fails (a regime diverges, or the sample is too small), fits the
+    regimes one at a time in order, so the error names the same regime and
     epoch, and numpy warns the same, as separate fits would."""
+    if not regimes or not set(regimes) <= _REGIME_FIELDS.keys():
+        raise InvalidSpecError(f"training regimes must be among OO, TO, TT, got {regimes!r}")
+    rows = bundle.selected
+
+    def view(regime: str) -> tuple[np.ndarray, np.ndarray]:
+        x_name, y_name = _REGIME_FIELDS[regime]
+        return getattr(bundle, x_name)[rows], getattr(bundle, y_name)[rows]
+
     if spec.family == "mlp":
+        blocks, ys = [], []
+        for x, y in map(view, regimes):
+            order = canonical_row_order(x, y)
+            if not blocks or blocks[-1][-1].shape[1] != x.shape[1]:
+                blocks.append([])
+            blocks[-1].append(x[order])
+            ys.append(y[order])
+        stack = [np.stack(block) for block in blocks], np.stack(ys)
+        del blocks, ys, x, y  # only the stack is held while it trains
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                trained = _train_mlp(spec, *_stacked_regimes(bundle))
+                trained = _train_mlp(spec, *stack)
         except FitError:
             pass
         else:
             # A first weight matrix has a row per input column.
             return {
                 regime: FittedModel(spec, regime, p["layers"][0][0].shape[0], p, diagnostics)
-                for regime, (p, diagnostics) in zip(_REGIME_FIELDS, trained)
+                for regime, (p, diagnostics) in zip(regimes, trained)
             }
-    return {regime: fit_regime(bundle, spec, regime) for regime in _REGIME_FIELDS}
+    # Each view is built as its regime is fitted, so only one is held at a time.
+    with naming(f"sample {bundle.label}"):
+        return {regime: fit(spec, *view(regime), regime) for regime in regimes}
 
 
 # ---------------------------------------------------------------------------

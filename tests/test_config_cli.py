@@ -667,6 +667,25 @@ def test_finite_mlp_divergence_exits_three(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+def test_diverging_mlp_biasvar_exits_three_naming_its_replicate_and_regime(tmp_path, capsys):
+    # biasvar's one regime trains through fit_regimes' stack; once it
+    # diverges, the lone refit names the replicate's sample, the regime and
+    # the epoch, as a lone fit of that regime does.
+    config = _standard_with(
+        tmp_path,
+        model={"family": "mlp", "widths": [8], "epochs": 20, "learning_rate": 5.0},
+        biasvar={"n_train": 100, "replicates": 3, "test_points": 20, "components_replicates": 0},
+    )
+    code = main(["biasvar", "--config", str(config), "--out", str(tmp_path / "b")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "numerical failure: sample biasvar/rep00000: regime TT: mlp training loss "
+    ), err
+    assert "after epoch 2 of 20 is non-finite or above the divergence bound" in err
+    assert not (tmp_path / "b").exists()
+
+
 @pytest.mark.parametrize(
     "section, fields, message",
     [

@@ -171,13 +171,18 @@ def test_canonical_row_order_uses_lexsort_only_on_a_first_column_tie(monkeypatch
     rows=st.sampled_from(["one batch", "ragged"]),
     d=st.integers(1, 4),
     oo=st.sampled_from(["narrower", "as wide"]),
+    regimes=st.sets(st.sampled_from(list(models._REGIME_FIELDS)), min_size=1).map(
+        lambda drawn: tuple(r for r in models._REGIME_FIELDS if r in drawn)
+    ),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_stacked_mlp_regimes_equal_lone_reference_fits(
-    widths, activation, batch_size, rows, d, oo, seed
+    widths, activation, batch_size, rows, d, oo, regimes, seed
 ):
-    # fit_regimes trains OO, TO and TT as one stack; each must match the
-    # list-rebuilding reference run on that regime's view alone.
+    # fit_regimes trains the regimes asked for as one stack, in input blocks
+    # of one width (OO's narrower than TO's and TT's, as in ("OO", "TT"));
+    # each must match the list-rebuilding reference run on that regime's
+    # view alone.
     rng = np.random.default_rng(seed)
     n = batch_size
     if rows == "ragged":  # a last batch shorter than the others
@@ -207,8 +212,10 @@ def test_stacked_mlp_regimes_equal_lone_reference_fits(
         batch_size=batch_size,
         init_seed=int(rng.integers(0, 3)),
     )
-    fitted = fit_regimes(bundle, spec)
-    for regime, (x_name, y_name) in models._REGIME_FIELDS.items():
+    fitted = fit_regimes(bundle, spec, regimes)
+    assert tuple(fitted) == regimes
+    for regime in regimes:
+        x_name, y_name = models._REGIME_FIELDS[regime]
         x, y = getattr(bundle, x_name)[selected], getattr(bundle, y_name)[selected]
         params, epoch_losses, iterations = _reference_fit_mlp(spec, x, y)
         model = fitted[regime]

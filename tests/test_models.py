@@ -739,11 +739,13 @@ def test_fit_regime_fits_each_regimes_training_data():
     for regime, (x, y) in expected.items():
         # model_to_json round-trips floats exactly, so equal documents are
         # equal models bit for bit.
-        got = models.model_to_json(models.fit_regime(bundle, spec, regime))
-        assert got == models.model_to_json(fit(spec, x, y, regime))
-        assert json.loads(got)["regime"] == regime
-    with pytest.raises(InvalidSpecError):
-        models.fit_regime(bundle, spec, "ORACLE")
+        (got,) = fit_regimes(bundle, spec, (regime,)).values()
+        assert models.model_to_json(got) == models.model_to_json(fit(spec, x, y, regime))
+        assert got.regime == regime
+    assert list(fit_regimes(bundle, spec, ("TT", "OO"))) == ["TT", "OO"]
+    for regimes in [("ORACLE",), ("OO", "ORACLE"), ()]:
+        with pytest.raises(InvalidSpecError):
+            fit_regimes(bundle, spec, regimes)
 
 
 def test_model_json_spec_lists_every_model_spec_field():
