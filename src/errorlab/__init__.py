@@ -6,7 +6,7 @@ biased selection), fit models under nested information regimes, and split
 prediction error into its epistemic channels and the aleatoric floor.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .config import Scenario, parse_config, scenario_to_yaml
 from .decomp import (

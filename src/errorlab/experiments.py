@@ -128,6 +128,9 @@ def level_world(world: World, level: AxisLevel) -> World:
 
 @dataclass(frozen=True)
 class LearningCurvePoint:
+    """One level's scores; ``n_features`` counts the features its fits
+    observe, after the world's own omissions."""
+
     level_index: int
     n_train: int
     n_features: int
@@ -236,7 +239,7 @@ def run_learning_curve(
             LearningCurvePoint(
                 level_index=li,
                 n_train=level.n_train,
-                n_features=len(level.features),
+                n_features=level_omit(world, level).count(False),
                 fidelity_y=level.fidelity[0],
                 fidelity_x=level.fidelity[1],
                 mean_mse=mean_mse,

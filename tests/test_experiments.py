@@ -119,6 +119,22 @@ def test_single_level_curve_matches_direct_mse_estimate():
     )
 
 
+def test_curve_counts_the_features_its_fits_observe():
+    # The world omits feature 2, so the level naming all three shows two; a
+    # repeated index is one feature.
+    world = make_world(feature_noise={"cov": 0.2, "omit": [False, False, True]})
+    levels = [
+        AxisLevel(30, (0, 0), (1.0, 1.0)),
+        AxisLevel(40, (0, 1), (1.0, 1.0)),
+        AxisLevel(50, FEATS, (1.0, 1.0)),
+    ]
+    curve = run_learning_curve(world, RIDGE, CurveConfig(_axis(levels), 2, test_points=50))
+    assert [p.n_features for p in curve.points] == [1, 2, 2]
+    for level, point in zip(levels, curve.points):
+        bundle = el.sample(level_world(world, level), level.n_train, "n-features")
+        assert fit_regimes(bundle, RIDGE, ("OO",))["OO"].input_dim == point.n_features
+
+
 def test_growing_information_curve_is_monotone_under_ci():
     world = make_world(target_noise={"variance": 1.5}, feature_noise={"cov": 0.5})
     axis = _axis(
