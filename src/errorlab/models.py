@@ -600,7 +600,7 @@ def fit_regimes(
             with np.errstate(over="ignore", invalid="ignore"):
                 trained = _train_mlp(spec, *stack)
         except FitError:
-            pass
+            del stack
         else:
             # A first weight matrix has a row per input column.
             return {

@@ -32,7 +32,7 @@ from errorlab.worldgen import FeatureNoiseSpec
 from test_models import _reference_fit_mlp
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 SPECS = {
@@ -176,6 +176,9 @@ def test_canonical_row_order_uses_lexsort_only_on_a_first_column_tie(monkeypatch
     ),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
+# OO narrower than TT, with TO left out: two input blocks of one regime each.
+@example((3,), "tanh", 4, "ragged", 2, "narrower", ("OO", "TT"), 0)
+@example((3,), "relu", 5, "one batch", 3, "narrower", ("OO", "TO"), 1)
 def test_stacked_mlp_regimes_equal_lone_reference_fits(
     widths, activation, batch_size, rows, d, oo, regimes, seed
 ):
