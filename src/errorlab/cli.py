@@ -231,6 +231,12 @@ def run(command: str, config, out, seed=None, workers: int = 1, replicates=None)
     started = time.perf_counter()
     if workers < 1:
         raise ConfigError(f"--workers: must be >= 1, got {workers}")
+    out_dir = Path(out)
+    # The nearest existing path of out and its parents must be a directory
+    # for the outputs to be written, checked before anything is computed.
+    existing = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out: {existing} exists and is not a directory")
     scenario = parse_config(config, seed, replicates)
     normalized = scenario_to_yaml(scenario)
     config_hash = sha256_text(normalized + f"|command={command}|replicates={replicates}")
@@ -241,7 +247,6 @@ def run(command: str, config, out, seed=None, workers: int = 1, replicates=None)
         payloads = handler(scenario)
     compute_seconds = time.perf_counter() - compute_started
 
-    out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     payloads = {"scenario.normalized.yaml": normalized, **payloads}
     checksums = write_outputs(out_dir, payloads)

@@ -266,10 +266,16 @@ def parse_config(path, seed=None, replicates=None) -> Scenario:
     """Parse and validate a scenario file, with the overrides of
     ``scenario_from_mapping``; no computation happens here."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"scenario file not found: {path}")
     try:
-        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=SafeLoader)
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"scenario file cannot be read: {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"scenario file is not UTF-8: {path}: {exc.reason} at byte {exc.start}"
+        ) from exc
+    try:
+        raw = yaml.load(text, Loader=SafeLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"scenario file failed to parse: {exc}") from exc
     if raw is None:

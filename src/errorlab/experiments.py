@@ -28,7 +28,6 @@ _PANEL_OVERRIDES = {
     "reconstructed_target": "target_noise",
     "reconstructed_features": "feature_noise",
 }
-PANEL_VARIANTS = tuple(_PANEL_OVERRIDES)
 _ATTAINMENT_SLACK = 0.10  # a gallery curve attains its ceiling within this fraction
 
 

@@ -257,12 +257,13 @@ def _predict_knn(model: FittedModel, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # mlp
 
-# activation -> (forward, derivative from the pre-activation z and the
-# stored activation h = forward(z)).
+# activation -> (forward, which overwrites the pre-activation z with the
+# activation h and returns it, derivative read off h alone).  relu's h > 0
+# holds exactly where z > 0 does, NaN, -0.0 and 0.0 included.
 _ACT = {
-    "tanh": (np.tanh, lambda z, h: 1.0 - h**2),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z, h: (z > 0.0).astype(float)),
-    "identity": (lambda z: z, lambda z, h: np.ones_like(z)),
+    "tanh": (lambda z: np.tanh(z, out=z), lambda h: 1.0 - h**2),
+    "relu": (lambda z: np.maximum(z, 0.0, out=z), lambda h: h > 0.0),
+    "identity": (lambda z: z, np.ones_like),
 }
 
 
@@ -288,11 +289,11 @@ def mlp_init_params(spec: ModelSpec, input_dim: int) -> list[tuple[np.ndarray, n
 # BLAS kernel and each network gets the same bits as it would alone.
 
 
-def _mlp_forward(
-    params: list[tuple], activation: str, xs: list[np.ndarray]
-) -> tuple[list[np.ndarray], list]:
-    """Pre- and post-activations of every layer of the stack ``params``
-    on the input blocks ``xs``; ``post[0]`` is ``xs`` itself."""
+def _mlp_forward(params: list[tuple], activation: str, xs: list[np.ndarray]) -> list:
+    """Every layer of the stack ``params`` on the input blocks ``xs``: ``xs``
+    itself, each hidden activation, then the (s, rows, 1) output.  Each
+    activation is computed over its pre-activation, so a pass keeps one
+    array per layer."""
     act, _ = _ACT[activation]
     (w0, b0), *rest = params
     z = np.empty((len(b0), xs[0].shape[1], b0.shape[1]))
@@ -302,16 +303,14 @@ def _mlp_forward(
         start += len(x)
     # In place: the same sums as z + b, without a second array of z's size.
     z += b0[:, None, :]
-    pre: list[np.ndarray] = [z]
     post: list = [xs]
     for w, b in rest:
         h = act(z)
         post.append(h)
         z = h @ w
         z += b[:, None, :]
-        pre.append(z)
     post.append(z)
-    return pre, post
+    return post
 
 
 def _mlp_gradients(
@@ -321,7 +320,7 @@ def _mlp_gradients(
     the stack into ``grads``, shaped like ``params``, each network's on its
     own labels (a row of the (s, rows) ``y``); return the residuals."""
     _, dact = _ACT[activation]
-    pre, post = _mlp_forward(params, activation, xs)
+    post = _mlp_forward(params, activation, xs)
     resid = post[-1][..., 0] - y
     delta = (2.0 / y.shape[-1]) * resid[..., None]
     for i in range(len(params) - 1, 0, -1):
@@ -329,7 +328,7 @@ def _mlp_gradients(
         np.matmul(post[i].swapaxes(1, 2), delta, out=gw)
         np.add.reduce(delta, axis=1, out=gb)
         delta = delta @ params[i][0].swapaxes(1, 2)
-        delta *= dact(pre[i - 1], post[i])
+        delta *= dact(post[i])
     gw0, gb0 = grads[0]
     np.add.reduce(delta, axis=1, out=gb0)
     start = 0
@@ -348,8 +347,7 @@ def _stack_of_one(layers: list[tuple[np.ndarray, np.ndarray]]) -> list[tuple]:
 def mlp_predict_params(
     params: list[tuple[np.ndarray, np.ndarray]], activation: str, x: np.ndarray
 ) -> np.ndarray:
-    _, post = _mlp_forward(_stack_of_one(params), activation, [x[None]])
-    return post[-1][0, :, 0]
+    return _mlp_forward(_stack_of_one(params), activation, [x[None]])[-1][0, :, 0]
 
 
 def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:

@@ -397,6 +397,35 @@ def test_exit_code_two_on_config_error(tmp_path, capsys):
     assert not (tmp_path / "x").exists()  # validation happens before any output
 
 
+_UNUSABLE_PATHS = {
+    "config-directory": "scenario file cannot be read: .*: Is a directory",
+    "config-not-utf8": "scenario file is not UTF-8: .*: invalid start byte at byte 9",
+    "out-file": "--out: .*taken exists and is not a directory",
+    "out-under-file": "--out: .*taken exists and is not a directory",
+}
+
+
+@pytest.mark.parametrize("case", _UNUSABLE_PATHS)
+def test_unreadable_config_or_unwritable_out_exits_two_writing_nothing(tmp_path, capsys, case):
+    config = _write(tmp_path, MINIMAL)
+    out = tmp_path / "out"
+    if case == "config-directory":
+        config = tmp_path / "scenarios"
+        config.mkdir()
+    elif case == "config-not-utf8":
+        config.write_bytes(b"seed: 1\n#\xff\n")
+    else:
+        (tmp_path / "taken").write_text("kept", encoding="utf-8")
+        out = tmp_path / "taken" if case == "out-file" else tmp_path / "taken" / "sub"
+    before = {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
+    code = main(["simulate", "--config", str(config), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and re.search(_UNUSABLE_PATHS[case], err), err
+    after = {path: path.read_bytes() if path.is_file() else None for path in tmp_path.rglob("*")}
+    assert after == before
+
+
 def test_exit_code_three_on_singular_fit(tmp_path, capsys):
     text = """
 seed: 3

@@ -598,6 +598,39 @@ def test_knn_predict_memory_does_not_grow_with_the_training_set(n, d):
     assert peak < 2 * 1024 * 1024, f"predict peaked at {peak / 2**20:.2f} MB"
 
 
+def test_mlp_predict_keeps_one_array_per_layer():
+    # Each hidden activation overwrites its pre-activation: one (10,000, 16)
+    # layer (1.28 MB) and the output (0.08 MB).  Keeping the pre-activation
+    # as well would take 2.64 MB.
+    rng = rng_for(51, "mlp/predict-memory")
+    spec = ModelSpec(family="mlp", widths=(16,), epochs=1)
+    model = fit(spec, rng.standard_normal((64, 3)), rng.standard_normal(64))
+    queries = rng.standard_normal((10_000, 3))
+    tracemalloc.start()
+    try:
+        predict(model, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_600_000, f"predict peaked at {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu", "identity"])
+def test_mlp_activation_derivative_from_the_activation_equals_the_pre_activation_formula(
+    activation,
+):
+    z = np.array([-1.0, -0.0, 0.0, 5e-324, np.inf, -np.inf, np.nan])
+    act, dact = models._ACT[activation]
+    act_ref, dact_ref = _REFERENCE_ACT[activation]
+    with np.errstate(invalid="ignore"):
+        h = z.copy()
+        assert act(h) is h  # the forward writes over its argument
+        assert np.array_equal(h.view(np.int64), act_ref(z).view(np.int64))
+        derivative = np.asarray(dact(h), dtype=float)
+        expected = dact_ref(z)
+    np.testing.assert_array_equal(derivative, expected)  # NaN positions must match
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_knn_matches_reference_on_non_finite_queries(bad):
     rng = rng_for(45, "knnref/nonfinite")
