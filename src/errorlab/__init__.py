@@ -10,8 +10,10 @@ __version__ = "0.3.0"
 
 from .config import Scenario, parse_config, scenario_to_yaml
 from .decomp import (
+    BiasVarConfig,
     BiasVarianceReport,
     CeilingEstimate,
+    ProbeConfig,
     RepresentativenessReport,
     bias_variance_monte_carlo,
     check_telescoping,

@@ -114,15 +114,7 @@ def _cmd_biasvar(scenario: Scenario) -> dict[str, str | CsvText]:
     cfg = scenario.biasvar
     world = scenario.world
     grid = worldgen.draw_inputs(world, cfg.test_points, "biasvar/test_grid")
-    report = bias_variance_monte_carlo(
-        world,
-        scenario.model,
-        cfg.regime,
-        cfg.n_train,
-        cfg.replicates,
-        grid,
-        base_label="biasvar",
-    )
+    report = bias_variance_monte_carlo(world, scenario.model, cfg, grid, base_label="biasvar")
     payload = dataclasses.asdict(report)
     del payload["replicate_mse"]
     payload.update(
@@ -140,14 +132,7 @@ def _cmd_biasvar(scenario: Scenario) -> dict[str, str | CsvText]:
         ),
     }
     if cfg.components_replicates > 0:
-        comp = component_covariances(
-            world,
-            scenario.model,
-            cfg.n_train,
-            cfg.components_replicates,
-            grid,
-            base_label="components",
-        )
+        comp = component_covariances(world, scenario.model, cfg, grid, base_label="components")
         files["components.json"] = render_json(dataclasses.asdict(comp))
     return files
 
@@ -207,7 +192,7 @@ def _cmd_gallery(scenario: Scenario) -> dict[str, str | CsvText]:
 
 
 def _cmd_probe(scenario: Scenario) -> dict[str, str | CsvText]:
-    report = representativeness_probe(scenario.world, scenario.probe.n, base_label="probe")
+    report = representativeness_probe(scenario.world, scenario.probe, base_label="probe")
     return {"probe.json": render_json(dataclasses.asdict(report))}
 
 

@@ -14,6 +14,7 @@ from typing import Mapping, Optional
 
 import yaml
 
+from .decomp import BiasVarConfig, ProbeConfig
 from .errors import ConfigError, InvalidSpecError
 from .experiments import (
     AxisLevel,
@@ -24,7 +25,7 @@ from .experiments import (
     PanelScenario,
     PanelsConfig,
 )
-from .models import REGIMES, ModelSpec
+from .models import ModelSpec
 from .worldgen import (
     TargetNoiseSpec,
     World,
@@ -65,30 +66,6 @@ class DecomposeConfig:
 
     def __post_init__(self) -> None:
         at_least(self, "decompose", train_n=1, n=1)
-
-
-@dataclass(frozen=True)
-class BiasVarConfig:
-    regime: str = "TT"
-    n_train: int = 200
-    replicates: int = 200
-    test_points: int = 256
-    components_replicates: int = 0
-
-    def __post_init__(self) -> None:
-        at_least(self, "biasvar", n_train=1, replicates=2, test_points=1, components_replicates=0)
-        if self.regime not in REGIMES:
-            raise InvalidSpecError(f"biasvar.regime: unknown regime {self.regime!r}")
-        if self.components_replicates == 1:
-            raise InvalidSpecError("biasvar.components_replicates: must be 0 (off) or >= 2, got 1")
-
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    n: int = 20000
-
-    def __post_init__(self) -> None:
-        at_least(self, "probe", n=4)  # the probe's variances need four rows
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from . import worldgen
 from .errors import EmptySelectionError, InvalidSpecError, InvariantError
 from .models import REGIMES, FittedModel, ModelSpec, fit_regimes, predict
 from .parallel import ordered_map
-from .worldgen import HeldOut, SampleBundle, World
+from .worldgen import HeldOut, SampleBundle, World, at_least
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-9
@@ -139,6 +139,22 @@ def check_telescoping(table: DecompositionTable) -> None:
 # bias-variance Monte Carlo
 
 
+@dataclass(frozen=True)
+class BiasVarConfig:
+    regime: str = "TT"
+    n_train: int = 200
+    replicates: int = 200
+    test_points: int = 256
+    components_replicates: int = 0
+
+    def __post_init__(self) -> None:
+        at_least(self, "biasvar", n_train=1, replicates=2, test_points=1, components_replicates=0)
+        if self.regime not in REGIMES:
+            raise InvalidSpecError(f"biasvar.regime: unknown regime {self.regime!r}")
+        if self.components_replicates == 1:
+            raise InvalidSpecError("biasvar.components_replicates: must be 0 (off) or >= 2, got 1")
+
+
 @dataclass
 class BiasVarianceReport:
     """Aggregate squared-error decomposition over refitted replicates.
@@ -219,9 +235,7 @@ def _jackknife(rep_sums: np.ndarray, rep_count: int, aleatoric: float):
 def bias_variance_monte_carlo(
     world: World,
     spec: ModelSpec,
-    regime: str,
-    n_train: int,
-    n_replicates: int,
+    cfg: BiasVarConfig,
     test_grid: np.ndarray,
     base_label: str = "biasvar",
 ) -> BiasVarianceReport:
@@ -233,21 +247,17 @@ def bias_variance_monte_carlo(
     world's noise spec (oracle access), averaged over the grid when the
     noise is heteroskedastic.
     """
-    if n_replicates < 2:
-        raise InvalidSpecError("bias_variance_monte_carlo needs n_replicates >= 2")
-    if regime not in REGIMES:
-        raise InvalidSpecError(f"unknown training regime {regime!r}")
     grid = np.asarray(test_grid, dtype=float)
     if grid.ndim != 2 or grid.shape[1] != world.input_dim:
         raise InvalidSpecError(
             f"test_grid must be m x {world.input_dim}, got shape {grid.shape}"
         )
     m = grid.shape[0]
-    labels = [f"{base_label}/rep{r:05d}" for r in range(n_replicates)]
-    tasks = [(world, spec, regime, n_train, grid, label) for label in labels]
+    labels = [f"{base_label}/rep{r:05d}" for r in range(cfg.replicates)]
+    tasks = [(world, spec, cfg.regime, cfg.n_train, grid, label) for label in labels]
     results = ordered_map(_biasvar_cell, tasks)
 
-    rep_sums = np.empty((n_replicates, 4))
+    rep_sums = np.empty((cfg.replicates, 4))
     point_ep_sum = np.zeros(m)
     point_ep_sq = np.zeros(m)
     for r, (error, epistemic) in enumerate(results):
@@ -264,15 +274,15 @@ def bias_variance_monte_carlo(
     (mse, bias, variance, gap), (se_mse, se_bias, se_var, se_gap) = _jackknife(
         rep_sums, m, aleatoric
     )
-    point_mean = point_ep_sum / n_replicates
-    point_var = point_ep_sq / n_replicates - point_mean**2
+    point_mean = point_ep_sum / cfg.replicates
+    point_var = point_ep_sq / cfg.replicates - point_mean**2
     return BiasVarianceReport(
         empirical_mse=float(mse),
         bias=float(bias),
         variance=float(variance),
         aleatoric_variance=float(aleatoric),
         identity_gap=float(gap),
-        replicates=n_replicates,
+        replicates=cfg.replicates,
         se_mse=float(se_mse),
         se_bias=float(se_bias),
         se_variance=float(se_var),
@@ -309,27 +319,35 @@ def _component_cell(args) -> np.ndarray:
 def component_covariances(
     world: World,
     spec: ModelSpec,
-    n_train: int,
-    n_replicates: int,
+    cfg: BiasVarConfig,
     test_grid: np.ndarray,
     base_label: str = "components",
 ) -> ComponentCovarianceReport:
-    if n_replicates < 2:
-        raise InvalidSpecError("component_covariances needs n_replicates >= 2")
+    """The error components' moments over ``cfg.components_replicates`` refits."""
+    if cfg.components_replicates == 0:
+        raise InvalidSpecError("biasvar.components_replicates: is 0 (off); the study needs >= 2")
     grid = np.asarray(test_grid, dtype=float)
-    labels = [f"{base_label}/rep{r:05d}" for r in range(n_replicates)]
-    tasks = [(world, spec, n_train, grid, label) for label in labels]
+    labels = [f"{base_label}/rep{r:05d}" for r in range(cfg.components_replicates)]
+    tasks = [(world, spec, cfg.n_train, grid, label) for label in labels]
     samples = np.stack(ordered_map(_component_cell, tasks))
     return ComponentCovarianceReport(
         component_names=ERROR_COLUMNS,
         means=samples.mean(axis=0),
         covariance=np.cov(samples, rowvar=False, ddof=1),
-        replicates=n_replicates,
+        replicates=cfg.components_replicates,
     )
 
 
 # ---------------------------------------------------------------------------
 # ceiling and representativeness
+
+
+@dataclass(frozen=True)
+class ProbeConfig:
+    n: int = 20000
+
+    def __post_init__(self) -> None:
+        at_least(self, "probe", n=4)  # the probe's variances need four rows
 
 
 @dataclass(frozen=True)
@@ -392,19 +410,17 @@ class RepresentativenessReport:
 
 
 def representativeness_probe(
-    world: World, n: int, base_label: str = "probe"
+    world: World, cfg: ProbeConfig, base_label: str = "probe"
 ) -> RepresentativenessReport:
     """Measure how biased selection distorts the observable noise moments."""
     if world.selection.rule == "none":
         raise InvalidSpecError("representativeness_probe needs a world with a selection rule")
-    if n < 4:
-        raise InvalidSpecError("representativeness_probe needs n >= 4")
-    bundle = worldgen.sample(world, n, base_label)
+    bundle = worldgen.sample(world, cfg.n, base_label)
     eps = bundle.epsilon
     sel = eps[bundle.selected]
     if sel.shape[0] < 2:
         raise EmptySelectionError(
-            f"selection kept {sel.shape[0]} of {n} rows; the probe's variances need 2"
+            f"selection kept {sel.shape[0]} of {cfg.n} rows; the probe's variances need 2"
         )
     rest = eps[~bundle.selected]
     if rest.shape[0] < 2:
@@ -425,7 +441,7 @@ def representativeness_probe(
         z_mean=z_mean,
         z_var=z_var,
         coverage=bundle.coverage,
-        n=n,
+        n=cfg.n,
         n_selected=int(sel.shape[0]),
         ceiling_r2=estimate_ceiling(eps, bundle.y_true).ceiling_r2,
     )

@@ -491,35 +491,29 @@ def check_gradients(
 ) -> GradientCheckReport:
     """Compare the mlp analytic gradient against central finite differences.
 
-    Runs at the spec's initial parameters on the full probe batch.
+    Runs at the spec's initial parameters on the full probe batch, perturbing
+    each parameter in place and restoring it before the next.
     """
     if spec.family != "mlp":
         raise InvalidSpecError("check_gradients applies to the mlp family only")
     x, y = _check_training_arrays(x, y)
     params = mlp_init_params(spec, x.shape[1])
     _, analytic = mlp_loss_and_gradients(params, spec.activation, x, y)
-    shapes = [a.shape for layer in params for a in layer]
-
-    def loss_at(flat: np.ndarray) -> float:
-        arrays = _views(flat, shapes)
-        return _mlp_loss(list(zip(arrays[::2], arrays[1::2])), spec.activation, x, y)
-
-    def flatten(layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-        return np.concatenate([a.ravel() for layer in layers for a in layer])
-
-    flat = flatten(params)
-    flat_analytic = flatten(analytic)
+    pairs = [(a, g) for layer, grads in zip(params, analytic) for a, g in zip(layer, grads)]
     max_rel = 0.0
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + step
-        up = loss_at(bumped)
-        bumped[i] = flat[i] - step
-        down = loss_at(bumped)
-        fd = (up - down) / (2.0 * step)
-        denom = max(abs(fd), abs(flat_analytic[i]), 1e-8)
-        max_rel = max(max_rel, abs(fd - flat_analytic[i]) / denom)
-    return GradientCheckReport(max_relative_deviation=max_rel, n_parameters=int(flat.size))
+    for a, g in pairs:
+        for i in np.ndindex(a.shape):
+            value = a[i]
+            a[i] = value + step
+            up = _mlp_loss(params, spec.activation, x, y)
+            a[i] = value - step
+            down = _mlp_loss(params, spec.activation, x, y)
+            a[i] = value
+            fd = (up - down) / (2.0 * step)
+            denom = max(abs(fd), abs(g[i]), 1e-8)
+            max_rel = max(max_rel, abs(fd - g[i]) / denom)
+    n_parameters = sum(a.size for a, _ in pairs)
+    return GradientCheckReport(max_relative_deviation=max_rel, n_parameters=n_parameters)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,13 @@ import numpy as np
 import errorlab as el
 from errorlab import worldgen
 from errorlab.cli import run
-from errorlab.decomp import bias_variance_monte_carlo, decompose_bundle, representativeness_probe
+from errorlab.decomp import (
+    BiasVarConfig,
+    ProbeConfig,
+    bias_variance_monte_carlo,
+    decompose_bundle,
+    representativeness_probe,
+)
 from errorlab.experiments import (
     AxisLevel,
     CurveConfig,
@@ -127,7 +133,8 @@ def test_acceptance_3_bias_variance_identity():
     started = time.perf_counter()
     world = make_world(target_noise={}, feature_noise={})
     grid = worldgen.draw_inputs(world, 256, "acc3/grid")
-    report = bias_variance_monte_carlo(world, RIDGE0, "TT", 200, 2000, grid, base_label="acc3")
+    cfg = BiasVarConfig("TT", 200, 2000)
+    report = bias_variance_monte_carlo(world, RIDGE0, cfg, grid, base_label="acc3")
     assert abs(report.identity_gap) < 3 * report.se_identity_gap
     assert abs(report.bias) < 3 * report.se_bias
     _report(
@@ -264,8 +271,10 @@ def test_acceptance_6_representativeness_probe():
         feature_noise={},
         selection={"rule": "probabilistic", "coverage": 0.7},
     )
-    biased_report = representativeness_probe(biased, 20_000, base_label="acc6")
-    independent_report = representativeness_probe(independent, 20_000, base_label="acc6")
+    biased_report = representativeness_probe(biased, ProbeConfig(20_000), base_label="acc6")
+    independent_report = representativeness_probe(
+        independent, ProbeConfig(20_000), base_label="acc6"
+    )
     assert abs(biased_report.z_var) > 3.0
     assert abs(independent_report.z_var) < 3.0
     assert abs(biased_report.coverage - independent_report.coverage) < 0.02

@@ -8,6 +8,8 @@ import pytest
 import errorlab as el
 from errorlab import decomp, parallel, worldgen
 from errorlab.decomp import (
+    BiasVarConfig,
+    ProbeConfig,
     bias_variance_monte_carlo,
     check_telescoping,
     component_covariances,
@@ -152,7 +154,7 @@ def _grid(world, m=256, label="bv/grid"):
 def test_degenerate_world_oracle_regime_all_zero():
     world = make_world(aleatoric={"variance": 0.0}, target_noise={}, feature_noise={})
     report = bias_variance_monte_carlo(
-        world, ModelSpec(family="ridge"), "ORACLE", 50, 60, _grid(world)
+        world, ModelSpec(family="ridge"), BiasVarConfig("ORACLE", 50, 60), _grid(world)
     )
     assert report.empirical_mse == pytest.approx(0.0, abs=1e-12)
     assert report.bias == pytest.approx(0.0, abs=1e-12)
@@ -162,7 +164,7 @@ def test_degenerate_world_oracle_regime_all_zero():
 def test_ols_unbiased_and_identity_holds_on_linear_gaussian_world():
     world = make_world(target_noise={}, feature_noise={})
     report = bias_variance_monte_carlo(
-        world, ModelSpec(family="ridge", lam=0.0), "TT", 200, 400, _grid(world)
+        world, ModelSpec(family="ridge", lam=0.0), BiasVarConfig("TT", 200, 400), _grid(world)
     )
     assert abs(report.bias_z) < 3.0
     assert abs(report.identity_z) < 3.0
@@ -180,7 +182,7 @@ def test_identity_holds_with_observable_regime_and_heteroskedastic_noise():
         feature_noise={"cov": 0.2},
     )
     report = bias_variance_monte_carlo(
-        world, ModelSpec(family="ridge", lam=0.0), "OO", 150, 300, _grid(world)
+        world, ModelSpec(family="ridge", lam=0.0), BiasVarConfig("OO", 150, 300), _grid(world)
     )
     assert abs(report.identity_z) < 3.0
     assert report.aleatoric_variance > 0.5  # multiplier raises the oracle floor
@@ -190,19 +192,29 @@ def test_biasvar_workers_do_not_change_results():
     world = make_world()
     grid = _grid(world, 64)
     spec = ModelSpec(family="ridge", lam=0.0)
-    serial = bias_variance_monte_carlo(world, spec, "TT", 80, 24, grid)
+    cfg = BiasVarConfig("TT", 80, 24)
+    serial = bias_variance_monte_carlo(world, spec, cfg, grid)
     with parallel.command_pool(4):
-        pooled = bias_variance_monte_carlo(world, spec, "TT", 80, 24, grid)
+        pooled = bias_variance_monte_carlo(world, spec, cfg, grid)
     assert np.array_equal(serial.replicate_mse, pooled.replicate_mse)
     assert serial.identity_gap == pooled.identity_gap
 
 
 def test_biasvar_validates_inputs():
+    # The studies' sections refuse what the studies cannot run, when built.
+    with pytest.raises(InvalidSpecError, match=r"^biasvar\.replicates: must be >= 2, got 1$"):
+        BiasVarConfig(replicates=1)
+    with pytest.raises(InvalidSpecError, match=r"^biasvar\.regime: unknown regime 'XX'$"):
+        BiasVarConfig(regime="XX")
+    with pytest.raises(InvalidSpecError, match=r"^probe\.n: must be >= 4, got 3$"):
+        ProbeConfig(n=3)
+
+
+def test_component_covariances_refuses_a_section_with_the_study_off():
     world = make_world()
-    with pytest.raises(InvalidSpecError):
-        bias_variance_monte_carlo(world, ModelSpec(), "TT", 50, 1, _grid(world))
-    with pytest.raises(InvalidSpecError):
-        bias_variance_monte_carlo(world, ModelSpec(), "XX", 50, 10, _grid(world))
+    off = BiasVarConfig(components_replicates=0)
+    with pytest.raises(InvalidSpecError, match=r"^biasvar\.components_replicates: "):
+        component_covariances(world, ModelSpec(), off, _grid(world))
 
 
 def test_biasvar_fit_failure_names_the_replicate():
@@ -213,7 +225,11 @@ def test_biasvar_fit_failure_names_the_replicate():
     )
     with pytest.raises(el.errors.SingularSystemError, match="sample bv/rep00000: regime OO"):
         bias_variance_monte_carlo(
-            world, ModelSpec(family="ridge", lam=0.0), "OO", 60, 4, _grid(world, 32), base_label="bv"
+            world,
+            ModelSpec(family="ridge", lam=0.0),
+            BiasVarConfig("OO", 60, 4),
+            _grid(world, 32),
+            base_label="bv",
         )
 
 
@@ -224,13 +240,21 @@ def test_component_fit_failure_names_the_replicate():
         feature_noise={"coarsen": [100.0, 100.0]},
     )
     with pytest.raises(el.errors.SingularSystemError, match="sample components/rep00000: regime OO"):
-        component_covariances(world, ModelSpec(family="ridge", lam=0.0), 60, 4, _grid(world, 32))
+        component_covariances(
+            world,
+            ModelSpec(family="ridge", lam=0.0),
+            BiasVarConfig(n_train=60, components_replicates=4),
+            _grid(world, 32),
+        )
 
 
 def test_component_covariances_report():
     world = make_world()
     report = component_covariances(
-        world, ModelSpec(family="ridge", lam=0.0), 150, 60, _grid(world, 128)
+        world,
+        ModelSpec(family="ridge", lam=0.0),
+        BiasVarConfig(n_train=150, components_replicates=60),
+        _grid(world, 128),
     )
     assert report.component_names == ("err_x", "err_y", "delta_f", "aleatoric_term")
     assert report.covariance.shape == (4, 4)
@@ -362,7 +386,7 @@ def test_ceiling_ignores_the_selection_rule():
     # all n rows of the probe's sample, not the 30% with the highest y_true
     # that the rule keeps, so the same rows with no selection give it too.
     world = make_world(selection={"rule": "threshold", "score": "y_true", "coverage": 0.3})
-    report = representativeness_probe(world, 5000)
+    report = representativeness_probe(world, ProbeConfig(5000))
     everyone = el.sample(make_world(), 5000, "probe")
     assert report.ceiling_r2 == estimate_ceiling(everyone.epsilon, everyone.y_true).ceiling_r2
     kept = el.sample(world, 5000, "probe").selected
@@ -391,7 +415,7 @@ def test_degenerate_variance_rejected():
 
 def test_probe_requires_selection_rule(noisy_world):
     with pytest.raises(InvalidSpecError):
-        representativeness_probe(noisy_world, 1000)
+        representativeness_probe(noisy_world, ProbeConfig(1000))
 
 
 def test_selection_on_noise_shrinks_its_variance():
@@ -400,7 +424,7 @@ def test_selection_on_noise_shrinks_its_variance():
         target_noise={},
         feature_noise={},
     )
-    report = representativeness_probe(world, 20_000)
+    report = representativeness_probe(world, ProbeConfig(20_000))
     assert abs(report.coverage - 0.7) < 0.02
     assert abs(report.z_var) > 3.0
     assert abs(report.z_mean) > 3.0
@@ -414,14 +438,14 @@ def test_independent_selection_leaves_moments_alone():
         target_noise={},
         feature_noise={},
     )
-    report = representativeness_probe(world, 20_000)
+    report = representativeness_probe(world, ProbeConfig(20_000))
     assert abs(report.z_mean) < 3.0
     assert abs(report.z_var) < 3.0
 
 
 def test_full_coverage_probe_is_degenerate():
     world = make_world(selection={"rule": "probabilistic", "coverage": 1.0})
-    report = representativeness_probe(world, 5_000)
+    report = representativeness_probe(world, ProbeConfig(5_000))
     assert report.coverage == 1.0
     assert report.eps_mean_selected == report.eps_mean_full
     assert report.eps_var_selected == report.eps_var_full
@@ -434,4 +458,4 @@ def test_probe_refuses_a_selection_of_fewer_than_two_rows():
     world = make_world(selection={"rule": "threshold", "coverage": 0.25})
     message = "selection kept 1 of 4 rows; the probe's variances need 2"
     with pytest.raises(EmptySelectionError, match=f"^{re.escape(message)}$"):
-        representativeness_probe(world, 4)
+        representativeness_probe(world, ProbeConfig(4))

@@ -10,6 +10,8 @@ import errorlab as el
 from errorlab import parallel, worldgen
 from errorlab.config import parse_config
 from errorlab.decomp import (
+    BiasVarConfig,
+    ProbeConfig,
     bias_variance_monte_carlo,
     decompose_rows,
     estimate_ceiling,
@@ -109,9 +111,8 @@ def test_single_level_curve_matches_direct_mse_estimate():
     axis = _axis([AxisLevel(200, FEATS, (1.0, 1.0))])
     curve = run_learning_curve(world, RIDGE, CurveConfig(axis, 40, test_points=2000))
     assert len(curve.points) == 1
-    direct = bias_variance_monte_carlo(
-        world, RIDGE, "OO", 200, 200, worldgen.draw_inputs(world, 2000, "direct/grid")
-    )
+    grid = worldgen.draw_inputs(world, 2000, "direct/grid")
+    direct = bias_variance_monte_carlo(world, RIDGE, BiasVarConfig("OO", 200, 200), grid)
     point = curve.points[0]
     # Same quantity estimated two ways; allow both Monte Carlo errors.
     assert abs(point.mean_mse - direct.empirical_mse) < 3 * (
@@ -215,7 +216,7 @@ def test_ceiling_refuses_an_overflowing_f_star():
         selection={"rule": "probabilistic", "coverage": 0.9},
     )
     with pytest.raises(InvalidSpecError, match=r"^f_star: "):
-        representativeness_probe(world, 100)
+        representativeness_probe(world, ProbeConfig(100))
 
 
 def test_curve_ceiling_is_read_off_its_own_pack():

@@ -13,6 +13,7 @@ import pytest
 import errorlab as el
 from errorlab import models, parallel, seeding, worldgen
 from errorlab.decomp import (
+    BiasVarConfig,
     bias_variance_monte_carlo,
     check_telescoping,
     component_covariances,
@@ -322,12 +323,13 @@ def _study_runs(world, spec, regime):
         levels=(AxisLevel(40, every, (1.0, 1.0)), AxisLevel(60, every, (0.5, 0.0)))
     )
     grid = worldgen.draw_inputs(world, 16, "workers/grid")
+    cfg = BiasVarConfig(regime, 40, 3, components_replicates=3)
     studies = (
         lambda: run_learning_curve(
             world, spec, CurveConfig(axis, 2, test_points=64, comp_points=16)
         ),
-        lambda: bias_variance_monte_carlo(world, spec, regime, 40, 3, grid),
-        lambda: component_covariances(world, spec, 40, 3, grid),
+        lambda: bias_variance_monte_carlo(world, spec, cfg, grid),
+        lambda: component_covariances(world, spec, cfg, grid),
     )
     runs = []
     for study in studies:

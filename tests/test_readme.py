@@ -27,3 +27,4 @@ def test_readme_python_blocks_run_and_the_quick_start_identity_holds():
         table.error_sum(), table.y_pred - bundle.y_true, rtol=1e-9, atol=1e-9
     )
     assert len(namespace["curve"].points) == 3
+    assert namespace["bv"].replicates == 20
