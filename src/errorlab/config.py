@@ -8,7 +8,7 @@ round-trip reparse yields identical objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -27,17 +27,17 @@ from .experiments import (
 )
 from .models import ModelSpec
 from .worldgen import (
-    TargetNoiseSpec,
+    WORLD_SECTIONS,
     World,
     as_mapping,
     at_least,
     build_world,
-    coerce,
-    feature_noise_from_config,
     naming,
+    read_seed,
     reject_unknown,
     spec_from_config,
     spec_to_config,
+    world_section,
 )
 
 SCENARIO_SCHEMA_VERSION = 1
@@ -107,10 +107,12 @@ def _section(cls, cfg, path: str, replicates: Optional[int], **given):
 def _world(cfg, path: str, seed: int, overridden: bool) -> World:
     """The world at ``path``.  Its own ``seed`` key wins over the scenario's
     ``seed``, unless that was overridden (``--seed``): then it is every
-    world's seed."""
+    world's seed, though the world's own is still checked."""
     world_cfg = as_mapping(cfg, path)
     if not world_cfg:
         raise ConfigError(f"{path}: required section is missing")
+    if overridden and "seed" in world_cfg:
+        read_seed(world_cfg["seed"], f"{path}.seed")
     if overridden or "seed" not in world_cfg:
         world_cfg["seed"] = seed
     return build_world(world_cfg, path)
@@ -131,9 +133,12 @@ def _axis_from_config(cfg, path: str) -> InformationAxis:
         return InformationAxis(levels=tuple(levels))
 
 
+_PANEL_FIELDS = {f.name for f in fields(PanelScenario)}
+
+
 def _panels_from_config(cfg, world: World) -> PanelsConfig:
-    """The panel variants; a variant's feature noise has ``world``'s
-    dimension."""
+    """The panel variants; a variant's override sections are read as
+    ``world``'s own are, with its input dimension."""
     cfg = as_mapping(cfg, "panels")
     variants_cfg = cfg.pop("variants", None)
     if not variants_cfg:
@@ -143,21 +148,14 @@ def _panels_from_config(cfg, world: World) -> PanelsConfig:
     for i, raw in enumerate(variants_cfg):
         path = f"panels.variants[{i}]"
         raw = as_mapping(raw, path)
-        target = raw.pop("target_noise", None)
-        feature = raw.pop("feature_noise", None)
         # A broken rule names the variant; a ConfigError names its own path.
         with naming(path):
-            if target is not None:
-                target = spec_from_config(TargetNoiseSpec, target, f"{path}.target_noise")
-            if feature is not None:
-                feature = feature_noise_from_config(
-                    feature, world.input_dim, f"{path}.feature_noise"
-                )
-            scenarios.append(
-                spec_from_config(
-                    PanelScenario, raw, path, target_noise=target, feature_noise=feature
-                )
-            )
+            overrides = {
+                name: world_section(key, value, world.input_dim, f"{path}.{key}")
+                for key, name, _ in WORLD_SECTIONS
+                if name in _PANEL_FIELDS and (value := raw.pop(key, None)) is not None
+            }
+            scenarios.append(spec_from_config(PanelScenario, raw, path, **overrides))
     return PanelsConfig(variants=tuple(scenarios))
 
 
@@ -176,6 +174,11 @@ def scenario_from_mapping(raw: Mapping, seed=None, replicates=None) -> Scenario:
     """Read a parsed scenario mapping into typed objects, each checking its
     own rules; ``seed`` and ``replicates``, when given, override the
     file's (``--seed`` and ``--replicates``)."""
+    # A flag is checked first, named as the flag, not as the file's key.
+    if seed is not None:
+        seed = read_seed(seed, "--seed")
+    if replicates is not None and replicates < 2:
+        raise ConfigError(f"--replicates: must be >= 2, got {replicates}")
     cfg = as_mapping(raw, "scenario")
     version = cfg.pop("schema_version", SCENARIO_SCHEMA_VERSION)
     if type(version) is not int or version != SCENARIO_SCHEMA_VERSION:
@@ -185,7 +188,7 @@ def scenario_from_mapping(raw: Mapping, seed=None, replicates=None) -> Scenario:
         )
     if "seed" not in cfg:
         raise ConfigError("seed: required field is missing")
-    file_seed = coerce(int, cfg.pop("seed"), "seed")
+    file_seed = read_seed(cfg.pop("seed"), "seed")
     overridden = seed is not None
     seed = seed if overridden else file_seed
     with naming("world"):  # a broken rule names the section, as a gallery side's does
@@ -193,9 +196,6 @@ def scenario_from_mapping(raw: Mapping, seed=None, replicates=None) -> Scenario:
     model = spec_from_config(ModelSpec, cfg.pop("model", None), "model")
     simulate = spec_from_config(SimulateConfig, cfg.pop("simulate", None), "simulate")
     decompose = spec_from_config(DecomposeConfig, cfg.pop("decompose", None), "decompose")
-    # The sections' own rule would name the file's field, not the flag.
-    if replicates is not None and replicates < 2:
-        raise ConfigError(f"--replicates: must be >= 2, got {replicates}")
     biasvar = _section(BiasVarConfig, cfg.pop("biasvar", None), "biasvar", replicates)
     probe = spec_from_config(ProbeConfig, cfg.pop("probe", None), "probe")
 

@@ -232,6 +232,14 @@ def _jackknife(rep_sums: np.ndarray, rep_count: int, aleatoric: float):
     return full, se
 
 
+def _grid_for(world: World, test_grid) -> np.ndarray:
+    """``test_grid`` as a float array, refused unless it is m x input_dim."""
+    grid = np.asarray(test_grid, dtype=float)
+    if grid.ndim != 2 or grid.shape[1] != world.input_dim:
+        raise InvalidSpecError(f"test_grid must be m x {world.input_dim}, got shape {grid.shape}")
+    return grid
+
+
 def bias_variance_monte_carlo(
     world: World,
     spec: ModelSpec,
@@ -247,11 +255,7 @@ def bias_variance_monte_carlo(
     world's noise spec (oracle access), averaged over the grid when the
     noise is heteroskedastic.
     """
-    grid = np.asarray(test_grid, dtype=float)
-    if grid.ndim != 2 or grid.shape[1] != world.input_dim:
-        raise InvalidSpecError(
-            f"test_grid must be m x {world.input_dim}, got shape {grid.shape}"
-        )
+    grid = _grid_for(world, test_grid)
     m = grid.shape[0]
     labels = [f"{base_label}/rep{r:05d}" for r in range(cfg.replicates)]
     tasks = [(world, spec, cfg.regime, cfg.n_train, grid, label) for label in labels]
@@ -326,7 +330,7 @@ def component_covariances(
     """The error components' moments over ``cfg.components_replicates`` refits."""
     if cfg.components_replicates == 0:
         raise InvalidSpecError("biasvar.components_replicates: is 0 (off); the study needs >= 2")
-    grid = np.asarray(test_grid, dtype=float)
+    grid = _grid_for(world, test_grid)
     labels = [f"{base_label}/rep{r:05d}" for r in range(cfg.components_replicates)]
     tasks = [(world, spec, cfg.n_train, grid, label) for label in labels]
     samples = np.stack(ordered_map(_component_cell, tasks))

@@ -627,40 +627,67 @@ def spec_to_config(spec, skip: Sequence[str] = ()) -> dict:
     return out
 
 
-def feature_noise_from_config(cfg: Mapping, input_dim: int, path: str) -> FeatureNoiseSpec:
-    """Build a feature-noise spec from a mapping; absent fields are those of
-    ``FeatureNoiseSpec.none``.  ``cov`` accepts a full matrix, a
-    per-feature variance vector, or a scalar shared variance."""
-    cfg = as_mapping(cfg, path)
-    none = FeatureNoiseSpec.none(input_dim)
-    cov = cfg.pop("cov", None)
-    if cov is None:
-        cov = none.cov
-    elif np.isscalar(cov):
-        cov = coerce(float, cov, f"{path}.cov") * np.eye(input_dim)
-    elif all(np.isscalar(v) for v in cov):
-        cov = np.diag(coerce((float,), cov, f"{path}.cov"))
-    # Otherwise a matrix, which the spec's converter reads.
-    defaults = spec_to_config(none, skip=("cov",))
-    return spec_from_config(FeatureNoiseSpec, {**defaults, **cfg}, path, cov=cov)
+# A world mapping's sections, (key, World field, spec class), in the order
+# build_world reads them: f_star's rules are checked before x's.
+WORLD_SECTIONS = (
+    ("f_star", "f_star", TrueFunctionSpec),
+    ("x", "x_dist", XDistributionSpec),
+    ("aleatoric", "aleatoric", AleatoricSpec),
+    ("target_noise", "target_noise", TargetNoiseSpec),
+    ("feature_noise", "feature_noise", FeatureNoiseSpec),
+    ("selection", "selection", SelectionSpec),
+)
+_SECTION_SPECS = {key: cls for key, _, cls in WORLD_SECTIONS}
+
+
+def world_section(key: str, cfg, dim: int, path: str, **given):
+    """The spec of the world section ``key`` read from ``cfg`` at ``path`` by
+    ``spec_from_config``, with the fields in ``given``.  Feature noise needs
+    the input dimension ``dim``: its absent fields are those of
+    ``FeatureNoiseSpec.none(dim)``, and its ``cov`` may be a full matrix, a
+    per-feature variance vector or a scalar shared variance."""
+    cls = _SECTION_SPECS[key]
+    if cls is FeatureNoiseSpec:
+        cfg = as_mapping(cfg, path)
+        none = FeatureNoiseSpec.none(dim)
+        cov = cfg.pop("cov", None)
+        if cov is None:
+            cov = none.cov
+        elif np.isscalar(cov):
+            cov = coerce(float, cov, f"{path}.cov") * np.eye(dim)
+        elif all(np.isscalar(v) for v in cov):
+            cov = np.diag(coerce((float,), cov, f"{path}.cov"))
+        # Otherwise a matrix, which the spec's converter reads.
+        cfg = {**spec_to_config(none, skip=("cov",)), **cfg}
+        given["cov"] = cov
+    return spec_from_config(cls, cfg, path, **given)
+
+
+def read_seed(value, path: str) -> int:
+    """``value`` read as a master seed, an int in [0, 2**64); raises
+    :class:`ConfigError` naming ``path`` otherwise."""
+    seed = coerce(int, value, path)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{path}: must fit in an unsigned 64-bit integer, got {seed}")
+    return seed
 
 
 def build_world(config: Mapping, path: str = "world") -> World:
     """Build a World from a nested mapping (the scenario ``world`` section
-    plus a ``seed`` key), ``path`` being the section's own name.  A missing
-    or mistyped field raises :class:`ConfigError` naming its full path; a
-    broken rule, the spec's own :class:`InvalidSpecError`."""
+    plus a ``seed`` key), ``path`` being the section's own name: ``x.dim``
+    first, then each ``WORLD_SECTIONS`` section by ``world_section`` in the
+    table's order (f* with its ``interactions``), then ``seed``.  A missing
+    or mistyped field, an ``x.dim`` below 1 or a seed outside [0, 2**64)
+    raises :class:`ConfigError` naming its full path; a broken rule, the
+    spec's own :class:`InvalidSpecError`."""
     cfg = dict(config)
-
-    def section(name: str) -> dict:
-        return as_mapping(cfg.pop(name, None), f"{path}.{name}")
-
-    x_cfg = section("x")
+    x_cfg = cfg["x"] = as_mapping(cfg.get("x"), f"{path}.x")
     if "dim" not in x_cfg:
         raise ConfigError(f"{path}.x.dim: required field is missing")
-    input_dim = coerce(int, x_cfg.pop("dim"), f"{path}.x.dim")
-
-    f_cfg = section("f_star")
+    dim = coerce(int, x_cfg.pop("dim"), f"{path}.x.dim")
+    if dim < 1:
+        raise ConfigError(f"{path}.x.dim: must be >= 1, got {dim}")
+    f_cfg = cfg["f_star"] = as_mapping(cfg.get("f_star"), f"{path}.f_star")
     interactions = []
     for i, item in enumerate(f_cfg.pop("interactions", None) or []):
         item_path = f"{path}.f_star.interactions[{i}]"
@@ -671,55 +698,32 @@ def build_world(config: Mapping, path: str = "world") -> World:
         reject_unknown(rest, item_path)
         pair = coerce((int, int), pair, f"{item_path}.pair")
         interactions.append((*pair, coerce(float, weight, f"{item_path}.weight")))
-    f_star = spec_from_config(
-        TrueFunctionSpec,
-        f_cfg,
-        f"{path}.f_star",
-        input_dim=input_dim,
-        interactions=tuple(interactions),
-    )
-    x_dist = spec_from_config(XDistributionSpec, x_cfg, f"{path}.x")
-    aleatoric = spec_from_config(AleatoricSpec, section("aleatoric"), f"{path}.aleatoric")
-    target_noise = spec_from_config(
-        TargetNoiseSpec, section("target_noise"), f"{path}.target_noise"
-    )
-    feature_noise = feature_noise_from_config(
-        section("feature_noise"), input_dim, f"{path}.feature_noise"
-    )
-    selection = spec_from_config(SelectionSpec, section("selection"), f"{path}.selection")
-
+    given = {"f_star": {"input_dim": dim, "interactions": tuple(interactions)}}
+    specs = {
+        name: world_section(key, cfg.pop(key, None), dim, f"{path}.{key}", **given.get(key, {}))
+        for key, name, _ in WORLD_SECTIONS
+    }
     if "seed" not in cfg:
         raise ConfigError(f"{path}.seed: required field is missing")
-    master_seed = coerce(int, cfg.pop("seed"), f"{path}.seed")
+    master_seed = read_seed(cfg.pop("seed"), f"{path}.seed")
     reject_unknown(cfg, path)
-
-    return World(
-        f_star=f_star,
-        x_dist=x_dist,
-        aleatoric=aleatoric,
-        target_noise=target_noise,
-        feature_noise=feature_noise,
-        selection=selection,
-        master_seed=master_seed,
-    )
+    return World(**specs, master_seed=master_seed)
 
 
 def world_to_config(world: World) -> dict:
-    """The ``world`` mapping ``build_world`` reads back into ``world``."""
-    f_star = spec_to_config(world.f_star, skip=("input_dim", "interactions"))
+    """The ``world`` mapping ``build_world`` reads back into ``world``: each
+    section's ``spec_to_config`` mapping, f*'s ``input_dim`` as ``x.dim``
+    and ``master_seed`` as ``seed``."""
+    out = {key: spec_to_config(getattr(world, name)) for key, name, _ in WORLD_SECTIONS}
+    f_star = out["f_star"]
+    out["x"]["dim"] = f_star.pop("input_dim")
+    del f_star["interactions"]
     if world.f_star.interactions:
         f_star["interactions"] = [
             {"pair": [i, j], "weight": w} for i, j, w in world.f_star.interactions
         ]
-    return {
-        "x": {**spec_to_config(world.x_dist), "dim": world.input_dim},
-        "f_star": f_star,
-        "aleatoric": spec_to_config(world.aleatoric),
-        "target_noise": spec_to_config(world.target_noise),
-        "feature_noise": spec_to_config(world.feature_noise),
-        "selection": spec_to_config(world.selection),
-        "seed": world.master_seed,
-    }
+    out["seed"] = world.master_seed
+    return out
 
 
 def draw_inputs(world: World, n: int, substream_label: str) -> np.ndarray:

@@ -573,6 +573,59 @@ def test_replicates_override_below_two_exits_two(tmp_path, capsys):
     assert "--replicates" in capsys.readouterr().err
 
 
+def _update_at(*keys, **fields):
+    """An edit of standard.yaml that updates the mapping at ``keys``."""
+
+    def edit(doc):
+        for key in keys:
+            doc = doc[key]
+        doc.update(fields)
+
+    return edit
+
+
+_U64 = "must fit in an unsigned 64-bit integer, got"
+
+
+@pytest.mark.parametrize(
+    "edit, flags, message",
+    [
+        (None, ["--seed", "-1"], f"--seed: {_U64} -1"),
+        (None, ["--seed", str(2**64)], f"--seed: {_U64} {2**64}"),
+        (_update_at(seed=-1), [], f"seed: {_U64} -1"),
+        # The file's seeds are checked even where --seed replaces them.
+        (_update_at(seed=-1), ["--seed", "5"], f"seed: {_U64} -1"),
+        (_update_at("world", seed=2**64), [], f"world.seed: {_U64} {2**64}"),
+        (_update_at("world", seed=-1), ["--seed", "5"], f"world.seed: {_U64} -1"),
+        (
+            _update_at("gallery", "high", "world", seed=-5),
+            [],
+            f"gallery.high.world.seed: {_U64} -5",
+        ),
+        (_update_at("world", "x", dim=0), [], "world.x.dim: must be >= 1, got 0"),
+        (
+            _update_at("gallery", "low", "world", "x", dim=0),
+            [],
+            "gallery.low.world.x.dim: must be >= 1, got 0",
+        ),
+    ],
+    ids=["flag-negative", "flag-2**64", "file-negative", "file-negative-under-flag",
+         "world-2**64", "world-negative-under-flag", "gallery-world-negative",
+         "world-dim-0", "gallery-world-dim-0"],
+)
+def test_a_seed_or_dimension_out_of_range_exits_two_naming_its_key(
+    tmp_path, capsys, edit, flags, message
+):
+    doc = yaml.safe_load(STANDARD.read_text(encoding="utf-8"))
+    if edit is not None:
+        edit(doc)
+    config = _write(tmp_path, yaml.safe_dump(doc))
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "s"), *flags]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "s").exists()
+
+
 @pytest.mark.parametrize("command, workers", [("curve", "0"), ("simulate", "-3")])
 def test_workers_below_one_exits_two_before_any_output(tmp_path, capsys, command, workers):
     config = _write(tmp_path, REFERENCE)

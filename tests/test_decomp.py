@@ -217,6 +217,17 @@ def test_component_covariances_refuses_a_section_with_the_study_off():
         component_covariances(world, ModelSpec(), off, _grid(world))
 
 
+@pytest.mark.parametrize("study", [bias_variance_monte_carlo, component_covariances])
+@pytest.mark.parametrize("shape", [(5, 2), (5, 4), (3,)])
+def test_both_biasvar_studies_refuse_a_grid_of_the_wrong_width(study, shape):
+    # Refused before any refit, with the shape named, not deep inside f*.
+    world = make_world()
+    cfg = BiasVarConfig(replicates=2, components_replicates=2)
+    message = rf"^test_grid must be m x 3, got shape {re.escape(str(shape))}$"
+    with pytest.raises(InvalidSpecError, match=message):
+        study(world, ModelSpec(), cfg, np.zeros(shape))
+
+
 def test_biasvar_fit_failure_names_the_replicate():
     world = make_world(
         x={"kind": "gaussian", "dim": 2},

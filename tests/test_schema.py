@@ -5,6 +5,7 @@ parse -> normalize -> parse round trip over random scenarios."""
 import hashlib
 import math
 import re
+import typing
 from dataclasses import fields
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from errorlab.config import (
     scenario_to_yaml,
 )
 from errorlab.errors import ConfigError
-from errorlab.worldgen import world_to_config
+from errorlab.worldgen import WORLD_SECTIONS, world_to_config
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -103,6 +104,18 @@ def _assert_world_keys(section: dict, world: el.World) -> None:
     assert set(section["f_star"]) == f_star
     for name in ("aleatoric", "target_noise", "feature_noise", "selection"):
         assert set(section[name]) == _keys(getattr(world, name))
+
+
+def test_every_world_field_but_the_seed_is_built_from_one_section():
+    # A World field without a section entry (or with two) fails here; the
+    # file's shape is checked on its own by _assert_world_keys.
+    hints = typing.get_type_hints(el.World)
+    assert sorted(name for _, name, _ in WORLD_SECTIONS) == sorted(
+        f.name for f in fields(el.World) if f.name != "master_seed"
+    )
+    assert len({key for key, _, _ in WORLD_SECTIONS}) == len(WORLD_SECTIONS)
+    for _, name, cls in WORLD_SECTIONS:
+        assert hints[name] is cls
 
 
 def test_normalized_section_keys_are_the_dataclass_fields():
