@@ -68,6 +68,8 @@ def _curve_columns(curves) -> list[list]:
 def _cmd_simulate(scenario: Scenario) -> dict[str, str | CsvText]:
     cfg = scenario.simulate
     bundle = worldgen.sample(scenario.world, cfg.n, cfg.label)
+    with worldgen.naming(f"sample {bundle.label}"):
+        worldgen.check_bundle(scenario.world, bundle)
     header, columns = worldgen.bundle_columns(bundle)
     summary = {
         "n": cfg.n,

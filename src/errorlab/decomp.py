@@ -101,7 +101,11 @@ def decompose_rows(
 def decompose_bundle(
     world: World, regimes: dict[str, FittedModel], bundle: SampleBundle
 ) -> DecompositionTable:
-    f_star = world.f_star.values(bundle.x_true)  # the bundle's own rows; nothing is redrawn
+    """Decompose the bundle's own rows, in-sample when ``bundle`` is the
+    sample the regimes were fitted on: f* at its ``x_true``, its own noise,
+    ``y_true`` and ``x_observed``, nothing redrawn.  Public API (README's
+    quick start); ``decompose_rows`` scores a held-out pack."""
+    f_star = world.f_star.values(bundle.x_true)
     pack = HeldOut(bundle.x_true, f_star, bundle.epsilon, bundle.y_true, bundle.label)
     return decompose_rows(regimes, pack, bundle.x_observed)
 

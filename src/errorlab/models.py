@@ -45,9 +45,9 @@ class ModelSpec:
     Only the fields of the chosen family matter; the rest keep defaults.
     mlp weights initialize uniformly in +-1/sqrt(fan_in) (biases at zero)
     from ``init_seed``, and mini-batch order is reshuffled each epoch from
-    the same seed, so training is fully deterministic.  ``fit_regimes``
-    trains the mlp regimes a study fits as one stacked network, with the
-    same bits as separate fits and the same divergence messages.
+    the same seed, so training is fully deterministic.  Every mlp trains
+    in a stack (``fit`` a stack of one), with the bits a lone network gets;
+    a diverging stack names the first network to cross its bound.
     """
 
     family: str = "ridge"
@@ -350,17 +350,6 @@ def mlp_predict_params(
     return _mlp_forward(_stack_of_one(params), activation, [x[None]])[-1][0, :, 0]
 
 
-def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Consecutive views into ``flat`` of the given shapes."""
-    views = []
-    offset = 0
-    for shape in shapes:
-        size = math.prod(shape)
-        views.append(flat[offset : offset + size].reshape(shape))
-        offset += size
-    return views
-
-
 def mlp_loss_and_gradients(
     params: list[tuple[np.ndarray, np.ndarray]],
     activation: str,
@@ -389,23 +378,21 @@ def _mlp_loss(layers: list[tuple[np.ndarray, np.ndarray]], activation: str, x, y
 
 
 def _train_mlp(
-    spec: ModelSpec, x_blocks: list[np.ndarray], y: np.ndarray
+    spec: ModelSpec, regimes: tuple[str, ...], x_blocks: list[np.ndarray], y: np.ndarray
 ) -> list[tuple[dict, dict]]:
-    """Train a stack of networks, one per row of the (s, n) labels ``y``, on
-    the input blocks ``x_blocks`` (see ``_mlp_forward``), each network's
-    rows in its canonical order: an SGD step is one set of numpy calls for
-    all of them.
+    """Train a stack of networks, one per regime and row of the (s, n)
+    labels ``y``, on the input blocks ``x_blocks`` (see ``_mlp_forward``),
+    each network's rows in its canonical order: an SGD step is one set of
+    numpy calls for all of them.
 
     Every network draws the ``mlp/init`` weights for its input width and
-    takes the same ``mlp/batches`` permutations, as a lone fit on its rows
-    would, and gets the same bits.  Each epoch's full-data loss is computed
-    one network at a time.  Raises :class:`FitError` for the first network
-    whose epoch loss crosses its divergence bound, and for a stack with
-    fewer rows than one batch.
+    takes the same ``mlp/batches`` permutations, and gets the same bits
+    whatever else the stack holds.  Each epoch's full-data loss is computed
+    one network at a time.  Training stops at the first network whose
+    epoch loss crosses its divergence bound (the earliest epoch, then
+    regime order within it) with a :class:`FitError` naming its regime.
     """
     s, n = y.shape
-    if n < spec.batch_size:
-        raise FitError(f"mlp needs at least batch_size={spec.batch_size} training rows, got {n}")
     lr = spec.learning_rate
     sizes = [*spec.widths, 1]
     shapes = [(len(x), x.shape[2], sizes[0]) for x in x_blocks] + [(s, sizes[0])]
@@ -414,11 +401,12 @@ def _train_mlp(
     # Parameters and gradients each live in one buffer, so a step updates
     # every layer of every network with one multiply and one subtraction,
     # elementwise the same arithmetic as w - lr * gw.
-    flat = np.empty(sum(map(math.prod, shapes)))
+    ends = np.cumsum([math.prod(shape) for shape in shapes])  # where each array ends
+    flat = np.empty(ends[-1])
     grad_flat = np.empty_like(flat)
     stacks = []
     for buffer in (flat, grad_flat):
-        arrays = _views(buffer, shapes)
+        arrays = [a.reshape(shape) for a, shape in zip(np.split(buffer, ends[:-1]), shapes)]
         first = (arrays[: len(x_blocks)], arrays[len(x_blocks)])
         rest = arrays[len(x_blocks) + 1 :]
         stacks.append([first, *zip(rest[::2], rest[1::2])])
@@ -447,21 +435,21 @@ def _train_mlp(
         for start in range(0, n, spec.batch_size):
             rows = perm[start : start + spec.batch_size]
             # take, not x[:, rows], whose result is not C-ordered: each
-            # network's batch must be laid out as a lone fit's x[rows] is.
+            # network's batch must be laid out as a lone network's x[rows] is.
             batch = [x.take(rows, axis=1) for x in x_blocks]
             _mlp_gradients(params, spec.activation, batch, y.take(rows, axis=1), grads)
             grad_flat *= lr
             flat -= grad_flat
             iterations += 1
-        for net, x, y_r, bound, losses in zip(nets, inputs, y, bounds, epoch_losses):
-            loss = _mlp_loss(net, spec.activation, x, y_r)
-            if not loss <= bound:
+        for r, net in enumerate(nets):
+            loss = _mlp_loss(net, spec.activation, inputs[r], y[r])
+            if not loss <= bounds[r]:
                 raise FitError(
-                    f"mlp training loss {loss:.6g} after epoch {epoch} of {spec.epochs} is "
-                    f"non-finite or above the divergence bound {bound:.6g}; learning_rate {lr} "
-                    "diverges on this data"
+                    f"regime {regimes[r]}: mlp training loss {loss:.6g} after epoch {epoch} "
+                    f"of {spec.epochs} is non-finite or above the divergence bound "
+                    f"{bounds[r]:.6g}; learning_rate {lr} diverges on this data"
                 )
-            losses.append(loss)
+            epoch_losses[r].append(loss)
     return [
         (
             {"layers": net},
@@ -469,11 +457,6 @@ def _train_mlp(
         )
         for net, losses in zip(nets, epoch_losses)
     ]
-
-
-def _fit_mlp(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[dict, dict]:
-    (fitted,) = _train_mlp(spec, [x[None]], y[None])
-    return fitted
 
 
 def _predict_mlp(model: FittedModel, x: np.ndarray) -> np.ndarray:
@@ -519,25 +502,62 @@ def check_gradients(
 # ---------------------------------------------------------------------------
 # uniform contract
 
-# The trainable families, each as (fit, predict).
+# The trainable families as (fit one view, predict); an mlp trains in ``_fit_stack``.
 _FAMILIES = {
     "ridge": (_fit_ridge, _predict_ridge),
     "knn": (_fit_knn, _predict_knn),
-    "mlp": (_fit_mlp, _predict_mlp),
+    "mlp": (None, _predict_mlp),
 }
 
 
+def _training_view(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Checked, non-empty training arrays in canonical row order."""
+    x, y = _check_training_arrays(x, y)
+    if x.shape[0] < 1:
+        raise FitError("training data is empty")
+    order = canonical_row_order(x, y)
+    return x[order], y[order]
+
+
+def _fit_stack(spec: ModelSpec, regimes: tuple[str, ...], views) -> dict[str, FittedModel]:
+    """Train an mlp on each regime's (x, y) view as one stack (see
+    ``_train_mlp``), in input blocks of consecutive views of one width.
+    numpy's overflow and invalid-value warnings are off: a network that
+    overflows is judged by its epoch loss against its divergence bound."""
+    blocks, ys = [], []
+    for regime, (x, y) in zip(regimes, views):
+        with naming(f"regime {regime}"):
+            x, y = _training_view(x, y)
+            if len(y) < spec.batch_size:
+                raise FitError(
+                    f"mlp needs at least batch_size={spec.batch_size} training rows, got {len(y)}"
+                )
+        if not blocks or blocks[-1][-1].shape[1] != x.shape[1]:
+            blocks.append([])
+        blocks[-1].append(x)
+        ys.append(y)
+    stack = [np.stack(block) for block in blocks], np.stack(ys)
+    del blocks, ys, x, y  # only the stack is held while it trains
+    with np.errstate(over="ignore", invalid="ignore"):
+        trained = _train_mlp(spec, regimes, *stack)
+    # A first weight matrix has a row per input column.
+    return {
+        regime: FittedModel(spec, regime, p["layers"][0][0].shape[0], p, diagnostics)
+        for regime, (p, diagnostics) in zip(regimes, trained)
+    }
+
+
 def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray, regime: str = "OO") -> FittedModel:
+    """Fit the spec on the rows ``(x, y)``, taken in canonical row order, as
+    the training regime ``regime``; a failed fit names the regime.  An mlp
+    trains as a stack of one (see ``_fit_stack``)."""
     if regime not in _REGIME_FIELDS:
         raise InvalidSpecError(f"unknown training regime {regime!r}")
+    if spec.family == "mlp":
+        return _fit_stack(spec, (regime,), [(x, y)])[regime]
     fit_family, _ = _FAMILIES[spec.family]
     with naming(f"regime {regime}"):
-        x, y = _check_training_arrays(x, y)
-        if x.shape[0] < 1:
-            raise FitError("training data is empty")
-        # Every family trains on the canonical row order.
-        order = canonical_row_order(x, y)
-        x, y = x[order], y[order]
+        x, y = _training_view(x, y)
         params, diagnostics = fit_family(spec, x, y)
     return FittedModel(
         spec=spec, regime=regime, input_dim=x.shape[1], params=params, diagnostics=diagnostics
@@ -562,14 +582,11 @@ def fit_regimes(
     """Fit the spec on the bundle's selected rows under each of the regimes
     a study fits, keyed by regime in the order given.  Each regime's view
     is OO's (x_observed, y_observed), TO's (x_true, y_observed) or TT's
-    (x_true, y_true).  A failed fit names the sample.
+    (x_true, y_true).  A failed fit names the sample and the regime.
 
-    The mlp trains the regimes as one stack (see ``_train_mlp``), in input
-    blocks of consecutive regimes with one width, with the same results as
-    fitting each regime alone.  Every other family, and the mlp once the
-    stack fails (a regime diverges, or the sample is too small), fits the
-    regimes one at a time in order, so the error names the same regime and
-    epoch, and numpy warns the same, as separate fits would."""
+    The mlp trains the regimes as one stack (see ``_fit_stack``).  ridge
+    and knn fit them one at a time through ``fit``, each view built as its
+    regime is fitted, so only one is held at a time."""
     if not regimes or not set(regimes) <= _REGIME_FIELDS.keys():
         raise InvalidSpecError(f"training regimes must be among OO, TO, TT, got {regimes!r}")
     rows = bundle.selected
@@ -578,29 +595,9 @@ def fit_regimes(
         x_name, y_name = _REGIME_FIELDS[regime]
         return getattr(bundle, x_name)[rows], getattr(bundle, y_name)[rows]
 
-    if spec.family == "mlp":
-        blocks, ys = [], []
-        for x, y in map(view, regimes):
-            order = canonical_row_order(x, y)
-            if not blocks or blocks[-1][-1].shape[1] != x.shape[1]:
-                blocks.append([])
-            blocks[-1].append(x[order])
-            ys.append(y[order])
-        stack = [np.stack(block) for block in blocks], np.stack(ys)
-        del blocks, ys, x, y  # only the stack is held while it trains
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                trained = _train_mlp(spec, *stack)
-        except FitError:
-            del stack
-        else:
-            # A first weight matrix has a row per input column.
-            return {
-                regime: FittedModel(spec, regime, p["layers"][0][0].shape[0], p, diagnostics)
-                for regime, (p, diagnostics) in zip(regimes, trained)
-            }
-    # Each view is built as its regime is fitted, so only one is held at a time.
     with naming(f"sample {bundle.label}"):
+        if spec.family == "mlp":
+            return _fit_stack(spec, regimes, map(view, regimes))
         return {regime: fit(spec, *view(regime), regime) for regime in regimes}
 
 

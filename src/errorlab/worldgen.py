@@ -807,22 +807,39 @@ def sample(world: World, n: int, substream_label: str) -> SampleBundle:
     return bundle
 
 
-def verify_bundle(world: World, bundle: SampleBundle) -> None:
-    """Assert the generative identities by recomputation; raises
-    :class:`InvariantError` on any mismatch."""
+# Rows per block of ``check_bundle``: the columns it recomputes stay a few
+# hundred kB whatever the sample's size.
+_CHECK_ROWS = 1 << 12
+
+
+def check_bundle(world: World, bundle: SampleBundle) -> None:
+    """Check, exactly, the generative identities that need no second draw:
+    the observed width, ``y_true == f*(x_true) + epsilon``, ``y_observed -
+    y_true == delta_y`` and ``x_observed == observe(x_true, delta_x)``.
+    f* and the feature noise treat each row on its own, so the rows are
+    checked in blocks.  Raises :class:`InvariantError` on a mismatch."""
     expected_dim = world.observed_dim
     if bundle.x_observed.shape[1] != expected_dim:
         raise InvariantError(
             f"x_observed has {bundle.x_observed.shape[1]} columns, expected {expected_dim}"
         )
-    recomputed = world.f_star.values(bundle.x_true) + bundle.epsilon
-    if not np.array_equal(recomputed, bundle.y_true):
-        raise InvariantError("y_true != f_star(x_true) + epsilon")
-    if not np.array_equal(bundle.y_observed - bundle.y_true, bundle.delta_y):
-        raise InvariantError("y_observed - y_true != stored delta_y")
-    observed = world.feature_noise.observe(bundle.x_true, bundle.delta_x)
-    if not np.array_equal(observed, bundle.x_observed):
-        raise InvariantError("x_observed does not match stored feature-noise draw")
+    for start in range(0, bundle.n, _CHECK_ROWS):
+        rows = slice(start, start + _CHECK_ROWS)
+        x_true, y_true = bundle.x_true[rows], bundle.y_true[rows]
+        if not np.array_equal(world.f_star.values(x_true) + bundle.epsilon[rows], y_true):
+            raise InvariantError("y_true != f_star(x_true) + epsilon")
+        if not np.array_equal(bundle.y_observed[rows] - y_true, bundle.delta_y[rows]):
+            raise InvariantError("y_observed - y_true != stored delta_y")
+        observed = world.feature_noise.observe(x_true, bundle.delta_x[rows])
+        if not np.array_equal(observed, bundle.x_observed[rows]):
+            raise InvariantError("x_observed does not match stored feature-noise draw")
+
+
+def verify_bundle(world: World, bundle: SampleBundle) -> None:
+    """Assert the generative identities: ``check_bundle``'s, then that a
+    second draw under the bundle's label reproduces it.  Raises
+    :class:`InvariantError` on any mismatch."""
+    check_bundle(world, bundle)
     regenerated = sample(world, bundle.n, bundle.label)
     for field in ("x_true", "x_observed", "y_true", "y_observed", "epsilon", "selected"):
         if not np.array_equal(getattr(regenerated, field), getattr(bundle, field)):

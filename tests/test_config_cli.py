@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 import errorlab as el
-from errorlab import cli, decomp, parallel, seeding
+from errorlab import cli, decomp, parallel, seeding, worldgen
 from errorlab.cli import main, run
 from errorlab.config import normalize_scenario, parse_config, scenario_to_yaml
 from errorlab.errors import ConfigError, InvalidSpecError, InvariantError
@@ -183,6 +183,26 @@ def test_panels_without_a_baseline_rejected_at_parse_time(tmp_path):
 def _run(tmp_path, command, text=REFERENCE, out="out", **kwargs):
     config = _write(tmp_path, text)
     return run(command, config, tmp_path / out, **kwargs), tmp_path / out
+
+
+def test_simulate_exits_four_and_writes_nothing_when_y_true_breaks_its_identity(
+    tmp_path, capsys, monkeypatch
+):
+    # A sample whose y_true is off by 1e-3 from f*(x_true) + epsilon.
+    draw = worldgen.sample
+
+    def shifted(world, n, label):
+        bundle = draw(world, n, label)
+        return dataclasses.replace(bundle, y_true=bundle.y_true + 1e-3)
+
+    monkeypatch.setattr(worldgen, "sample", shifted)
+    config = _write(tmp_path, REFERENCE)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "internal invariant breach: sample sim: y_true != f_star(x_true) + epsilon"
+    ), err
+    assert not (tmp_path / "s").exists()
 
 
 def test_simulate_writes_samples_and_manifest(tmp_path):
@@ -698,8 +718,7 @@ def test_exit_code_three_on_non_finite_json(tmp_path, capsys):
         model={"family": "mlp", "learning_rate": 5.0},
         decompose={"train_n": 100, "n": 50},
     )
-    with np.errstate(all="ignore"):
-        code = main(["decompose", "--config", str(config), "--out", str(tmp_path / "d")])
+    code = main(["decompose", "--config", str(config), "--out", str(tmp_path / "d")])
     assert code == 3
     err = capsys.readouterr().err
     assert "numerical failure" in err
@@ -750,9 +769,9 @@ def test_finite_mlp_divergence_exits_three(tmp_path, capsys):
 
 
 def test_diverging_mlp_biasvar_exits_three_naming_its_replicate_and_regime(tmp_path, capsys):
-    # biasvar's one regime trains through fit_regimes' stack; once it
-    # diverges, the lone refit names the replicate's sample, the regime and
-    # the epoch, as a lone fit of that regime does.
+    # biasvar's one regime trains through fit_regimes' stack, here a stack
+    # of one; its divergence names the replicate's sample, the regime and
+    # the epoch.
     config = _standard_with(
         tmp_path,
         model={"family": "mlp", "widths": [8], "epochs": 20, "learning_rate": 5.0},

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -688,7 +689,7 @@ def test_divergent_mlp_raises_fit_error_naming_regime_and_epoch():
     x = rng.standard_normal((100, 2))
     y = x[:, 0] + rng.standard_normal(100)
     spec = ModelSpec(family="mlp", widths=(16,), learning_rate=5.0, epochs=200)
-    with np.errstate(all="ignore"), pytest.raises(el.errors.FitError) as info:
+    with pytest.raises(el.errors.FitError) as info:
         fit(spec, x, y, regime="TO")
     message = str(info.value)
     assert "regime TO" in message
@@ -723,10 +724,10 @@ def test_stacked_mlp_regimes_name_the_diverging_regime_as_lone_fits_do(
 ):
     # Scaled features make SGD diverge at the default learning rate.  In the
     # first case x_true's scale makes TO and TT cross the bound in epoch 1.
-    # In the second OO crosses it in epoch 1, in the same epoch as TO and TT
-    # overflow: a lone TO fit would warn, so this passes under the suite's
-    # RuntimeWarning filter only if the stack silences its overflow and the
-    # one-at-a-time refit stops at OO, as separate fits do.
+    # In the second OO crosses it in epoch 1, the epoch in which TO and TT
+    # overflow: of the networks that cross in the earliest epoch, the stack
+    # names the first in regime order, and its overflow raises no warning
+    # under the suite's RuntimeWarning filter.
     bundle = _bundle_scaling_features(x_true_scale, x_observed_scale)
     spec = ModelSpec(family="mlp", widths=(8,), activation="relu", epochs=5, batch_size=batch_size)
     x_name, y_name = models._REGIME_FIELDS[regime]
@@ -739,12 +740,57 @@ def test_stacked_mlp_regimes_name_the_diverging_regime_as_lone_fits_do(
     assert "after epoch 1 of 5" in str(lone.value)
 
 
+def test_stacked_mlp_names_the_first_network_to_cross_its_bound():
+    # OO comes first in regime order, but a lone OO fit crosses the bound
+    # in epoch 2 and a lone TO fit in epoch 1: the stack stops at TO's
+    # crossing and words it as the lone TO fit does.
+    bundle = _bundle_scaling_features(100.0, 10.0)
+    spec = ModelSpec(family="mlp", widths=(8,), activation="relu", epochs=5, batch_size=32)
+    with pytest.raises(el.errors.FitError) as lone_oo:
+        fit(spec, bundle.x_observed, bundle.y_observed, "OO")
+    with pytest.raises(el.errors.FitError) as lone_to:
+        fit(spec, bundle.x_true, bundle.y_observed, "TO")
+    with pytest.raises(el.errors.FitError) as stacked:
+        fit_regimes(bundle, spec)
+    assert "after epoch 2 of 5" in str(lone_oo.value)
+    assert str(lone_to.value).startswith("regime TO: mlp training loss ")
+    assert "after epoch 1 of 5" in str(lone_to.value)
+    assert str(stacked.value) == f"sample diverge: {lone_to.value}"
+
+
+def test_lone_mlp_fit_that_overflows_raises_fit_error_not_a_warning():
+    # x_true scaled by 1e6 overflows TO's matrix products in epoch 1.  The
+    # suite turns a RuntimeWarning into an error, so this passes only if a
+    # lone fit trains with numpy's overflow warnings off, as a stack does.
+    bundle = _bundle_scaling_features(1e6, 30.0)
+    spec = ModelSpec(family="mlp", widths=(8,), activation="relu", epochs=5, batch_size=16)
+    with pytest.raises(el.errors.FitError) as info:
+        fit(spec, bundle.x_true, bundle.y_observed, "TO")
+    message = str(info.value)
+    assert message.startswith("regime TO: mlp training loss "), message
+    assert "after epoch 1 of 5 is non-finite" in message
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ModelSpec(family="ridge"), ModelSpec(family="mlp", widths=(4,), epochs=1)],
+    ids=["ridge", "mlp"],
+)
+def test_fit_regimes_on_no_selected_rows_names_the_first_regime(spec):
+    bundle = dataclasses.replace(
+        _bundle_scaling_features(1.0, 1.0), selected=np.zeros(64, dtype=bool), label="empty"
+    )
+    with pytest.raises(el.errors.FitError) as info:
+        fit_regimes(bundle, spec)
+    assert str(info.value) == "sample empty: regime OO: training data is empty"
+
+
 def test_finite_mlp_divergence_raises_at_the_bound():
     rng = rng_for(48, "mlp/diverge-finite")
     x = rng.standard_normal((100, 2))
     y = x[:, 0] + rng.standard_normal(100)
     spec = ModelSpec(family="mlp", widths=(8,), learning_rate=5.0, epochs=20)
-    with np.errstate(all="ignore"), pytest.raises(el.errors.FitError, match="divergence bound"):
+    with pytest.raises(el.errors.FitError, match="divergence bound"):
         fit(spec, x, y, regime="TT")
 
 

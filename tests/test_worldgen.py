@@ -368,6 +368,25 @@ def test_verify_bundle_catches_each_corruption(noisy_world, corrupt, message):
         el.verify_bundle(noisy_world, dataclasses.replace(bundle, **corrupt(bundle)))
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("y_true", r"y_true != f_star\(x_true\) \+ epsilon"),
+        ("y_observed", "stored delta_y"),
+        ("x_observed", "x_observed does not match"),
+    ],
+)
+def test_check_bundle_checks_every_block_of_rows(noisy_world, monkeypatch, field, message):
+    # Blocks of 16 rows: the last row of 50 sits in the fourth, a short one.
+    monkeypatch.setattr(worldgen, "_CHECK_ROWS", 16)
+    bundle = el.sample(noisy_world, 50, "verify")
+    worldgen.check_bundle(noisy_world, bundle)
+    values = getattr(bundle, field).copy()
+    values[-1] += 1.0
+    with pytest.raises(InvariantError, match=message):
+        worldgen.check_bundle(noisy_world, dataclasses.replace(bundle, **{field: values}))
+
+
 def test_sampling_deterministic_per_label(noisy_world):
     a = el.sample(noisy_world, 100, "det")
     b = el.sample(noisy_world, 100, "det")
