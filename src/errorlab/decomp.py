@@ -189,15 +189,18 @@ class BiasVarianceReport:
 
     @property
     def identity_z(self) -> float:
-        if self.se_identity_gap == 0.0:
-            return 0.0 if self.identity_gap == 0.0 else math.inf
-        return self.identity_gap / self.se_identity_gap
+        return _z(self.identity_gap, self.se_identity_gap)
 
     @property
     def bias_z(self) -> float:
-        if self.se_bias == 0.0:
-            return 0.0 if self.bias == 0.0 else math.inf
-        return self.bias / self.se_bias
+        return _z(self.bias, self.se_bias)
+
+
+def _z(value: float, se: float) -> float:
+    """``value / se``; a zero SE reads 0 for a zero value and inf otherwise."""
+    if se == 0.0:
+        return 0.0 if value == 0.0 else math.inf
+    return value / se
 
 
 def _biasvar_cell(args) -> tuple[np.ndarray, np.ndarray]:
@@ -212,28 +215,26 @@ def _biasvar_cell(args) -> tuple[np.ndarray, np.ndarray]:
     return preds - pack.y_true, preds - pack.f_star
 
 
-def _biasvar_stats(sums: np.ndarray, counts: np.ndarray, aleatoric: float) -> np.ndarray:
-    """[mse, bias, variance, gap] from summed moments; vectorized over rows."""
-    counts = np.asarray(counts, dtype=float).reshape(-1)
+def _jackknife(rep_sums: np.ndarray, rep_count: int, aleatoric: float):
+    """[mse, bias, variance, gap] pooled over every replicate, and their
+    leave-one-replicate-out standard errors.
+
+    ``rep_sums`` holds one row of [sum error, sum error^2, sum epistemic,
+    sum epistemic^2] per replicate over its ``rep_count`` points.  Row 0 of
+    the stacked sums pools all replicates and row r + 1 leaves replicate r
+    out, so one pass computes the statistics of both.
+    """
+    n_reps = rep_sums.shape[0]
+    totals = rep_sums.sum(axis=0)
+    sums = np.vstack([totals, totals - rep_sums])
+    counts = rep_count * np.array([n_reps] + [n_reps - 1] * n_reps, dtype=float)
     mse = sums[:, 1] / counts
     bias = sums[:, 0] / counts
     variance = sums[:, 3] / counts - (sums[:, 2] / counts) ** 2
-    gap = mse - bias**2 - variance - aleatoric
-    return np.stack([mse, bias, variance, gap], axis=1)
-
-
-def _jackknife(rep_sums: np.ndarray, rep_count: int, aleatoric: float):
-    """Full-sample stats and leave-one-replicate-out standard errors."""
-    totals = rep_sums.sum(axis=0)
-    n_reps = rep_sums.shape[0]
-    total_count = n_reps * rep_count
-    full = _biasvar_stats(totals[None, :], np.array([total_count]), aleatoric)[0]
-    loo = _biasvar_stats(
-        totals[None, :] - rep_sums, np.full(n_reps, total_count - rep_count), aleatoric
-    )
-    center = loo.mean(axis=0)
-    se = np.sqrt((n_reps - 1) / n_reps * np.sum((loo - center) ** 2, axis=0))
-    return full, se
+    stats = np.stack([mse, bias, variance, mse - bias**2 - variance - aleatoric], axis=1)
+    loo = stats[1:]
+    se = np.sqrt((n_reps - 1) / n_reps * np.sum((loo - loo.mean(axis=0)) ** 2, axis=0))
+    return stats[0], se
 
 
 def _grid_for(world: World, test_grid) -> np.ndarray:
@@ -263,27 +264,16 @@ def bias_variance_monte_carlo(
     m = grid.shape[0]
     labels = [f"{base_label}/rep{r:05d}" for r in range(cfg.replicates)]
     tasks = [(world, spec, cfg.regime, cfg.n_train, grid, label) for label in labels]
-    results = ordered_map(_biasvar_cell, tasks)
-
-    rep_sums = np.empty((cfg.replicates, 4))
-    point_ep_sum = np.zeros(m)
-    point_ep_sq = np.zeros(m)
-    for r, (error, epistemic) in enumerate(results):
-        rep_sums[r] = (
-            error.sum(),
-            np.sum(error**2),
-            epistemic.sum(),
-            np.sum(epistemic**2),
-        )
-        point_ep_sum += epistemic
-        point_ep_sq += epistemic**2
-
+    error, epistemic = (np.stack(parts) for parts in zip(*ordered_map(_biasvar_cell, tasks)))
+    ep_sq = epistemic**2
+    rep_sums = np.stack([part.sum(axis=1) for part in (error, error**2, epistemic, ep_sq)], axis=1)
     aleatoric = world.aleatoric.variance_on(grid)
     (mse, bias, variance, gap), (se_mse, se_bias, se_var, se_gap) = _jackknife(
         rep_sums, m, aleatoric
     )
-    point_mean = point_ep_sum / cfg.replicates
-    point_var = point_ep_sq / cfg.replicates - point_mean**2
+    # cumsum adds the replicates in order; sum(axis=0) goes pairwise on a one-point grid.
+    point_mean = np.cumsum(epistemic, axis=0)[-1] / cfg.replicates
+    point_var = np.cumsum(ep_sq, axis=0)[-1] / cfg.replicates - point_mean**2
     return BiasVarianceReport(
         empirical_mse=float(mse),
         bias=float(bias),

@@ -21,9 +21,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, FitError, InvalidSpecError, SingularSystemError
+from .errors import ConfigError, DimensionError, FitError, InvalidSpecError, SingularSystemError
 from .seeding import rng_for
-from .worldgen import SampleBundle, coerce, coerce_fields, naming, spec_from_config, spec_to_config
+from .worldgen import (
+    SampleBundle,
+    at_least,
+    coerce,
+    coerce_fields,
+    naming,
+    read_seed,
+    spec_from_config,
+    spec_to_config,
+)
 
 # training regime -> the bundle fields it trains on, as (features, labels).
 _REGIME_FIELDS = {
@@ -66,16 +75,15 @@ class ModelSpec:
             raise InvalidSpecError(f"model.family: unknown family {self.family!r}")
         if not 0 <= self.lam < math.inf:
             raise InvalidSpecError("model.lam: ridge penalty must be finite and nonnegative")
-        if self.k < 1:
-            raise InvalidSpecError("model.k: knn needs k >= 1")
+        at_least(self, "model", k=1, epochs=1, batch_size=1)
         if any(w < 1 for w in self.widths):
             raise InvalidSpecError("model.widths: layer widths must be positive")
         if self.activation not in _ACT:
             raise InvalidSpecError(f"model.activation: unknown activation {self.activation!r}")
-        if self.epochs < 1:
-            raise InvalidSpecError("model.epochs: must be >= 1")
-        if self.batch_size < 1:
-            raise InvalidSpecError("model.batch_size: must be >= 1")
+        try:
+            object.__setattr__(self, "init_seed", read_seed(self.init_seed, "model.init_seed"))
+        except ConfigError as exc:
+            raise InvalidSpecError(str(exc)) from None
         if not 0 < self.learning_rate < math.inf:
             raise InvalidSpecError("model.learning_rate: must be finite and positive")
 
@@ -558,7 +566,12 @@ def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray, regime: str = "OO") -> Fi
     fit_family, _ = _FAMILIES[spec.family]
     with naming(f"regime {regime}"):
         x, y = _training_view(x, y)
-        params, diagnostics = fit_family(spec, x, y)
+        # An overflow is refused below, naming the parameter, not warned about.
+        with np.errstate(over="ignore", invalid="ignore"):
+            params, diagnostics = fit_family(spec, x, y)
+        for name, value in params.items():
+            if not np.isfinite(value).all():
+                raise FitError(f"{spec.family} fit gave a non-finite {name}")
     return FittedModel(
         spec=spec, regime=regime, input_dim=x.shape[1], params=params, diagnostics=diagnostics
     )

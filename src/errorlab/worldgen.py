@@ -14,7 +14,7 @@ import dataclasses
 import math
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -64,6 +64,32 @@ def _check_square(cov, dim: int, name: str) -> None:
     """Raise unless the nested tuple ``cov`` is ``dim`` rows of ``dim``."""
     if len(cov) != dim or any(len(row) != dim for row in cov):
         raise InvalidSpecError(f"{name}: expected a {dim} x {dim} matrix, got {cov!r}")
+
+
+def _refuse_non_finite(what: str, reason: str):
+    """Decorate a function that returns an array: it runs with numpy's
+    overflow and invalid-value warnings off, and an infinity or NaN in its
+    result raises :class:`InvalidSpecError` reading ``<what> is <value> at
+    row <row>; <reason>``, ``what`` naming the world section whose numbers
+    overflow float64 on the drawn rows."""
+
+    def decorate(fn):
+        @wraps(fn)
+        def checked(*args):
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = fn(*args)
+            finite = np.isfinite(out)
+            if not finite.all():
+                first = int(np.argmin(finite))
+                row = int(np.unravel_index(first, out.shape)[0])
+                raise InvalidSpecError(
+                    f"{what} is {float(out.flat[first])} at row {row}; {reason}"
+                )
+            return out
+
+        return checked
+
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -137,18 +163,9 @@ class TrueFunctionSpec:
             raise DimensionError(
                 f"expected points with {self.input_dim} columns, got shape {x.shape}"
             )
-        # An overflow is refused below, naming f*, rather than warned about.
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self._evaluate(x)
-        finite = np.isfinite(out)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            raise InvalidSpecError(
-                f"f_star: f*(x) is {float(out[row])} at row {row}; "
-                "the coefficients overflow float64 on the drawn inputs"
-            )
-        return out
+        return self._evaluate(x)
 
+    @_refuse_non_finite("f_star: f*(x)", "the coefficients overflow float64 on the drawn inputs")
     def _evaluate(self, x: np.ndarray) -> np.ndarray:
         c = np.asarray(self.coefficients)
         # Columnwise accumulation keeps each row's value identical whether it
@@ -230,6 +247,7 @@ class AleatoricSpec:
             return np.ones(x_true.shape[0])
         return HET_LINKS[self.het_link](np.asarray(x_true, dtype=float))
 
+    @_refuse_non_finite("aleatoric: epsilon", "the noise overflows float64 on the drawn inputs")
     def draw(self, rng: np.random.Generator, x_true: np.ndarray) -> np.ndarray:
         scale = np.sqrt(self.variance * self.multiplier(x_true))
         return self.mean + scale * self._unit_noise(rng, x_true.shape[0])
@@ -262,6 +280,9 @@ class TargetNoiseSpec:
         if self.distribution == "quantization" and not 0 < self.step < math.inf:
             raise InvalidSpecError("target_noise.step: quantization needs a finite step > 0")
 
+    @_refuse_non_finite(
+        "target_noise: y_obs", "the measurement error overflows float64 on the drawn outcomes"
+    )
     def corrupt(self, rng: np.random.Generator, y_true: np.ndarray) -> np.ndarray:
         n = y_true.shape[0]
         if self.distribution == "quantization":
@@ -332,6 +353,9 @@ class FeatureNoiseSpec:
         z = rng.standard_normal((n, d))
         return np.asarray(self.means) + z @ self.factor.T
 
+    @_refuse_non_finite(
+        "feature_noise: x_obs", "the measurement error overflows float64 on the drawn inputs"
+    )
     def observe(self, x_true: np.ndarray, delta: np.ndarray) -> np.ndarray:
         keep = list(self.observed_indices())
         observed = (x_true + delta)[:, keep]
@@ -401,6 +425,8 @@ class XDistributionSpec:
             raise InvalidSpecError("x.low: must be finite")
         if self.kind == "uniform" and not self.low < self.high < math.inf:
             raise InvalidSpecError("x.high: uniform box needs a finite high > low")
+        if self.kind == "uniform" and not math.isfinite(self.high - self.low):
+            raise InvalidSpecError("x.high: the uniform box's width high - low overflows float64")
         if self.kind == "correlated" and self.cov is None:
             raise InvalidSpecError("x.cov: correlated gaussian needs a covariance matrix")
 
@@ -766,10 +792,15 @@ class HeldOut:
         )
 
 
+@_refuse_non_finite("aleatoric: y_true", "f*(x) plus the noise overflows float64")
+def _y_true(f_star: np.ndarray, epsilon: np.ndarray) -> np.ndarray:
+    return f_star + epsilon
+
+
 def held_out(world: World, x_true: np.ndarray, label: str) -> HeldOut:
     """The pack at ``x_true``, its noise drawn as ``sample`` under ``label`` draws it."""
     f_star, epsilon = world.f_star.values(x_true), draw_aleatoric(world, x_true, label)
-    return HeldOut(x_true, f_star, epsilon, f_star + epsilon, label)
+    return HeldOut(x_true, f_star, epsilon, _y_true(f_star, epsilon), label)
 
 
 def sample(world: World, n: int, substream_label: str) -> SampleBundle:
@@ -784,7 +815,7 @@ def sample(world: World, n: int, substream_label: str) -> SampleBundle:
     seed = world.master_seed
     x_true = world.x_dist.draw(rng_for(seed, substream_label, "x"), n, world.input_dim)
     epsilon = world.aleatoric.draw(rng_for(seed, substream_label, "eps"), x_true)
-    y_true = world.f_star.values(x_true) + epsilon
+    y_true = _y_true(world.f_star.values(x_true), epsilon)
     y_observed = world.target_noise.corrupt(rng_for(seed, substream_label, "dy"), y_true)
     delta_x = world.feature_noise.draw_delta(rng_for(seed, substream_label, "dx"), n)
     x_observed = world.feature_noise.observe(x_true, delta_x)

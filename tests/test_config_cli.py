@@ -697,16 +697,40 @@ def test_panels_without_curve_or_panels_names_the_curve_first(tmp_path, capsys):
             lambda s: dataclasses.replace(s.biasvar, n_train=True),
             "biasvar.n_train: expected int, got True",
         ),
+        (lambda s: dataclasses.replace(s.model, k=2.5), "model.k: expected int, got 2.5"),
+        (
+            lambda s: dataclasses.replace(s.model, epochs=2.5),
+            "model.epochs: expected int, got 2.5",
+        ),
+        (
+            lambda s: dataclasses.replace(s.model, batch_size=True),
+            "model.batch_size: expected int, got True",
+        ),
+        (
+            lambda s: dataclasses.replace(s.model, init_seed=-1),
+            "model.init_seed: must fit in an unsigned 64-bit integer, got -1",
+        ),
     ],
     ids=["world-without-feature-2", "panels-without-curve", "biasvar-replicates",
          "biasvar-regime", "curve-test-points", "panels-without-baseline",
-         "curve-replicates-not-int", "biasvar-n-train-bool"],
+         "curve-replicates-not-int", "biasvar-n-train-bool", "model-k-not-int",
+         "model-epochs-not-int", "model-batch-size-bool", "model-init-seed-negative"],
 )
 def test_replace_checks_the_scenario_rules(build, message):
     scenario = parse_config(STANDARD)
     with pytest.raises(InvalidSpecError) as info:
         build(scenario)
     assert str(info.value).startswith(message)
+
+
+def test_negative_model_init_seed_exits_two(tmp_path, capsys):
+    # rng_for masks a seed to 64 bits, so -1 would train as 2**64 - 1.
+    config = _standard_with(tmp_path, model={"family": "mlp", "init_seed": -1})
+    assert main(["decompose", "--config", str(config), "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: model.init_seed: must fit in an unsigned 64-bit integer, got -1\n"
+    )
+    assert not (tmp_path / "d").exists()
 
 
 def test_exit_code_three_on_non_finite_json(tmp_path, capsys):
@@ -749,6 +773,70 @@ def test_overflowing_f_star_exits_two_in_every_command(tmp_path, capsys, command
         err,
     ), err
     assert not (tmp_path / "o").exists()
+
+
+# A world section whose draws overflow float64, and the value it names.
+_OVERFLOWING_DRAWS = {
+    "target_noise": ({"distribution": "quantization", "step": 1e-320}, "y_obs"),
+    "feature_noise": ({"coarsen": [1e-320]}, "x_obs"),
+    "aleatoric": ({"variance": 1e308, "het_link": "one_plus_mean_sq"}, "epsilon"),
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@pytest.mark.parametrize("section", list(_OVERFLOWING_DRAWS))
+def test_overflowing_draw_exits_two_in_every_command(tmp_path, capsys, command, section):
+    # A noise section whose draws overflow is refused where the draw is made,
+    # naming the section, as an overflowing f* is: not a NaN bound for a JSON
+    # output (exit 3), an infinity written to samples.csv (exit 0) or a failed
+    # decomposition (exit 4).
+    doc = yaml.safe_load(STANDARD.read_text(encoding="utf-8"))
+    world = (doc["gallery"]["high"] if command == "gallery" else doc)["world"]
+    value, what = _OVERFLOWING_DRAWS[section]
+    if section == "feature_noise":
+        value = {"coarsen": value["coarsen"] + [0.0] * (world["x"]["dim"] - 1)}
+    world[section] = value
+    config = _write(tmp_path, yaml.safe_dump(doc))
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "o"), "--replicates", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    where = {"gallery": "gallery.high: ", "panels": "panels.variants[0] (baseline): "}
+    assert re.match(
+        rf"config error: {re.escape(where.get(command, ''))}{section}: {what} is (-?inf|nan) "
+        r"at row \d+; ",
+        err,
+    ), err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("side", ["world", "gallery"])
+def test_uniform_box_whose_width_overflows_exits_two(tmp_path, capsys, side):
+    # numpy's uniform draw would raise OverflowError (exit 1) on high - low.
+    doc = yaml.safe_load(STANDARD.read_text(encoding="utf-8"))
+    world = doc["gallery"]["high"]["world"] if side == "gallery" else doc["world"]
+    world["x"] = {"kind": "uniform", "dim": world["x"]["dim"], "low": -1e308, "high": 1e308}
+    config = _write(tmp_path, yaml.safe_dump(doc))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    where = "gallery.high" if side == "gallery" else "world"
+    assert capsys.readouterr().err == (
+        f"config error: {where}: x.high: the uniform box's width high - low overflows float64\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_label_mean_refuses_the_ridge_fit(tmp_path, capsys):
+    # y_obs stays finite at a target-noise mean of 1.7e308, but ridge's label
+    # mean overflows: the fit is refused (exit 3), naming its sample and
+    # regime, before a NaN coefficient reaches the decomposition (exit 4).
+    doc = yaml.safe_load(STANDARD.read_text(encoding="utf-8"))
+    doc["world"]["target_noise"] = {"mean": 1.7e308}
+    doc["decompose"] = {"train_n": 100, "n": 50}
+    config = _write(tmp_path, yaml.safe_dump(doc))
+    assert main(["decompose", "--config", str(config), "--out", str(tmp_path / "d")]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: sample decompose/train: regime OO: ridge fit gave a non-finite coef\n"
+    )
+    assert not (tmp_path / "d").exists()
 
 
 def test_finite_mlp_divergence_exits_three(tmp_path, capsys):

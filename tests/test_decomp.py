@@ -188,6 +188,70 @@ def test_identity_holds_with_observable_regime_and_heteroskedastic_noise():
     assert report.aleatoric_variance > 0.5  # multiplier raises the oracle floor
 
 
+def _loop_stats(cells, aleatoric):
+    """[mse, bias, variance, gap] of the replicates' (error, epistemic)
+    rows, by exact sums and a two-pass variance."""
+    errors = [e for error, _ in cells for e in error]
+    epistemic = [p for _, eps in cells for p in eps]
+    n = len(errors)
+    mse = math.fsum(e * e for e in errors) / n
+    bias = math.fsum(errors) / n
+    mean_ep = math.fsum(epistemic) / n
+    variance = math.fsum((p - mean_ep) ** 2 for p in epistemic) / n
+    return [mse, bias, variance, mse - bias**2 - variance - aleatoric]
+
+
+@pytest.mark.parametrize("regime", ["TT", "OO"])
+def test_biasvar_statistics_match_a_direct_computation(regime):
+    # Every statistic of the report, recomputed from the cells by plain loops:
+    # pooled moments, leave-one-replicate-out SEs and the per-point split.
+    world = make_world(aleatoric={"variance": 0.5, "het_link": "one_plus_mean_sq"})
+    spec = ModelSpec(family="ridge", lam=0.0)
+    grid = _grid(world, 16)
+    cfg = BiasVarConfig(regime, 40, 12)
+    report = bias_variance_monte_carlo(world, spec, cfg, grid, base_label="bv")
+    cells = [
+        decomp._biasvar_cell((world, spec, regime, 40, grid, f"bv/rep{r:05d}"))
+        for r in range(cfg.replicates)
+    ]
+    aleatoric = world.aleatoric.variance_on(grid)
+    full = _loop_stats(cells, aleatoric)
+    n_reps = len(cells)
+    loo = [_loop_stats(cells[:r] + cells[r + 1 :], aleatoric) for r in range(n_reps)]
+    se = []
+    for k in range(4):
+        center = math.fsum(row[k] for row in loo) / n_reps
+        spread = math.fsum((row[k] - center) ** 2 for row in loo)
+        se.append(math.sqrt((n_reps - 1) / n_reps * spread))
+    point_mean, point_var = [], []
+    for j in range(grid.shape[0]):
+        values = [eps[j] for _, eps in cells]
+        mean = math.fsum(values) / n_reps
+        point_mean.append(mean)
+        point_var.append(math.fsum((v - mean) ** 2 for v in values) / n_reps)
+    grid_mean = math.fsum(point_mean) / len(point_mean)
+    expected = {
+        "empirical_mse": full[0],
+        "bias": full[1],
+        "variance": full[2],
+        "identity_gap": full[3],
+        "se_mse": se[0],
+        "se_bias": se[1],
+        "se_variance": se[2],
+        "se_identity_gap": se[3],
+        "variance_within": math.fsum(point_var) / len(point_var),
+        "bias_dispersion": math.fsum((v - grid_mean) ** 2 for v in point_mean) / len(point_mean),
+    }
+    for name, value in expected.items():
+        # The gap and the bias sit near zero: an absolute floor keeps their
+        # rounding from reading as a relative miss.
+        floor = 1e-14 if name in ("identity_gap", "bias") else 0.0
+        assert getattr(report, name) == pytest.approx(value, rel=1e-12, abs=floor), name
+    assert report.replicate_mse == pytest.approx(
+        [math.fsum(e * e for e in error) / grid.shape[0] for error, _ in cells], rel=1e-12
+    )
+
+
 def test_biasvar_workers_do_not_change_results():
     world = make_world()
     grid = _grid(world, 64)

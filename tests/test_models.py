@@ -270,6 +270,22 @@ def test_fit_errors_are_labeled_by_regime():
         fit_regimes(bundle, ModelSpec(family="ridge", lam=0.0))
 
 
+@pytest.mark.parametrize(
+    "spec, x, y, message",
+    [
+        # Finite labels whose mean overflows.
+        (ModelSpec(family="ridge"), [[0.0], [1.0], [2.0]], [1.7e308] * 3, "coef"),
+        # Finite inputs whose standard deviation overflows.
+        (ModelSpec(family="knn", k=1), [[-1e308], [0.0], [1e308]], [0.0] * 3, "sd"),
+    ],
+    ids=["ridge", "knn"],
+)
+def test_fit_refuses_a_non_finite_parameter(spec, x, y, message):
+    with pytest.raises(el.errors.FitError) as info:
+        fit(spec, np.array(x), np.array(y), "TO")
+    assert str(info.value) == f"regime TO: {spec.family} fit gave a non-finite {message}"
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

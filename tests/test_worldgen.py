@@ -78,6 +78,10 @@ def test_non_psd_feature_cov_rejected():
         (lambda w: ModelSpec(lam=math.inf), "model.lam"),
         (lambda w: ModelSpec(learning_rate=math.nan), "model.learning_rate"),
         (lambda w: worldgen.XDistributionSpec(kind="uniform", low=-math.inf), "x.low"),
+        (
+            lambda w: worldgen.XDistributionSpec(kind="uniform", low=-1e308, high=1e308),
+            "x.high: the uniform box's width high - low overflows float64",
+        ),
     ],
     ids=[
         "aleatoric-variance",
@@ -99,6 +103,7 @@ def test_non_psd_feature_cov_rejected():
         "ridge-lam-inf",
         "learning-rate-nan",
         "uniform-low-inf",
+        "uniform-width-overflows",
     ],
 )
 def test_a_broken_rule_raises_when_the_spec_is_built(build, message):
@@ -247,6 +252,28 @@ def test_eval_dimension_mismatch():
 
 # ---------------------------------------------------------------------------
 # sampling invariants
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda world: el.sample(world, 5, "overflow"),
+        lambda world: worldgen.held_out(world, worldgen.draw_inputs(world, 5, "o"), "overflow"),
+    ],
+    ids=["sample", "held_out"],
+)
+def test_y_true_that_overflows_is_refused_naming_the_noise(draw):
+    # f* and the noise are each finite; only their sum overflows.
+    world = make_world(
+        x={"kind": "gaussian", "dim": 1},
+        f_star={"family": "polynomial", "coefficients": [1.7e308, 0.0]},
+        aleatoric={"mean": 1e308},
+        target_noise={},
+        feature_noise={},
+    )
+    message = r"^aleatoric: y_true is inf at row 0; f\*\(x\) plus the noise overflows float64$"
+    with pytest.raises(InvalidSpecError, match=message):
+        draw(world)
 
 
 def test_identity_corruption_passthrough(noiseless_world):
