@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FitError, InvalidSpecError, SingularSystemError
+from .errors import DimensionError, FitError, InvalidSpecError, SingularSystemError
 from .seeding import rng_for
 from .worldgen import (
     SampleBundle,
@@ -29,7 +29,7 @@ from .worldgen import (
     coerce,
     coerce_fields,
     naming,
-    read_seed,
+    seed_field,
     spec_from_config,
     spec_to_config,
 )
@@ -80,10 +80,7 @@ class ModelSpec:
             raise InvalidSpecError("model.widths: layer widths must be positive")
         if self.activation not in _ACT:
             raise InvalidSpecError(f"model.activation: unknown activation {self.activation!r}")
-        try:
-            object.__setattr__(self, "init_seed", read_seed(self.init_seed, "model.init_seed"))
-        except ConfigError as exc:
-            raise InvalidSpecError(str(exc)) from None
+        seed_field(self, "model", "init_seed")
         if not 0 < self.learning_rate < math.inf:
             raise InvalidSpecError("model.learning_rate: must be finite and positive")
 
@@ -527,11 +524,24 @@ def _training_view(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return x[order], y[order]
 
 
+def _trained(train, spec: ModelSpec, *args):
+    """``train(spec, *args)`` with numpy's overflow and invalid-value
+    warnings off: an overflow is refused, not warned about.  An mlp stack
+    is judged by its epoch loss against its divergence bound as it trains;
+    a ridge or knn fit, here, by its first parameter that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = train(spec, *args)
+    if spec.family != "mlp":
+        for name, value in out[0].items():
+            if not np.isfinite(value).all():
+                raise FitError(f"{spec.family} fit gave a non-finite {name}")
+    return out
+
+
 def _fit_stack(spec: ModelSpec, regimes: tuple[str, ...], views) -> dict[str, FittedModel]:
     """Train an mlp on each regime's (x, y) view as one stack (see
-    ``_train_mlp``), in input blocks of consecutive views of one width.
-    numpy's overflow and invalid-value warnings are off: a network that
-    overflows is judged by its epoch loss against its divergence bound."""
+    ``_train_mlp`` and ``_trained``), in input blocks of consecutive views
+    of one width."""
     blocks, ys = [], []
     for regime, (x, y) in zip(regimes, views):
         with naming(f"regime {regime}"):
@@ -546,8 +556,7 @@ def _fit_stack(spec: ModelSpec, regimes: tuple[str, ...], views) -> dict[str, Fi
         ys.append(y)
     stack = [np.stack(block) for block in blocks], np.stack(ys)
     del blocks, ys, x, y  # only the stack is held while it trains
-    with np.errstate(over="ignore", invalid="ignore"):
-        trained = _train_mlp(spec, regimes, *stack)
+    trained = _trained(_train_mlp, spec, regimes, *stack)
     # A first weight matrix has a row per input column.
     return {
         regime: FittedModel(spec, regime, p["layers"][0][0].shape[0], p, diagnostics)
@@ -566,12 +575,7 @@ def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray, regime: str = "OO") -> Fi
     fit_family, _ = _FAMILIES[spec.family]
     with naming(f"regime {regime}"):
         x, y = _training_view(x, y)
-        # An overflow is refused below, naming the parameter, not warned about.
-        with np.errstate(over="ignore", invalid="ignore"):
-            params, diagnostics = fit_family(spec, x, y)
-        for name, value in params.items():
-            if not np.isfinite(value).all():
-                raise FitError(f"{spec.family} fit gave a non-finite {name}")
+        params, diagnostics = _trained(fit_family, spec, x, y)
     return FittedModel(
         spec=spec, regime=regime, input_dim=x.shape[1], params=params, diagnostics=diagnostics
     )

@@ -14,7 +14,7 @@ import dataclasses
 import math
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
-from functools import cached_property, wraps
+from functools import cached_property, partial, wraps
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -573,18 +573,33 @@ def coerce_fields(spec, **kinds) -> None:
         object.__setattr__(spec, name, coerce(kind, getattr(spec, name), name))
 
 
+def _read_field(spec, path: str, name: str, read):
+    """Store ``read(value, "path.name")`` as the field ``name`` of ``spec``
+    and return it, raising the reader's :class:`ConfigError` as
+    :class:`InvalidSpecError`."""
+    try:
+        value = read(getattr(spec, name), f"{path}.{name}")
+    except ConfigError as exc:
+        raise InvalidSpecError(str(exc)) from None
+    object.__setattr__(spec, name, value)
+    return value
+
+
 def at_least(spec, path: str, **minimums) -> None:
     """Read each named field of ``spec`` as an int through ``coerce`` and
     raise naming ``path.field`` for the first one that is not an int or is
     below its minimum."""
     for name, minimum in minimums.items():
-        try:
-            value = coerce(int, getattr(spec, name), f"{path}.{name}")
-        except ConfigError as exc:
-            raise InvalidSpecError(str(exc)) from None
+        value = _read_field(spec, path, name, partial(coerce, int))
         if value < minimum:
             raise InvalidSpecError(f"{path}.{name}: must be >= {minimum}, got {value}")
-        object.__setattr__(spec, name, value)
+
+
+def seed_field(spec, path: str, name: str) -> None:
+    """Read the field ``name`` of ``spec`` through ``read_seed``, raising
+    :class:`InvalidSpecError` naming ``path.name`` unless it is an int in
+    [0, 2**64)."""
+    _read_field(spec, path, name, read_seed)
 
 
 @contextmanager

@@ -48,3 +48,27 @@ def test_worker_counts_must_agree_within_one_result():
     assert identity_matrix.worker_mismatches(results) == [
         "s/mlp/curve: workers 1 and 2 differ in files, seed_labels",
     ]
+
+
+def test_every_run_must_exit_as_its_scenario_expects():
+    crashed = {**_FAILED, "exit": 1}
+    results = {
+        "standard/ridge/probe/workers1": _record(**{"probe.json": "4"}),
+        "standard/knn/biasvar/workers1": crashed,
+        "standard/knn/biasvar/workers2": crashed,
+        "standard/mlp/curve/workers1": _FAILED,
+        "reference/ridge/curve/workers1": _FAILED,
+        "reference/ridge/probe/workers1": _record(**{"probe.json": "4"}),
+        "reference/ridge/decompose/workers1": {**_FAILED, "exit": 4},
+        "reference/ridge/simulate/workers1": _record(**{"samples.csv": "5"}),
+    }
+    # knn's biasvar crashes alike at both worker counts: still refused.
+    knn = {run: results[run] for run in results if run.startswith("standard/knn/")}
+    assert identity_matrix.worker_mismatches(knn) == []
+    assert identity_matrix.exit_mismatches(results) == [
+        "reference/ridge/decompose/workers1: exit 4, expected 0",
+        "reference/ridge/probe/workers1: exit 0, expected 2",
+        "standard/knn/biasvar/workers1: exit 1, expected 0",
+        "standard/knn/biasvar/workers2: exit 1, expected 0",
+        "standard/mlp/curve/workers1: exit 2, expected 0",
+    ]

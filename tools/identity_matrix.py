@@ -12,11 +12,15 @@ tanh 5 epochs, mlp [5, 4] relu 4 epochs} x ``--workers`` 1 and 2, on
 ``scenarios/standard.yaml`` (``--replicates 3``, ``components_replicates:
 4``) and on ``scenarios/reference.yaml``.  It writes one JSON object keyed
 by run, holding each run's exit code and its manifest's ``files``,
-``seed_labels`` and ``config_hash`` (null when the run wrote no manifest),
-then exits 1 if a run's two worker counts disagree, naming it.
+``seed_labels`` and ``config_hash`` (null when the run wrote no manifest).
+It exits 1, naming the run, if a run exits otherwise than expected (every
+run exits 0, except that reference.yaml, which has no curve, panels,
+gallery or probe section, makes those four commands exit 2; the stderr of
+such a run is printed) or if a run's two worker counts disagree.
 
 ``compare`` exits 1 if the two result files differ, naming every run and
-every output file that does.  Both subcommands read the scenarios of the
+every output file that does, or if the second breaks either rule of
+``run``.  Both subcommands read the scenarios of the
 repository this script sits in, so two trees run on the same inputs.
 Output bits depend on the machine's BLAS kernels: compare only results
 made on one machine, never against digests kept from elsewhere.
@@ -46,6 +50,8 @@ MODELS = {
 }
 REPLICATES = "3"
 MANIFEST_FIELDS = ("files", "seed_labels", "config_hash")
+# reference.yaml has no section for these commands: they exit 2 there.
+NEEDS_SECTION = ("curve", "panels", "gallery", "probe")
 # One BLAS thread, so a result does not depend on the runner's core count.
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -83,6 +89,8 @@ def run_matrix(src: Path) -> dict[str, dict]:
                         "--workers", str(workers), "--replicates", REPLICATES,
                     ]
                     proc = subprocess.run(argv, cwd=work, env=env, capture_output=True)
+                    if proc.returncode != expected_exit(run):
+                        sys.stderr.write(proc.stderr.decode(errors="replace"))
                     manifest = out / "manifest.json"
                     doc = json.loads(manifest.read_text()) if manifest.exists() else {}
                     results[run] = {
@@ -91,6 +99,21 @@ def run_matrix(src: Path) -> dict[str, dict]:
                     }
                     print(f"{run}: exit {proc.returncode}", file=sys.stderr)
     return results
+
+
+def expected_exit(run: str) -> int:
+    """The exit code the run named ``scenario/model/command/workersN`` must give."""
+    scenario, _, command, _ = run.split("/")
+    return 2 if scenario == "reference" and command in NEEDS_SECTION else 0
+
+
+def exit_mismatches(results: dict[str, dict]) -> list[str]:
+    """The runs that exit otherwise than ``expected_exit`` says."""
+    return [
+        f"{run}: exit {result['exit']}, expected {expected_exit(run)}"
+        for run, result in sorted(results.items())
+        if result["exit"] != expected_exit(run)
+    ]
 
 
 def worker_mismatches(results: dict[str, dict]) -> list[str]:
@@ -144,11 +167,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.action == "run":
         results = run_matrix(Path(args.src).resolve())
         Path(args.out).write_text(json.dumps({"runs": results}, indent=1, sort_keys=True) + "\n")
-        problems = worker_mismatches(results)
+        problems = exit_mismatches(results) + worker_mismatches(results)
         summary = f"{len(results)} runs written to {args.out}"
     else:
         base, head = _load(args.base), _load(args.head)
-        problems = differences(base, head) + worker_mismatches(head)
+        problems = differences(base, head) + exit_mismatches(head) + worker_mismatches(head)
         summary = f"{len(head)} runs identical"
     print("\n".join(problems) if problems else summary)
     return 1 if problems else 0
