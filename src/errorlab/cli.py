@@ -71,15 +71,17 @@ def _cmd_simulate(scenario: Scenario) -> dict[str, str | CsvText]:
     with worldgen.naming(f"sample {bundle.label}"):
         worldgen.check_bundle(scenario.world, bundle)
     header, columns = worldgen.bundle_columns(bundle)
-    summary = {
-        "n": cfg.n,
-        "coverage": bundle.coverage,
-        "epsilon_mean": float(np.mean(bundle.epsilon)),
-        "epsilon_var": float(np.var(bundle.epsilon, ddof=1)) if cfg.n > 1 else 0.0,
-        "delta_y_mean": float(np.mean(bundle.delta_y)),
-        "delta_y_var": float(np.var(bundle.delta_y, ddof=1)) if cfg.n > 1 else 0.0,
-        "observed_dim": int(bundle.x_observed.shape[1]),
-    }
+    # A statistic that overflows is refused by the JSON writer, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        summary = {
+            "n": cfg.n,
+            "coverage": bundle.coverage,
+            "epsilon_mean": float(np.mean(bundle.epsilon)),
+            "epsilon_var": float(np.var(bundle.epsilon, ddof=1)) if cfg.n > 1 else 0.0,
+            "delta_y_mean": float(np.mean(bundle.delta_y)),
+            "delta_y_var": float(np.var(bundle.delta_y, ddof=1)) if cfg.n > 1 else 0.0,
+            "observed_dim": int(bundle.x_observed.shape[1]),
+        }
     return {
         "samples.csv": render_csv(header, columns),
         "summary.json": render_json(summary),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -17,8 +18,8 @@ import numpy as np
 
 from . import worldgen
 from .decomp import CeilingEstimate, decompose_rows, estimate_ceiling
-from .errors import InvalidSpecError
-from .models import ModelSpec, fit_regimes, predict
+from .errors import ErrorLabError, InvalidSpecError
+from .models import ModelSpec, fit_regimes, predict, refit_regimes
 from .parallel import ordered_map
 from .worldgen import FeatureNoiseSpec, TargetNoiseSpec, World, at_least, coerce_fields, naming
 
@@ -170,30 +171,143 @@ class LearningCurve:
         return self.points[-1]
 
 
-def _replicate_scores(w_level, n_train, spec, label, pack, x_obs_test, comp_points):
-    """Held-out mse and mean absolute gains of one replicate's refit.  A
-    function of its own, so the replicate's sample and models are freed
-    before the level's next replicate draws its own."""
-    regimes = fit_regimes(worldgen.sample(w_level, n_train, label), spec)
-    preds = predict(regimes["OO"], x_obs_test)
-    mse = float(np.mean((preds - pack.y_true) ** 2))
-    with naming(f"sample {label}"):
-        table = decompose_rows(regimes, pack.head(comp_points), x_obs_test[:comp_points])
-    return (mse, *table.mean_abs_gains().values())
+def _replicate_scores(base, worlds, n_train, spec, label, pack, head) -> list:
+    """One replicate's held-out mse and mean absolute gains (on the pack's
+    first rows, ``head``) in each of a level's ``worlds``, pairs of a
+    ``worldgen.resampler`` from ``base``, the first world, and the world's
+    observed view of the pack.  The sample is drawn and fitted in ``base``;
+    every other world redraws only the channels its specs change and refits
+    only the regimes trained on them (``refit_regimes``), and one that
+    changes nothing takes the first world's scores.  The list ends at the
+    first world that fails, with its error.  A function of its own, so the
+    replicate's samples and models are freed before the next is drawn."""
+    out = []
+    try:
+        bundle = worldgen.sample(base, n_train, label)
+        regimes = fit_regimes(bundle, spec)
+        for resample, x_obs_test in worlds:
+            own = refit_regimes(resample(bundle), spec, regimes, bundle)
+            if out and own is regimes and x_obs_test is worlds[0][1]:
+                out.append(out[0])
+                continue
+            preds = predict(own["OO"], x_obs_test)
+            mse = float(np.mean((preds - pack.y_true) ** 2))
+            with naming(f"sample {label}"):
+                table = decompose_rows(own, head, x_obs_test[: len(head.y_true)])
+            out.append((mse, *table.mean_abs_gains().values()))
+    except ErrorLabError as exc:
+        out.append(exc)
+    return out
 
 
-def _curve_cell(args) -> list[tuple[float, float, float, float]]:
-    """One level's replicates, scored on the shared test pack.
+def _curve_cell(args) -> list:
+    """One level's replicates in each of ``worlds``, worlds that share every
+    label and differ at most in their target and feature noise (a curve's
+    one world, or the panel variants), scored on the shared test pack.
 
-    The level's observed view of the grid depends only on the level, so it
-    is built once here and serves every replicate of the level."""
-    world, level, spec, labels, comp_points, pack = args
-    w_level = level_world(world, level)
-    x_obs_test = pack.observed(w_level)
-    return [
-        _replicate_scores(w_level, level.n_train, spec, label, pack, x_obs_test, comp_points)
-        for label in labels
+    A world's observed view of the pack is built once for the level, or is
+    the first world's when their feature noise is the same; each replicate
+    is drawn and fitted once (``_replicate_scores``).  Returns, per world,
+    its replicates' scores or the first error it raised; the worlds after
+    one that failed are left out, since the caller raises the first
+    world's error."""
+    worlds, level, spec, labels, comp_points, pack = args
+    head = pack.head(comp_points)
+    levels, views, failure = [], [], []
+    try:
+        for world in worlds:
+            w_level = level_world(world, level)
+            same = views and worldgen.same_bits(w_level.feature_noise, levels[0].feature_noise)
+            views.append(views[0] if same else pack.observed(w_level))
+            levels.append(w_level)
+    except ErrorLabError as exc:
+        failure = [exc]
+    states = [(worldgen.resampler(w, levels[0]), view) for w, view in zip(levels, views)]
+    scores = [[] for _ in states]
+    for label in labels:
+        if not states:
+            break
+        replicate = _replicate_scores(levels[0], states, level.n_train, spec, label, pack, head)
+        if isinstance(replicate[-1], ErrorLabError):
+            failure = [replicate.pop()]
+            del states[len(replicate) :], scores[len(replicate) :]
+        for world_scores, value in zip(scores, replicate):
+            world_scores.append(value)
+    return scores + failure
+
+
+def _learning_curves(
+    worlds: Sequence[World],
+    names: Sequence[Optional[str]],
+    spec: ModelSpec,
+    curve: CurveConfig,
+    base_label: str,
+) -> list[LearningCurve]:
+    """``run_learning_curve`` in each of ``worlds`` (see ``_curve_cell``), on
+    one test pack and one set of labels.  An error is raised as running the
+    worlds one after another would raise it: the first world's first error,
+    in level and then replicate order, under that world's name (a
+    ``naming`` prefix, or None for none)."""
+    def named(name: Optional[str]):
+        return naming(name) if name else nullcontext()
+
+    axis, replicates = curve.axis, curve.replicates
+    n_levels = len(axis.levels)
+    test_label = f"{base_label}/test"
+    with named(names[0]):
+        grid = worldgen.draw_inputs(worlds[0], curve.test_points, test_label)
+        pack = worldgen.held_out(worlds[0], grid, test_label)
+        var_y = float(np.var(pack.y_true, ddof=1))
+        if not var_y > 0.0:
+            raise InvalidSpecError(
+                f"run_learning_curve: Var(y_test) is zero or not a number ({var_y})"
+            )
+        ceiling = estimate_ceiling(pack.epsilon, pack.y_true)
+
+    labels = [
+        [f"{base_label}/L{li}/rep{r:04d}" for r in range(replicates)] for li in range(n_levels)
     ]
+    tasks = [
+        (tuple(worlds), level, spec, labels[li], curve.comp_points, pack)
+        for li, level in enumerate(axis.levels)
+    ]
+    cells = ordered_map(_curve_cell, tasks)
+    curves = []
+    for i, (world, name) in enumerate(zip(worlds, names)):
+        for cell in cells:
+            if isinstance(cell[i], ErrorLabError):
+                with named(name):
+                    raise cell[i]
+        values = np.asarray([cell[i] for cell in cells], dtype=float)
+        points = []
+        for li, level in enumerate(axis.levels):
+            mse = values[li, :, 0]
+            mean_mse = float(mse.mean())
+            ci = float(1.96 * mse.std(ddof=1) / np.sqrt(replicates))
+            points.append(
+                LearningCurvePoint(
+                    level_index=li,
+                    n_train=level.n_train,
+                    n_features=level_omit(world, level).count(False),
+                    fidelity_y=level.fidelity[0],
+                    fidelity_x=level.fidelity[1],
+                    mean_mse=mean_mse,
+                    ci_half_width=ci,
+                    mean_abs_approx=float(values[li, :, 1].mean()),
+                    mean_abs_meas_y=float(values[li, :, 2].mean()),
+                    mean_abs_meas_x=float(values[li, :, 3].mean()),
+                    performance=1.0 - mean_mse / var_y,
+                )
+            )
+        curves.append(
+            LearningCurve(
+                points=points,
+                replicate_mse=values[:, :, 0].copy(),
+                var_y_test=var_y,
+                ceiling=ceiling,
+            )
+        )
+    return curves
 
 
 def run_learning_curve(
@@ -209,52 +323,9 @@ def run_learning_curve(
     own substream; the held-out grid and its noise are drawn once per
     world and shared by all levels and replicates, and each level's
     observed view of the grid is built once, as is the pack's noise floor.
+    This is the one-world case of the panels' shared run.
     """
-    axis, replicates = curve.axis, curve.replicates
-    n_levels = len(axis.levels)
-    test_label = f"{base_label}/test"
-    grid = worldgen.draw_inputs(world, curve.test_points, test_label)
-    pack = worldgen.held_out(world, grid, test_label)
-    var_y = float(np.var(pack.y_true, ddof=1))
-    if not var_y > 0.0:
-        raise InvalidSpecError(f"run_learning_curve: Var(y_test) is zero or not a number ({var_y})")
-    ceiling = estimate_ceiling(pack.epsilon, pack.y_true)
-
-    labels = [
-        [f"{base_label}/L{li}/rep{r:04d}" for r in range(replicates)] for li in range(n_levels)
-    ]
-    tasks = [
-        (world, level, spec, labels[li], curve.comp_points, pack)
-        for li, level in enumerate(axis.levels)
-    ]
-    values = np.asarray(ordered_map(_curve_cell, tasks), dtype=float)
-
-    points = []
-    for li, level in enumerate(axis.levels):
-        mse = values[li, :, 0]
-        mean_mse = float(mse.mean())
-        ci = float(1.96 * mse.std(ddof=1) / np.sqrt(replicates))
-        points.append(
-            LearningCurvePoint(
-                level_index=li,
-                n_train=level.n_train,
-                n_features=level_omit(world, level).count(False),
-                fidelity_y=level.fidelity[0],
-                fidelity_x=level.fidelity[1],
-                mean_mse=mean_mse,
-                ci_half_width=ci,
-                mean_abs_approx=float(values[li, :, 1].mean()),
-                mean_abs_meas_y=float(values[li, :, 2].mean()),
-                mean_abs_meas_x=float(values[li, :, 3].mean()),
-                performance=1.0 - mean_mse / var_y,
-            )
-        )
-    return LearningCurve(
-        points=points,
-        replicate_mse=values[:, :, 0].copy(),
-        var_y_test=var_y,
-        ceiling=ceiling,
-    )
+    return _learning_curves([world], [None], spec, curve, base_label)[0]
 
 
 def monotone_under_ci(points: Sequence[LearningCurvePoint]) -> bool:
@@ -339,13 +410,18 @@ def run_panel_scenarios(
 
     All variants share the curve and every substream label, so
     per-replicate differences isolate the declared override; in particular
-    a duplicated baseline reproduces the baseline curve bit for bit.
+    a duplicated baseline reproduces the baseline curve bit for bit.  The
+    variants share the test pack and each replicate's draws and fits, and
+    redraw and refit only what their override changes (``_curve_cell``).
     """
     scenarios = panels.variants
-    curves = []
-    for i, s in enumerate(scenarios):
-        with naming(f"panels.variants[{i}] ({s.variant})"):
-            curves.append(run_learning_curve(s.apply(world), spec, curve, base_label))
+    curves = _learning_curves(
+        [s.apply(world) for s in scenarios],
+        [f"panels.variants[{i}] ({s.variant})" for i, s in enumerate(scenarios)],
+        spec,
+        curve,
+        base_label,
+    )
     base_idx = next(i for i, s in enumerate(scenarios) if s.variant == "baseline")
     base_terminal = curves[base_idx].replicate_mse[-1]
     comparisons = []

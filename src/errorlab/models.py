@@ -96,20 +96,30 @@ class FittedModel:
     diagnostics: dict = field(default_factory=dict)
 
 
-def canonical_row_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sort order by features (first column primary) then label.
-
-    A first column without ties orders the rows on its own; only a tie
-    (equal neighbours once sorted) or a NaN, which sorts last and compares
-    unequal to everything, needs the full ``np.lexsort``."""
-    if x.size:  # at least one row and one column
+def _label_free_order(x: np.ndarray):
+    """The canonical row order of ``x`` when it needs no labels: the sort
+    order of a first column without ties (equal neighbours once sorted) or
+    NaN, which sorts last and compares unequal to everything.  None when
+    the column has either, or ``x`` has no rows or columns."""
+    if x.size:
         column = x[:, 0]
         order = np.argsort(column)
         first = column[order]
         if not np.isnan(first[-1]) and not (first[1:] == first[:-1]).any():
             return order
-    keys = (y,) + tuple(x[:, j] for j in range(x.shape[1] - 1, -1, -1))
-    return np.lexsort(keys)
+    return None
+
+
+def canonical_row_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Sort order by features (first column primary) then label.
+
+    A first column without ties orders the rows on its own
+    (``_label_free_order``); otherwise the full ``np.lexsort`` runs."""
+    order = _label_free_order(x)
+    if order is None:
+        keys = (y,) + tuple(x[:, j] for j in range(x.shape[1] - 1, -1, -1))
+        order = np.lexsort(keys)
+    return order
 
 
 def _check_training_arrays(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -126,11 +136,12 @@ def _check_training_arrays(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np
 # ridge
 
 
-def _fit_ridge(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[dict, dict]:
+def _ridge_design(spec: ModelSpec, x: np.ndarray) -> tuple:
+    """The rows ``x`` (in canonical order), their column means, the centred
+    rows and their Gram matrix plus ``lam`` on the diagonal, which must be
+    positive definite when ``lam`` is 0."""
     x_mean = x.mean(axis=0)
-    y_mean = float(y.mean())
     xc = x - x_mean
-    yc = y - y_mean
     gram = xc.T @ xc + spec.lam * np.eye(x.shape[1])
     if spec.lam == 0.0:
         try:
@@ -140,6 +151,21 @@ def _fit_ridge(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[dict, dic
                 "ridge with lam=0 on a rank-deficient design; add regularization "
                 "or remove collinear features"
             ) from exc
+    return x, x_mean, xc, gram
+
+
+def _fit_ridge(spec: ModelSpec, x: np.ndarray, y: np.ndarray, shared=None) -> tuple[dict, dict]:
+    """Ridge on the rows ``(x, y)``, in canonical order.  Views on one ``x``
+    in one order (TO and TT on ``x_true``) may pass one list as ``shared``:
+    the first to fit stores x's ``_ridge_design`` there, and every view
+    solves on it."""
+    if shared is None:
+        shared = []
+    if not shared:
+        shared.append(_ridge_design(spec, x))
+    x, x_mean, xc, gram = shared[0]
+    y_mean = float(y.mean())
+    yc = y - y_mean
     coef = np.linalg.solve(gram, xc.T @ yc)
     intercept = y_mean - float(x_mean @ coef)
     residuals = y - (x @ coef + intercept)
@@ -241,21 +267,32 @@ def _knn_nearest(dist_sq: np.ndarray, scratch: np.ndarray, k: int) -> np.ndarray
 
 
 def _predict_knn(model: FittedModel, x: np.ndarray) -> np.ndarray:
+    """The mean label of each row's k nearest training rows.  Finite labels
+    can still have a mean that overflows: that raises :class:`FitError`
+    naming the model's regime, with numpy's warnings off."""
     train = model.params["train_x_std"]
     labels = model.params["train_y"]
     k = model.params["k"]
-    queries = (x - model.params["mean"]) / model.params["sd"]
     n, d = train.shape
     block = max(1, _KNN_SCRATCH // (n * (d if d > _KNN_COLUMNWISE_MAX_DIM else 1)))
-    out = np.empty(queries.shape[0])
-    buffers = np.empty((2, min(block, queries.shape[0]), n))
-    for start in range(0, queries.shape[0], block):
-        chunk = queries[start : start + block]
-        dist, scratch = buffers[:, : chunk.shape[0]]
-        dist_sq = _knn_distances(chunk, train, dist, scratch)
-        # Average in canonical index order so equal neighbor sets produce
-        # bitwise-equal means (k = n then gives the global mean everywhere).
-        out[start : start + block] = labels[_knn_nearest(dist_sq, scratch, k)].mean(axis=1)
+    out = np.empty(x.shape[0])
+    buffers = np.empty((2, min(block, x.shape[0]), n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        queries = (x - model.params["mean"]) / model.params["sd"]
+        for start in range(0, queries.shape[0], block):
+            chunk = queries[start : start + block]
+            dist, scratch = buffers[:, : chunk.shape[0]]
+            dist_sq = _knn_distances(chunk, train, dist, scratch)
+            # Average in canonical index order so equal neighbor sets produce
+            # bitwise-equal means (k = n then gives the global mean everywhere).
+            out[start : start + block] = labels[_knn_nearest(dist_sq, scratch, k)].mean(axis=1)
+    finite = np.isfinite(out)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise FitError(
+            f"regime {model.regime}: knn prediction is {out[row]} at row {row}; "
+            f"the mean of the {k} nearest labels overflows float64"
+        )
     return out
 
 
@@ -601,9 +638,12 @@ def fit_regimes(
     is OO's (x_observed, y_observed), TO's (x_true, y_observed) or TT's
     (x_true, y_true).  A failed fit names the sample and the regime.
 
-    The mlp trains the regimes as one stack (see ``_fit_stack``).  ridge
-    and knn fit them one at a time through ``fit``, each view built as its
-    regime is fitted, so only one is held at a time."""
+    The mlp trains the regimes as one stack (see ``_fit_stack``), and knn
+    fits them one at a time through ``fit``.  ridge fits them one at a time
+    in the order given, and regimes on one feature view (TO and TT) share
+    its canonical order and design (``_fit_ridge``) unless the order needs
+    the labels (a first column with ties).  Every model gets the bits a
+    lone ``fit`` gives it."""
     if not regimes or not set(regimes) <= _REGIME_FIELDS.keys():
         raise InvalidSpecError(f"training regimes must be among OO, TO, TT, got {regimes!r}")
     rows = bundle.selected
@@ -615,7 +655,43 @@ def fit_regimes(
     with naming(f"sample {bundle.label}"):
         if spec.family == "mlp":
             return _fit_stack(spec, regimes, map(view, regimes))
-        return {regime: fit(spec, *view(regime), regime) for regime in regimes}
+        if spec.family == "knn":
+            return {regime: fit(spec, *view(regime), regime) for regime in regimes}
+        # feature field -> (rows in canonical order, the order, a list holding
+        # their design), or (rows, None, None) when the order needs the labels
+        fitted, features = {}, {}
+        for regime in regimes:
+            x_name, y_name = _REGIME_FIELDS[regime]
+            y = getattr(bundle, y_name)[rows]
+            with naming(f"regime {regime}"):
+                if x_name not in features:
+                    x = getattr(bundle, x_name)[rows]
+                    order = _label_free_order(x)
+                    features[x_name] = (x, None, None) if order is None else (x[order], order, [])
+                x, order, shared = features[x_name]
+                if order is None:
+                    x, y = _training_view(x, y)
+                else:
+                    y = y[order]
+                params, diagnostics = _trained(_fit_ridge, spec, x, y, shared)
+            fitted[regime] = FittedModel(spec, regime, x.shape[1], params, diagnostics)
+        return fitted
+
+
+def refit_regimes(
+    bundle: SampleBundle, spec: ModelSpec, fitted: dict[str, FittedModel], base: SampleBundle
+) -> dict[str, FittedModel]:
+    """``fit_regimes(bundle, spec, tuple(fitted))`` given ``fitted``, the same
+    regimes fitted on ``base``, a sample that shares arrays with ``bundle``
+    (``worldgen.resampler``).  A regime whose training arrays are all base's
+    own keeps its model; the rest are fitted again, in ``fitted``'s order.
+    Returns ``fitted`` itself when nothing is refitted."""
+    stale = tuple(
+        regime
+        for regime in fitted
+        if any(getattr(bundle, name) is not getattr(base, name) for name in _REGIME_FIELDS[regime])
+    )
+    return {**fitted, **fit_regimes(bundle, spec, stale)} if stale else fitted
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from functools import cached_property, partial, wraps
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -349,8 +349,10 @@ class FeatureNoiseSpec:
         return tuple(j for j, dropped in enumerate(self.omit) if not dropped)
 
     def draw_delta(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        d = len(self.means)
-        z = rng.standard_normal((n, d))
+        return self.delta(rng.standard_normal((n, len(self.means))))
+
+    def delta(self, z: np.ndarray) -> np.ndarray:
+        """The additive noise whose unit draw is the (n, d) matrix ``z``."""
         return np.asarray(self.means) + z @ self.factor.T
 
     @_refuse_non_finite(
@@ -796,10 +798,19 @@ class HeldOut:
     epsilon: np.ndarray
     y_true: np.ndarray
     label: str
+    # The unit feature-noise draw under the pack's label, by master seed.
+    _unit_dx: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def observed(self, world: World) -> np.ndarray:
-        """The rows as ``world`` shows them, drawn under the pack's label."""
-        return observe_features(world, self.x_true, self.label)
+        """The rows as ``world`` shows them, as ``observe_features`` draws them
+        under the pack's label.  The unit draw is made on the first view and
+        scaled by each later one's spec (a curve's levels, panel variants)."""
+        z = self._unit_dx.get(world.master_seed)
+        if z is None:
+            rng = rng_for(world.master_seed, self.label, "dx")
+            z = self._unit_dx[world.master_seed] = rng.standard_normal(self.x_true.shape)
+        noise = world.feature_noise
+        return noise.observe(self.x_true, noise.delta(z))
 
     def head(self, n: int) -> "HeldOut":
         return HeldOut(
@@ -851,6 +862,42 @@ def sample(world: World, n: int, substream_label: str) -> SampleBundle:
     if world.selection.rule != "none" and not bundle.selected.any():
         raise EmptySelectionError(f"selection kept zero of {n} rows")
     return bundle
+
+
+def same_bits(a, b) -> bool:
+    """Whether two specs hold bitwise-equal values: ``==`` takes -0.0 for 0.0,
+    which can change a draw's bits, and their reprs do not."""
+    return repr(a) == repr(b)
+
+
+def resampler(world: World, base: World) -> Callable[[SampleBundle], SampleBundle]:
+    """For a ``world`` that differs from ``base`` at most in its target and
+    feature noise (a panel variant), a function from the sample ``base``
+    draws under a label to the one ``sample(world, n, label)`` draws.  Only
+    the channels whose spec differs are drawn again, in ``sample``'s order:
+    the target noise, the feature noise, and the observed view when the
+    feature noise or its omission or coarsening differs.  Every other array
+    is the base sample's own, and a sample with nothing to redraw is
+    returned as it is."""
+    target, noise, base_noise = world.target_noise, world.feature_noise, base.feature_noise
+    redraw_y = not same_bits(target, base.target_noise)
+    redraw_dx = not same_bits((noise.means, noise.cov), (base_noise.means, base_noise.cov))
+    observe = redraw_dx or not same_bits(noise, base_noise)
+    seed = world.master_seed
+
+    def resample(bundle: SampleBundle) -> SampleBundle:
+        changes = {}
+        if redraw_y:
+            y_observed = target.corrupt(rng_for(seed, bundle.label, "dy"), bundle.y_true)
+            changes.update(y_observed=y_observed, delta_y=y_observed - bundle.y_true)
+        if redraw_dx:
+            changes["delta_x"] = noise.draw_delta(rng_for(seed, bundle.label, "dx"), bundle.n)
+        if observe:
+            delta_x = changes.get("delta_x", bundle.delta_x)
+            changes["x_observed"] = noise.observe(bundle.x_true, delta_x)
+        return dataclasses.replace(bundle, **changes) if changes else bundle
+
+    return resample
 
 
 # Rows per block of ``check_bundle``: the columns it recomputes stay a few

@@ -828,6 +828,9 @@ def test_overflowing_label_mean_refuses_the_ridge_fit(tmp_path, capsys):
     # y_obs stays finite at a target-noise mean of 1.7e308, but ridge's label
     # mean overflows: the fit is refused (exit 3), naming its sample and
     # regime, before a NaN coefficient reaches the decomposition (exit 4).
+    # simulate's summary means overflow too: its JSON writer refuses them
+    # (exit 3), and no numpy RuntimeWarning is printed (or, under this
+    # suite's filter, raised) first.
     doc = yaml.safe_load(STANDARD.read_text(encoding="utf-8"))
     doc["world"]["target_noise"] = {"mean": 1.7e308}
     doc["decompose"] = {"train_n": 100, "n": 50}
@@ -835,6 +838,25 @@ def test_overflowing_label_mean_refuses_the_ridge_fit(tmp_path, capsys):
     assert main(["decompose", "--config", str(config), "--out", str(tmp_path / "d")]) == 3
     assert capsys.readouterr().err == (
         "numerical failure: sample decompose/train: regime OO: ridge fit gave a non-finite coef\n"
+    )
+    assert not (tmp_path / "d").exists()
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "RuntimeWarning" not in err
+    assert not (tmp_path / "s").exists()
+
+
+def test_overflowing_knn_prediction_exits_three(tmp_path, capsys):
+    # Every knn parameter is finite, but TO's mean of ten labels near
+    # 1.7e308 overflows: a numerical failure naming the sample and regime
+    # (exit 3), not a broken decomposition (exit 4), and no numpy warning.
+    config = _reference_with(
+        tmp_path, world={"target_noise": {"mean": 1.7e308}}, model={"family": "knn", "k": 10}
+    )
+    assert main(["decompose", "--config", str(config), "--out", str(tmp_path / "d")]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: sample decompose/train: regime TO: knn prediction is inf at row 0; "
+        "the mean of the 10 nearest labels overflows float64\n"
     )
     assert not (tmp_path / "d").exists()
 

@@ -435,6 +435,94 @@ def test_unomitting_a_relevant_feature_clears_the_x_channel():
     assert fixed_terminal.mean_abs_meas_x < 1e-9
 
 
+# Variants that redraw the feature noise, re-observe the features, redraw
+# the target noise, and put a baseline after the first variant and twice.
+_SHARING_VARIANTS = (
+    PanelScenario(
+        "reconstructed_features",
+        feature_noise=FeatureNoiseSpec(
+            means=(0.0,) * 3,
+            cov=((0.1, 0.0, 0.0), (0.0, 0.1, 0.0), (0.0, 0.0, 0.1)),
+            omit=(False,) * 3,
+            coarsen=(0.5, 0.0, 0.0),
+        ),
+    ),
+    PanelScenario(
+        "reconstructed_target", target_noise=TargetNoiseSpec(distribution="quantization", step=0.25)
+    ),
+    PanelScenario("baseline"),
+    PanelScenario(
+        "reconstructed_target", target_noise=TargetNoiseSpec(distribution="uniform", variance=0.3)
+    ),
+    PanelScenario("baseline"),
+)
+
+
+def _sharing_world():
+    return make_world(
+        target_noise={"variance": 1.0},
+        feature_noise={"cov": 0.4, "omit": [False, False, True]},
+        selection={"rule": "probabilistic", "coverage": 0.9},
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        RIDGE,
+        ModelSpec(family="knn", k=5),
+        ModelSpec(family="mlp", widths=(6,), epochs=3, batch_size=16),
+    ],
+    ids=["ridge", "knn", "mlp"],
+)
+def test_panels_equal_one_curve_per_variant_bitwise(spec):
+    # The variants share each replicate's draws and fits; each must still
+    # get the curve it gets alone.  The last level switches both channels
+    # off, where the target variants equal the baseline.
+    world = _sharing_world()
+    axis = _axis(
+        [
+            AxisLevel(40, (0, 1), (1.0, 1.0)),
+            AxisLevel(60, FEATS, (0.7, 0.5)),
+            AxisLevel(80, FEATS, (0.0, 0.0)),
+        ]
+    )
+    curve = CurveConfig(axis, 3, test_points=200, comp_points=50)
+    result = run_panel_scenarios(world, PanelsConfig(_SHARING_VARIANTS), spec, curve)
+    for variant, shared in zip(_SHARING_VARIANTS, result.curves):
+        alone = run_learning_curve(variant.apply(world), spec, curve, "panels")
+        assert np.array_equal(shared.replicate_mse, alone.replicate_mse)
+        assert shared.points == alone.points
+        assert (shared.var_y_test, shared.ceiling) == (alone.var_y_test, alone.ceiling)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_panels_name_the_first_listed_variant_that_fails(workers):
+    # The baseline's constant third observed feature makes its OO design
+    # singular from level 1, where that feature becomes visible; the
+    # variant listed after it coarsens the first two features to constants,
+    # so it fails already at level 0.  Run one after another, the variants
+    # would fail with the baseline's error, and so must the shared run.
+    world = make_world(feature_noise={"cov": 0.0, "coarsen": [0.0, 0.0, 100.0]})
+    coarse = FeatureNoiseSpec(
+        means=(0.0,) * 3, cov=((0.0,) * 3,) * 3, omit=(False,) * 3, coarsen=(100.0, 100.0, 0.0)
+    )
+    variants = (
+        PanelScenario("baseline"),
+        PanelScenario("reconstructed_features", feature_noise=coarse),
+    )
+    axis = _axis([AxisLevel(40, (0, 1), (1.0, 1.0)), AxisLevel(60, FEATS, (1.0, 1.0))])
+    curve = CurveConfig(axis, 2, test_points=100, comp_points=20)
+    with parallel.command_pool(workers):
+        with pytest.raises(el.errors.SingularSystemError) as info:
+            run_panel_scenarios(world, PanelsConfig(variants), RIDGE, curve)
+    assert str(info.value).startswith(
+        "panels.variants[0] (baseline): sample panels/L1/rep0000: regime OO: ridge with lam=0"
+    )
+    with pytest.raises(el.errors.SingularSystemError, match="sample panels/L0/rep0000: regime OO"):
+        run_learning_curve(variants[1].apply(world), RIDGE, curve, "panels")
+
+
 def test_panels_require_a_baseline():
     with pytest.raises(InvalidSpecError, match="baseline"):
         PanelsConfig((PanelScenario("reconstructed_target", target_noise=TargetNoiseSpec()),))

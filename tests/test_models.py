@@ -12,6 +12,7 @@ from errorlab import models, worldgen
 from errorlab.errors import DimensionError, InvalidSpecError, SingularSystemError
 from errorlab.models import ModelSpec, check_gradients, fit, fit_regimes, predict
 from errorlab.seeding import rng_for
+from errorlab.worldgen import TargetNoiseSpec
 
 from conftest import make_world
 
@@ -268,6 +269,88 @@ def test_fit_errors_are_labeled_by_regime():
     bundle = el.sample(world, 100, "regime-err")
     with pytest.raises(SingularSystemError, match="regime OO"):
         fit_regimes(bundle, ModelSpec(family="ridge", lam=0.0))
+
+
+def _bundle(x_true, x_observed, y_true, y_observed, label="shared"):
+    n = len(y_true)
+    return worldgen.SampleBundle(
+        x_true=x_true,
+        x_observed=x_observed,
+        y_true=y_true,
+        y_observed=y_observed,
+        epsilon=np.zeros(n),
+        selected=np.ones(n, dtype=bool),
+        delta_y=y_observed - y_true,
+        delta_x=np.zeros_like(x_true),
+        label=label,
+    )
+
+
+@pytest.mark.parametrize("ties", [False, True], ids=["argsort", "lexsort"])
+@pytest.mark.parametrize("lam", [0.0, 0.3])
+def test_shared_ridge_design_gives_each_regime_its_lone_fit_bitwise(ties, lam):
+    # TO and TT share x_true's canonical order and design.  A first column
+    # with ties (and whole rows repeated with other labels) takes the
+    # lexsort path, whose order depends on each regime's labels.
+    rng = rng_for(46, "shared-ridge")
+    x_true = rng.standard_normal((120, 3))
+    if ties:
+        x_true[:, 0] = np.round(x_true[:, 0] * 2.0) / 2.0
+        x_true[60:80] = x_true[:20]
+    x_observed = x_true[:, :2] + rng.standard_normal((120, 2))
+    y_true = rng.standard_normal(120)
+    y_observed = y_true + rng.standard_normal(120)
+    bundle = _bundle(x_true, x_observed, y_true, y_observed)
+    spec = ModelSpec(family="ridge", lam=lam)
+    views = {"OO": (x_observed, y_observed), "TO": (x_true, y_observed), "TT": (x_true, y_true)}
+    for regimes in (("OO", "TO", "TT"), ("TT", "OO", "TO"), ("TO",)):
+        fitted = fit_regimes(bundle, spec, regimes)
+        assert list(fitted) == list(regimes)
+        for regime, model in fitted.items():
+            lone = fit(spec, *views[regime], regime)
+            assert model.regime == regime and model.input_dim == lone.input_dim
+            assert np.array_equal(model.params["coef"], lone.params["coef"])
+            assert model.params["intercept"] == lone.params["intercept"]
+            assert model.diagnostics == lone.diagnostics
+
+
+@pytest.mark.parametrize("regimes, named", [(("OO", "TO", "TT"), "TO"), (("TT", "TO"), "TT")])
+def test_a_shared_rank_deficient_design_names_the_first_regime_on_it(regimes, named):
+    rng = rng_for(47, "shared-singular")
+    x_true = rng.standard_normal((50, 2))
+    x_true[:, 1] = 3.0  # a constant column: TO and TT's centred design is singular
+    y_true = rng.standard_normal(50)
+    bundle = _bundle(x_true, rng.standard_normal((50, 2)), y_true, y_true + 1.0, "singular")
+    with pytest.raises(SingularSystemError) as info:
+        fit_regimes(bundle, ModelSpec(family="ridge", lam=0.0), regimes)
+    assert str(info.value).startswith(f"sample singular: regime {named}: ridge with lam=0 ")
+
+
+def test_refit_regimes_refits_only_the_regimes_on_redrawn_arrays():
+    world = make_world()
+    variant = dataclasses.replace(world, target_noise=TargetNoiseSpec(variance=2.0))
+    spec = ModelSpec(family="ridge", lam=0.0)
+    base = el.sample(world, 80, "refit")
+    fitted = fit_regimes(base, spec)
+    assert models.refit_regimes(base, spec, fitted, base) is fitted
+    own = worldgen.resampler(variant, world)(base)
+    refitted = models.refit_regimes(own, spec, fitted, base)
+    assert list(refitted) == ["OO", "TO", "TT"] and refitted["TT"] is fitted["TT"]
+    for regime, model in fit_regimes(el.sample(variant, 80, "refit"), spec).items():
+        assert np.array_equal(refitted[regime].params["coef"], model.params["coef"])
+        assert refitted[regime].params["intercept"] == model.params["intercept"]
+
+
+def test_knn_prediction_that_overflows_raises_fit_error_naming_its_regime():
+    # Every label is finite, but the mean of two near the float maximum is not.
+    model = fit(ModelSpec(family="knn", k=2), np.array([[0.0], [1.0], [5.0]]),
+                np.array([1.7e308, 1.7e308, 0.0]), "TO")
+    with pytest.raises(el.errors.FitError) as info:
+        predict(model, np.array([[4.0], [0.2]]))
+    assert str(info.value) == (
+        "regime TO: knn prediction is inf at row 1; the mean of the 2 nearest labels "
+        "overflows float64"
+    )
 
 
 @pytest.mark.parametrize(

@@ -471,6 +471,58 @@ def test_probabilistic_selection_independent_of_noise():
     assert abs(np.mean(sel_eps)) < 3 * se
 
 
+# Panel-like variants of one world: each changes its target or feature
+# noise, or nothing.
+_VARIANT_SECTIONS = [
+    {},
+    {"target_noise": {"distribution": "quantization", "step": 0.25}},
+    {"target_noise": {"distribution": "uniform", "variance": 0.3}},
+    {"feature_noise": {"cov": 0.1, "omit": [False, False, False], "coarsen": [0.5, 0.0, 0.0]}},
+    {"feature_noise": {"cov": 0.4, "omit": [False, False, False]}},
+]
+
+
+@pytest.mark.parametrize("sections", _VARIANT_SECTIONS)
+def test_resampled_variant_equals_its_own_sample(sections):
+    base_cfg = {
+        "feature_noise": {"cov": 0.4, "omit": [False, False, True]},
+        "target_noise": {"variance": 1.0},
+        "selection": {"rule": "probabilistic", "coverage": 0.9},
+    }
+    base = make_world(**base_cfg)
+    variant = make_world(**{**base_cfg, **sections})
+    drawn = el.sample(base, 300, "resample")
+    own = worldgen.resampler(variant, base)(drawn)
+    expected = el.sample(variant, 300, "resample")
+    for field in dataclasses.fields(expected):
+        assert np.array_equal(getattr(own, field.name), getattr(expected, field.name)), field.name
+    # Arrays of unchanged channels are the base sample's own.
+    assert (own.y_observed is drawn.y_observed) == ("target_noise" not in sections)
+    assert (own.x_observed is drawn.x_observed) == ("feature_noise" not in sections)
+    assert own.x_true is drawn.x_true and own.selected is drawn.selected
+    assert (own is drawn) == (not sections)
+
+
+def test_pack_views_equal_observe_features_at_every_level():
+    from errorlab.experiments import AxisLevel, level_world
+
+    world = make_world(
+        feature_noise={"cov": [[0.4, 0.1, 0.0], [0.1, 0.3, 0.0], [0.0, 0.0, 0.2]],
+                       "means": [0.5, -0.2, 0.0], "coarsen": [0.25, 0.0, 0.0]}
+    )
+    levels = [
+        AxisLevel(10, (0, 1), (1.0, 1.0)),
+        AxisLevel(10, (0, 1, 2), (1.0, 0.6)),
+        AxisLevel(10, (0, 1, 2), (1.0, 0.0)),
+    ]
+    views = [level_world(world, level) for level in levels]
+    x_true = worldgen.draw_inputs(world, 500, "views")
+    pack = worldgen.held_out(world, x_true, "views")
+    for w in views + views[::-1]:  # the unit draw is made on the first view only
+        expected = worldgen.observe_features(w, x_true, "views")
+        assert np.array_equal(pack.observed(w).view(np.int64), expected.view(np.int64))
+
+
 def test_empty_selection_raises():
     half = make_world(selection={"rule": "threshold", "score": "epsilon", "coverage": 0.5})
     assert el.sample(half, 50, "sel-empty").selected.sum() == 25

@@ -10,7 +10,11 @@ Usage (from the repository root):
 ``PYTHONPATH`` for each of the 7 commands x {ridge, knn k=10, mlp [16]
 tanh 5 epochs, mlp [5, 4] relu 4 epochs} x ``--workers`` 1 and 2, on
 ``scenarios/standard.yaml`` (``--replicates 3``, ``components_replicates:
-4``) and on ``scenarios/reference.yaml``.  It writes one JSON object keyed
+4``) and on ``scenarios/reference.yaml``, and ``panels`` alone on the
+``variants`` scenario: standard.yaml with the panel variants in
+``PANEL_VARIANTS``, which redraw the feature noise, re-observe the
+features, redraw the target noise, and put a baseline after the first
+variant and twice.  It writes one JSON object keyed
 by run, holding each run's exit code and its manifest's ``files``,
 ``seed_labels`` and ``config_hash`` (null when the run wrote no manifest).
 It exits 1, naming the run, if a run exits otherwise than expected (every
@@ -49,6 +53,23 @@ MODELS = {
     "mlp-relu": {"family": "mlp", "widths": [5, 4], "activation": "relu", "epochs": 4},
 }
 REPLICATES = "3"
+# The variants scenario's panels, in this order (see the module docstring).
+PANEL_VARIANTS = [
+    {
+        "variant": "reconstructed_features",
+        "feature_noise": {"cov": 0.1, "omit": [False, False, False], "coarsen": [0.5, 0.0, 0.0]},
+    },
+    {
+        "variant": "reconstructed_target",
+        "target_noise": {"distribution": "quantization", "step": 0.25},
+    },
+    {"variant": "baseline"},
+    {
+        "variant": "reconstructed_target",
+        "target_noise": {"distribution": "uniform", "variance": 0.3},
+    },
+    {"variant": "baseline"},
+]
 MANIFEST_FIELDS = ("files", "seed_labels", "config_hash")
 # reference.yaml has no section for these commands: they exit 2 there.
 NEEDS_SECTION = ("curve", "panels", "gallery", "probe")
@@ -56,18 +77,22 @@ NEEDS_SECTION = ("curve", "panels", "gallery", "probe")
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def _scenarios(work: Path) -> dict[str, Path]:
-    """Each scenario x model variant, written under ``work``, by name."""
+def _scenarios(work: Path) -> dict[str, tuple[Path, tuple[str, ...]]]:
+    """Each scenario x model variant, written under ``work``, by name, with
+    the commands run on it."""
     out = {}
-    for scenario in ("standard", "reference"):
-        doc = yaml.safe_load((SCENARIOS / f"{scenario}.yaml").read_text(encoding="utf-8"))
+    for scenario in ("standard", "reference", "variants"):
+        source = "reference" if scenario == "reference" else "standard"
+        doc = yaml.safe_load((SCENARIOS / f"{source}.yaml").read_text(encoding="utf-8"))
         if scenario == "standard":
             doc["biasvar"]["components_replicates"] = 4
+        if scenario == "variants":
+            doc["panels"]["variants"] = PANEL_VARIANTS
         for model, spec in MODELS.items():
             doc["model"] = spec
             path = work / f"{scenario}-{model}.yaml"
             path.write_text(yaml.safe_dump(doc), encoding="utf-8")
-            out[f"{scenario}/{model}"] = path
+            out[f"{scenario}/{model}"] = path, ("panels",) if scenario == "variants" else COMMANDS
     return out
 
 
@@ -78,8 +103,8 @@ def run_matrix(src: Path) -> dict[str, dict]:
     results = {}
     with tempfile.TemporaryDirectory(prefix="identity-matrix-") as tmp:
         work = Path(tmp)
-        for name, config in _scenarios(work).items():
-            for command in COMMANDS:
+        for name, (config, commands) in _scenarios(work).items():
+            for command in commands:
                 for workers in (1, 2):
                     run = f"{name}/{command}/workers{workers}"
                     out = work / run.replace("/", "-")
