@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -110,16 +111,18 @@ def _label_free_order(x: np.ndarray):
     return None
 
 
+def _lexsort_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    keys = (y,) + tuple(x[:, j] for j in range(x.shape[1] - 1, -1, -1))
+    return np.lexsort(keys)
+
+
 def canonical_row_order(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Sort order by features (first column primary) then label.
 
     A first column without ties orders the rows on its own
     (``_label_free_order``); otherwise the full ``np.lexsort`` runs."""
     order = _label_free_order(x)
-    if order is None:
-        keys = (y,) + tuple(x[:, j] for j in range(x.shape[1] - 1, -1, -1))
-        order = np.lexsort(keys)
-    return order
+    return _lexsort_order(x, y) if order is None else order
 
 
 def _check_training_arrays(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,16 +157,9 @@ def _ridge_design(spec: ModelSpec, x: np.ndarray) -> tuple:
     return x, x_mean, xc, gram
 
 
-def _fit_ridge(spec: ModelSpec, x: np.ndarray, y: np.ndarray, shared=None) -> tuple[dict, dict]:
-    """Ridge on the rows ``(x, y)``, in canonical order.  Views on one ``x``
-    in one order (TO and TT on ``x_true``) may pass one list as ``shared``:
-    the first to fit stores x's ``_ridge_design`` there, and every view
-    solves on it."""
-    if shared is None:
-        shared = []
-    if not shared:
-        shared.append(_ridge_design(spec, x))
-    x, x_mean, xc, gram = shared[0]
+def _fit_ridge(spec: ModelSpec, design: tuple, y: np.ndarray) -> tuple[dict, dict]:
+    """Ridge on the ``_ridge_design`` of the rows ``x`` and their labels ``y``."""
+    x, x_mean, xc, gram = design
     y_mean = float(y.mean())
     yc = y - y_mean
     coef = np.linalg.solve(gram, xc.T @ yc)
@@ -192,21 +188,22 @@ _KNN_SCRATCH = 1 << 15
 _KNN_COLUMNWISE_MAX_DIM = 7
 
 
-def _fit_knn(spec: ModelSpec, x: np.ndarray, y: np.ndarray) -> tuple[dict, dict]:
+def _knn_design(spec: ModelSpec, x: np.ndarray) -> tuple:
+    """The rows ``x`` (in canonical order) standardized, their column means
+    and their standard deviations (1 where a column is constant)."""
     if x.shape[0] < spec.k:
         raise FitError(f"knn needs at least k={spec.k} training rows, got {x.shape[0]}")
     mean = x.mean(axis=0)
     sd = x.std(axis=0)
     sd = np.where(sd == 0.0, 1.0, sd)
-    params = {
-        # Column-major, so each feature's column is contiguous for the
-        # distance kernel: laid out once here rather than on every predict.
-        "train_x_std": np.asfortranarray((x - mean) / sd),
-        "train_y": y,
-        "mean": mean,
-        "sd": sd,
-        "k": spec.k,
-    }
+    # Column-major, so each feature's column is contiguous for the distance
+    # kernel: laid out once here rather than on every predict.
+    return np.asfortranarray((x - mean) / sd), mean, sd
+
+
+def _fit_knn(spec: ModelSpec, design: tuple, y: np.ndarray) -> tuple[dict, dict]:
+    train_x_std, mean, sd = design
+    params = {"train_x_std": train_x_std, "train_y": y, "mean": mean, "sd": sd, "k": spec.k}
     diagnostics = {"final_loss": None, "iterations": 0}
     return params, diagnostics
 
@@ -421,11 +418,11 @@ def _mlp_loss(layers: list[tuple[np.ndarray, np.ndarray]], activation: str, x, y
 
 def _train_mlp(
     spec: ModelSpec, regimes: tuple[str, ...], x_blocks: list[np.ndarray], y: np.ndarray
-) -> list[tuple[dict, dict]]:
+) -> dict[str, FittedModel]:
     """Train a stack of networks, one per regime and row of the (s, n)
     labels ``y``, on the input blocks ``x_blocks`` (see ``_mlp_forward``),
     each network's rows in its canonical order: an SGD step is one set of
-    numpy calls for all of them.
+    numpy calls for all of them.  Returns the fitted models by regime.
 
     Every network draws the ``mlp/init`` weights for its input width and
     takes the same ``mlp/batches`` permutations, and gets the same bits
@@ -492,13 +489,21 @@ def _train_mlp(
                     f"{bounds[r]:.6g}; learning_rate {lr} diverges on this data"
                 )
             epoch_losses[r].append(loss)
-    return [
-        (
-            {"layers": net},
-            {"final_loss": losses[-1], "iterations": iterations, "epoch_losses": losses},
+    fitted = {}
+    for regime, net, losses in zip(regimes, nets, epoch_losses):
+        diagnostics = {"final_loss": losses[-1], "iterations": iterations, "epoch_losses": losses}
+        # A first weight matrix has a row per input column.
+        fitted[regime] = FittedModel(spec, regime, len(net[0][0]), {"layers": net}, diagnostics)
+    return fitted
+
+
+def _mlp_design(spec: ModelSpec, x: np.ndarray) -> np.ndarray:
+    """The rows ``x`` (in canonical order) themselves, for the stack."""
+    if x.shape[0] < spec.batch_size:
+        raise FitError(
+            f"mlp needs at least batch_size={spec.batch_size} training rows, got {x.shape[0]}"
         )
-        for net, losses in zip(nets, epoch_losses)
-    ]
+    return x
 
 
 def _predict_mlp(model: FittedModel, x: np.ndarray) -> np.ndarray:
@@ -544,78 +549,67 @@ def check_gradients(
 # ---------------------------------------------------------------------------
 # uniform contract
 
-# The trainable families as (fit one view, predict); an mlp trains in ``_fit_stack``.
+# The trainable families as (design of a feature field's rows, fit of one
+# view's labels on it, predict); the mlp's views train as one stack instead.
 _FAMILIES = {
-    "ridge": (_fit_ridge, _predict_ridge),
-    "knn": (_fit_knn, _predict_knn),
-    "mlp": (None, _predict_mlp),
+    "ridge": (_ridge_design, _fit_ridge, _predict_ridge),
+    "knn": (_knn_design, _fit_knn, _predict_knn),
+    "mlp": (_mlp_design, None, _predict_mlp),
 }
 
 
-def _training_view(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Checked, non-empty training arrays in canonical row order."""
-    x, y = _check_training_arrays(x, y)
-    if x.shape[0] < 1:
-        raise FitError("training data is empty")
-    order = canonical_row_order(x, y)
-    return x[order], y[order]
+@np.errstate(over="ignore", invalid="ignore")
+def _fit_views(spec: ModelSpec, regimes: tuple[str, ...], fields: dict) -> dict[str, FittedModel]:
+    """Fit the spec on each regime's view of ``fields`` (bundle field name ->
+    rows), keyed by regime in the order given; a failed fit names its regime.
 
-
-def _trained(train, spec: ModelSpec, *args):
-    """``train(spec, *args)`` with numpy's overflow and invalid-value
-    warnings off: an overflow is refused, not warned about.  An mlp stack
-    is judged by its epoch loss against its divergence bound as it trains;
-    a ridge or knn fit, here, by its first parameter that is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = train(spec, *args)
-    if spec.family != "mlp":
-        for name, value in out[0].items():
-            if not np.isfinite(value).all():
-                raise FitError(f"{spec.family} fit gave a non-finite {name}")
-    return out
-
-
-def _fit_stack(spec: ModelSpec, regimes: tuple[str, ...], views) -> dict[str, FittedModel]:
-    """Train an mlp on each regime's (x, y) view as one stack (see
-    ``_train_mlp`` and ``_trained``), in input blocks of consecutive views
-    of one width."""
-    blocks, ys = [], []
-    for regime, (x, y) in zip(regimes, views):
+    Views on one feature field (TO and TT on ``x_true``) share its canonical
+    order and design, made by the first regime on it, unless the order needs
+    the labels (a first column with ties).  numpy's overflow and invalid
+    value warnings are off: ridge and knn refuse a parameter that is not
+    finite, and the mlp stack (``_train_mlp``) a diverging loss.  Every
+    model gets the bits it gets fitted alone."""
+    make_design, fit_design, _ = _FAMILIES[spec.family]
+    shared = {}  # feature field -> (its label-free order or None, its design in that order)
+    fitted, stack = {}, []
+    for regime in regimes:
+        x_name, y_name = _REGIME_FIELDS[regime]
         with naming(f"regime {regime}"):
-            x, y = _training_view(x, y)
-            if len(y) < spec.batch_size:
-                raise FitError(
-                    f"mlp needs at least batch_size={spec.batch_size} training rows, got {len(y)}"
-                )
-        if not blocks or blocks[-1][-1].shape[1] != x.shape[1]:
-            blocks.append([])
-        blocks[-1].append(x)
-        ys.append(y)
-    stack = [np.stack(block) for block in blocks], np.stack(ys)
-    del blocks, ys, x, y  # only the stack is held while it trains
-    trained = _trained(_train_mlp, spec, regimes, *stack)
-    # A first weight matrix has a row per input column.
-    return {
-        regime: FittedModel(spec, regime, p["layers"][0][0].shape[0], p, diagnostics)
-        for regime, (p, diagnostics) in zip(regimes, trained)
-    }
+            x, y = _check_training_arrays(fields[x_name], fields[y_name])
+            if x.shape[0] < 1:
+                raise FitError("training data is empty")
+            if x_name not in shared:
+                order = _label_free_order(x)
+                shared[x_name] = order, None if order is None else make_design(spec, x[order])
+            order, design = shared[x_name]
+            if order is None:
+                order = _lexsort_order(x, y)
+                design = make_design(spec, x[order])
+            y = y[order]
+            if fit_design is None:
+                stack.append((regime, design, y))
+                continue
+            params, diagnostics = fit_design(spec, design, y)
+            for name, value in params.items():
+                if not np.isfinite(value).all():
+                    raise FitError(f"{spec.family} fit gave a non-finite {name}")
+        fitted[regime] = FittedModel(spec, regime, x.shape[1], params, diagnostics)
+    if not stack:
+        return fitted
+    regimes, xs, ys = zip(*stack)
+    blocks = [np.stack(list(block)) for _, block in groupby(xs, lambda x: x.shape[1])]
+    ys = np.stack(ys)
+    del shared, stack, xs, design, y  # the stack holds the sorted views while it trains
+    return _train_mlp(spec, regimes, blocks, ys)
 
 
 def fit(spec: ModelSpec, x: np.ndarray, y: np.ndarray, regime: str = "OO") -> FittedModel:
     """Fit the spec on the rows ``(x, y)``, taken in canonical row order, as
-    the training regime ``regime``; a failed fit names the regime.  An mlp
-    trains as a stack of one (see ``_fit_stack``)."""
+    the training regime ``regime``; a failed fit names the regime.  This is
+    ``_fit_views`` on one view: an mlp trains as a stack of one."""
     if regime not in _REGIME_FIELDS:
         raise InvalidSpecError(f"unknown training regime {regime!r}")
-    if spec.family == "mlp":
-        return _fit_stack(spec, (regime,), [(x, y)])[regime]
-    fit_family, _ = _FAMILIES[spec.family]
-    with naming(f"regime {regime}"):
-        x, y = _training_view(x, y)
-        params, diagnostics = _trained(fit_family, spec, x, y)
-    return FittedModel(
-        spec=spec, regime=regime, input_dim=x.shape[1], params=params, diagnostics=diagnostics
-    )
+    return _fit_views(spec, (regime,), dict(zip(_REGIME_FIELDS[regime], (x, y))))[regime]
 
 
 def predict(model: FittedModel, x: np.ndarray) -> np.ndarray:
@@ -626,7 +620,7 @@ def predict(model: FittedModel, x: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"model expects {model.input_dim} feature columns, got {x.shape[1]}"
         )
-    _, predict_family = _FAMILIES[model.spec.family]
+    _, _, predict_family = _FAMILIES[model.spec.family]
     return predict_family(model, x)
 
 
@@ -638,44 +632,15 @@ def fit_regimes(
     is OO's (x_observed, y_observed), TO's (x_true, y_observed) or TT's
     (x_true, y_true).  A failed fit names the sample and the regime.
 
-    The mlp trains the regimes as one stack (see ``_fit_stack``), and knn
-    fits them one at a time through ``fit``.  ridge fits them one at a time
-    in the order given, and regimes on one feature view (TO and TT) share
-    its canonical order and design (``_fit_ridge``) unless the order needs
-    the labels (a first column with ties).  Every model gets the bits a
-    lone ``fit`` gives it."""
+    Each field's selected rows are cut once, so TO and TT train on one
+    ``x_true`` array and share its canonical order and design (see
+    ``_fit_views``).  Every model gets the bits a lone ``fit`` gives it."""
     if not regimes or not set(regimes) <= _REGIME_FIELDS.keys():
         raise InvalidSpecError(f"training regimes must be among OO, TO, TT, got {regimes!r}")
-    rows = bundle.selected
-
-    def view(regime: str) -> tuple[np.ndarray, np.ndarray]:
-        x_name, y_name = _REGIME_FIELDS[regime]
-        return getattr(bundle, x_name)[rows], getattr(bundle, y_name)[rows]
-
+    names = {name for regime in regimes for name in _REGIME_FIELDS[regime]}
+    fields = {name: getattr(bundle, name)[bundle.selected] for name in names}
     with naming(f"sample {bundle.label}"):
-        if spec.family == "mlp":
-            return _fit_stack(spec, regimes, map(view, regimes))
-        if spec.family == "knn":
-            return {regime: fit(spec, *view(regime), regime) for regime in regimes}
-        # feature field -> (rows in canonical order, the order, a list holding
-        # their design), or (rows, None, None) when the order needs the labels
-        fitted, features = {}, {}
-        for regime in regimes:
-            x_name, y_name = _REGIME_FIELDS[regime]
-            y = getattr(bundle, y_name)[rows]
-            with naming(f"regime {regime}"):
-                if x_name not in features:
-                    x = getattr(bundle, x_name)[rows]
-                    order = _label_free_order(x)
-                    features[x_name] = (x, None, None) if order is None else (x[order], order, [])
-                x, order, shared = features[x_name]
-                if order is None:
-                    x, y = _training_view(x, y)
-                else:
-                    y = y[order]
-                params, diagnostics = _trained(_fit_ridge, spec, x, y, shared)
-            fitted[regime] = FittedModel(spec, regime, x.shape[1], params, diagnostics)
-        return fitted
+        return _fit_views(spec, regimes, fields)
 
 
 def refit_regimes(

@@ -80,13 +80,19 @@ def command_pool(workers: int) -> Iterator[CommandPool]:
         pool.close()
 
 
-def _recorded_cell(fn: Callable[[T], R], item: T) -> tuple[R, set[str]]:
+def _recorded_cell(fn: Callable[[T], R], item: T) -> tuple[object, Optional[str], set[str]]:
     """Run one cell in a pool worker, which has a seed-label ledger of its
-    own; return the cell's result with the labels it drew, so the caller's
-    ledger comes out the same for any worker count."""
+    own; return the cell's result, or the exception it raised with its
+    traceback's text (a traceback does not pickle), and the labels it drew.
+    So the caller's ledger comes out the same for any worker count, and the
+    caller raises the first failing item's error, not the first to fail."""
     with seeding.recording() as labels:
-        result = fn(item)
-    return result, labels
+        try:
+            return fn(item), None, labels
+        except Exception as exc:  # the caller raises it again, in item order
+            import traceback  # not at the top: only a failing cell needs it
+
+            return exc, traceback.format_exc(), labels
 
 
 def ordered_map(
@@ -94,7 +100,8 @@ def ordered_map(
 ) -> list[R]:
     """``fn`` over ``items``, in order, on the open command pool, or in this
     process when none is open.  ``workers`` (the pool's size by default)
-    bounds the processes the map spreads over: 1 runs it in-process."""
+    bounds the processes the map spreads over: 1 runs it in-process.  A
+    failing map raises the first failing item's error at any worker count."""
     if _OPEN is None:
         processes = 1
     else:
@@ -102,6 +109,12 @@ def ordered_map(
     if processes == 1:
         return [fn(item) for item in items]
     chunksize = max(1, len(items) // (processes * 4))
-    pairs = _OPEN.map(partial(_recorded_cell, fn), items, chunksize)
-    seeding.record(label for _, labels in pairs for label in labels)
-    return [result for result, _ in pairs]
+    cells = _OPEN.map(partial(_recorded_cell, fn), items, chunksize)
+    seeding.record(label for _, _, labels in cells for label in labels)
+    for value, remote, _ in cells:
+        if remote is not None:
+            from multiprocessing.pool import RemoteTraceback  # as traceback above
+
+            # The worker's traceback as the cause, as a pool's own map gives it.
+            raise value from RemoteTraceback(remote)
+    return [value for value, _, _ in cells]

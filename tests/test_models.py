@@ -9,7 +9,7 @@ import pytest
 
 import errorlab as el
 from errorlab import models, worldgen
-from errorlab.errors import DimensionError, InvalidSpecError, SingularSystemError
+from errorlab.errors import DimensionError, FitError, InvalidSpecError, SingularSystemError
 from errorlab.models import ModelSpec, check_gradients, fit, fit_regimes, predict
 from errorlab.seeding import rng_for
 from errorlab.worldgen import TargetNoiseSpec
@@ -287,8 +287,16 @@ def _bundle(x_true, x_observed, y_true, y_observed, label="shared"):
 
 
 @pytest.mark.parametrize("ties", [False, True], ids=["argsort", "lexsort"])
-@pytest.mark.parametrize("lam", [0.0, 0.3])
-def test_shared_ridge_design_gives_each_regime_its_lone_fit_bitwise(ties, lam):
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModelSpec(family="ridge", lam=0.0),
+        ModelSpec(family="ridge", lam=0.3),
+        ModelSpec(family="knn"),
+    ],
+    ids=["0.0", "0.3", "knn"],  # ridge's by its lam
+)
+def test_shared_ridge_design_gives_each_regime_its_lone_fit_bitwise(ties, spec):
     # TO and TT share x_true's canonical order and design.  A first column
     # with ties (and whole rows repeated with other labels) takes the
     # lexsort path, whose order depends on each regime's labels.
@@ -301,7 +309,6 @@ def test_shared_ridge_design_gives_each_regime_its_lone_fit_bitwise(ties, lam):
     y_true = rng.standard_normal(120)
     y_observed = y_true + rng.standard_normal(120)
     bundle = _bundle(x_true, x_observed, y_true, y_observed)
-    spec = ModelSpec(family="ridge", lam=lam)
     views = {"OO": (x_observed, y_observed), "TO": (x_true, y_observed), "TT": (x_true, y_true)}
     for regimes in (("OO", "TO", "TT"), ("TT", "OO", "TO"), ("TO",)):
         fitted = fit_regimes(bundle, spec, regimes)
@@ -309,21 +316,41 @@ def test_shared_ridge_design_gives_each_regime_its_lone_fit_bitwise(ties, lam):
         for regime, model in fitted.items():
             lone = fit(spec, *views[regime], regime)
             assert model.regime == regime and model.input_dim == lone.input_dim
-            assert np.array_equal(model.params["coef"], lone.params["coef"])
-            assert model.params["intercept"] == lone.params["intercept"]
+            assert list(model.params) == list(lone.params)
+            for name, value in lone.params.items():
+                got, want = np.asarray(model.params[name]), np.asarray(value)
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert got.flags.f_contiguous == want.flags.f_contiguous, name
+                assert got.tobytes() == want.tobytes(), name
             assert model.diagnostics == lone.diagnostics
+    if spec.family == "knn":
+        # One standardized x_true for TO and TT, unless the order needs the labels.
+        fitted = fit_regimes(bundle, spec, ("TO", "TT"))
+        assert (fitted["TO"].params["train_x_std"] is fitted["TT"].params["train_x_std"]) != ties
 
 
-@pytest.mark.parametrize("regimes, named", [(("OO", "TO", "TT"), "TO"), (("TT", "TO"), "TT")])
-def test_a_shared_rank_deficient_design_names_the_first_regime_on_it(regimes, named):
+@pytest.mark.parametrize(
+    "spec, error, regimes, named",
+    [
+        (ModelSpec(family="ridge", lam=0.0), SingularSystemError, ("OO", "TO", "TT"), "TO"),
+        (ModelSpec(family="ridge", lam=0.0), SingularSystemError, ("TT", "TO"), "TT"),
+        (ModelSpec(family="knn", k=51), FitError, ("TO", "TT"), "TO"),
+        (ModelSpec(family="knn", k=51), FitError, ("TT", "TO"), "TT"),
+    ],
+    ids=["regimes0-TO", "regimes1-TT", "knn-TO", "knn-TT"],
+)
+def test_a_shared_rank_deficient_design_names_the_first_regime_on_it(spec, error, regimes, named):
+    # ridge: a constant column makes x_true's centred design singular while
+    # x_observed's is fine.  knn: k above the 50 rows fails every design.
     rng = rng_for(47, "shared-singular")
     x_true = rng.standard_normal((50, 2))
-    x_true[:, 1] = 3.0  # a constant column: TO and TT's centred design is singular
+    x_true[:, 1] = 3.0
     y_true = rng.standard_normal(50)
     bundle = _bundle(x_true, rng.standard_normal((50, 2)), y_true, y_true + 1.0, "singular")
-    with pytest.raises(SingularSystemError) as info:
-        fit_regimes(bundle, ModelSpec(family="ridge", lam=0.0), regimes)
-    assert str(info.value).startswith(f"sample singular: regime {named}: ridge with lam=0 ")
+    with pytest.raises(error) as info:
+        fit_regimes(bundle, spec, regimes)
+    message = "ridge with lam=0 " if spec.family == "ridge" else "knn needs at least k=51 "
+    assert str(info.value).startswith(f"sample singular: regime {named}: {message}")
 
 
 def test_refit_regimes_refits_only_the_regimes_on_redrawn_arrays():

@@ -65,16 +65,26 @@ class _FakePool:
         return False
 
 
+class _ReversedPool(_FakePool):
+    """Runs the items last to first and raises the first exception it meets,
+    as a pool raises the error of whichever failing chunk finishes first."""
+
+    def map(self, fn, items, chunksize=1):
+        self.log.append(("map", len(items)))
+        return [fn(item) for item in reversed(items)][::-1]
+
+
 class _FakeMultiprocessing:
-    def __init__(self):
+    def __init__(self, pool=_FakePool):
         self.log = []
+        self.pool = pool
 
     def get_context(self, method=None):
         assert method == "spawn"
         return self
 
     def Pool(self, processes=None):
-        return _FakePool(self.log, processes)
+        return self.pool(self.log, processes)
 
 
 def test_command_pool_starts_lazily_and_serves_every_map(monkeypatch):
@@ -125,3 +135,20 @@ def test_command_pool_closes_and_resets_on_error(monkeypatch):
             with parallel.command_pool(2):
                 pass
     assert parallel._OPEN is None
+
+
+def test_a_failing_map_raises_the_first_failing_items_error_whatever_fails_first(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "mp", _FakeMultiprocessing(_ReversedPool))
+
+    def cell(item):
+        if item in (1, 2):
+            raise ValueError(f"item {item}")
+        return item
+
+    with parallel.command_pool(2):
+        assert parallel.ordered_map(cell, [0, 3], 2) == [0, 3]
+        with pytest.raises(ValueError, match="^item 1$") as info:
+            parallel.ordered_map(cell, [0, 1, 2, 3], 2)
+    # The cell's own traceback comes back as the cause.
+    assert 'raise ValueError(f"item {item}")' in str(info.value.__cause__)
